@@ -27,7 +27,7 @@ from .erasure import (
     error_report,
     optimal_dual_two_error,
     wce_condition,
-    wce_minimize,
+    wce_solve,
 )
 from .errors import GFramesError, PreconditionError, StructuralError
 from .serialize import (
@@ -130,9 +130,11 @@ def _cmd_dual(args: argparse.Namespace) -> dict:
     elif args.kind == "two_error":
         dual = optimal_dual_two_error(system, args.tolerance)
     else:
-        dual, achieved = wce_minimize(system, iterations=args.iterations,
-                                      seed=args.seed, tolerance=args.tolerance)
-        outputs["achieved_worst_case"] = achieved
+        solution = wce_solve(system, iterations=args.iterations, tolerance=args.tolerance)
+        dual = solution.dual
+        outputs["achieved_worst_case"] = solution.achieved
+        outputs["lower_bound"] = solution.lower_bound
+        outputs["steps"] = solution.steps
     outputs["system"] = system_to_dict(dual)
     outputs["dual_residual"] = verify_dual(dual, system, args.tolerance).dual_residual
     outputs["error_report"] = _error_report_dict(error_report(system, dual))
@@ -226,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="numerical tolerance, relative to the largest "
                              "singular value involved (default 1e-9)")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized subcommands (default 0)")
+                        help="recorded in the dual report's inputs; no subcommand "
+                             "is randomized (default 0)")
     parser.add_argument("--iterations", type=int, default=5000,
                         help="iteration budget for iterative subcommands (default 5000)")
     commands = parser.add_subparsers(dest="command", required=True)

@@ -6,16 +6,34 @@ is ``W_j^* V_j``.  Two figures of merit aggregate the per-index Frobenius
 norms ``||W_j^* V_j||``: their Euclidean norm (``two_error``) and their
 maximum (``worst_case``).
 
-For projective systems with weights ``v_i`` the two-error optimum over all
-duals is unique and closed-form:
+Both optima come from one weighted family of duals.  Write each block of an
+injective system as ``V_i = R_i^* U_i`` with orthonormal rows ``U_i``, and for
+weights ``lam_i > 0`` let ``D_lam = sum_i U_i^* U_i / lam_i``, a weighted sum of
+the projections onto the block row spaces.  The dual minimizing
+``sum_i lam_i ||W_i^* V_i||^2`` is
 
-    W0_i = v_i^{-2} V_i D^{-1},    D = sum_i v_i^{-2} V_i^* V_i
+    W_i = lam_i^{-1} (V_i V_i^*)^{-1} V_i D_lam^{-1}
 
-(``D`` is the sum of the orthogonal projections onto the block row spaces, so
-it dominates a positive multiple of the block Gram sum).  The worst-case
-figure has no general closed form; ``wce_minimize`` runs a projected
-subgradient method over the affine dual chart, and ``wce_condition`` detects
-the regime where the canonical dual is provably the unique optimum.
+with value ``tr(D_lam^{-1})`` and per-block errors
+``||W_i^* V_i||^2 = ||U_i D_lam^{-1}||^2 / lam_i^2``, which are also the
+gradient of ``tr(D_lam^{-1})`` in ``lam``.
+
+- Uniform weights on a projective system with weights ``v_i`` give the unique
+  two-error optimum in closed form (``optimal_dual_two_error``):
+
+      W0_i = v_i^{-2} V_i D^{-1},    D = sum_i v_i^{-2} V_i^* V_i
+
+- For ``lam`` in the simplex, ``sqrt(tr(D_lam^{-1}))`` is a lower bound on the
+  worst case of every dual, and the maximizing ``lam`` gives the worst-case
+  optimum (minimax).  ``wce_solve`` climbs to it by multiplicative weights and
+  returns the best dual found with the best lower bound, a duality
+  certificate; ``wce_condition`` detects the regime where the canonical dual
+  is provably the unique optimum.
+
+``D_lam`` is never formed: with ``Y = diag(lam)^{-1/2} U`` (rows scaled
+blockwise), ``D_lam = Y^* Y`` and ``D_lam^{-1} Y^*`` is the pseudoinverse of
+``Y``, taken from a QR factorization that stays accurate when some weights
+tend to zero.
 
 Block indices are 0-based throughout.
 """
@@ -32,18 +50,23 @@ from .core import (
     ReconstructionSystem,
     classify,
 )
-from .duals import dual_manifold, inverse_frame_operator
+from .duals import canonical_dual, inverse_frame_operator
 from .errors import NotReconstructionSystemError, PreconditionError, StructuralError
 
 __all__ = [
     "ErasureMask",
     "ErrorReport",
+    "WorstCaseSolution",
     "blind_reconstruct",
     "error_report",
     "optimal_dual_two_error",
     "wce_condition",
     "wce_minimize",
+    "wce_solve",
 ]
+
+# Smallest weight relative to the largest: keeps 1/lam finite in the ascent.
+_WEIGHT_FLOOR = np.finfo(float).eps ** 2
 
 
 @dataclass(frozen=True)
@@ -114,6 +137,55 @@ def error_report(system: ReconstructionSystem,
                        worst_case=max(per))
 
 
+@dataclass(frozen=True)
+class WorstCaseSolution:
+    """A dual with its worst-case error and a certificate of near-optimality.
+
+    ``achieved`` is the measured worst case of ``dual``; ``lower_bound`` is a
+    lower bound on the worst case of every dual, so the optimum lies in
+    ``[lower_bound, achieved]``.  ``steps`` counts the weight vectors the
+    ascent evaluated (0 when the dual is unique).
+    """
+
+    dual: ReconstructionSystem
+    achieved: float
+    lower_bound: float
+    steps: int
+
+
+class _WeightedDuals:
+    """The duals minimizing ``sum_i lam_i ||W_i^* V_i||^2``, one per weight vector ``lam``."""
+
+    def __init__(self, system: ReconstructionSystem, tolerance: float) -> None:
+        factors = [np.linalg.qr(dagger(b)) for b in system.blocks]  # V_i^* = Q_i R_i
+        self.bases = np.vstack([dagger(q) for q, _ in factors])
+        lower, upper = eigen_bounds(dagger(self.bases) @ self.bases)
+        if lower <= threshold(tolerance, upper):
+            raise NotReconstructionSystemError(
+                f"block row spaces do not span the domain (lambda_min={lower:.3e})")
+        # (V_i V_i^*)^{-1} V_i = R_i^{-1} U_i
+        self.coordinates = [np.linalg.inv(r) for _, r in factors]
+        self.sizes = np.asarray(system.k)
+        self.starts = np.cumsum(self.sizes) - self.sizes
+
+    def solve(self, weights: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """``(tr(D_lam^{-1}), squared per-block errors, pinv(Y))`` at ``weights``."""
+        scales = np.repeat(weights ** -0.5, self.sizes)
+        # Householder QR is row-wise stable on rows sorted heaviest first;
+        # unsorted, weights near the floor left dual residuals near 1e-3.
+        order = np.argsort(-scales, kind="stable")
+        q, r = np.linalg.qr(scales[order, None] * self.bases[order])
+        pinv = np.empty((r.shape[0], scales.size), dtype=np.complex128)
+        pinv[:, order] = np.linalg.solve(r, dagger(q))
+        energy = np.sum(np.abs(pinv) ** 2, axis=0)
+        return float(energy.sum()), np.add.reduceat(energy, self.starts) / weights, pinv
+
+    def dual(self, weights: np.ndarray, pinv: np.ndarray) -> ReconstructionSystem:
+        return ReconstructionSystem(tuple(
+            c @ dagger(pinv[:, start:start + size]) / np.sqrt(w)
+            for c, w, start, size in zip(self.coordinates, weights, self.starts, self.sizes)))
+
+
 def optimal_dual_two_error(system: ReconstructionSystem,
                            tolerance: float = DEFAULT_TOLERANCE) -> ReconstructionSystem:
     """Unique two-error-optimal dual of a projective system."""
@@ -122,16 +194,9 @@ def optimal_dual_two_error(system: ReconstructionSystem,
         raise PreconditionError("two-error optimization needs a projective system")
     if not shape.is_rs:
         raise NotReconstructionSystemError("system has no positive lower frame bound")
-    weights = shape.weights
-    core = np.zeros((system.d, system.d), dtype=np.complex128)
-    for v, b in zip(weights, system.blocks):
-        core += (dagger(b) @ b) / (v * v)
-    lower, _ = eigen_bounds(core)
-    # positive whenever the lower frame bound is: core >= min(v^-2) * gram
-    assert lower > 0.0
-    inverse = np.linalg.inv(core)
-    return ReconstructionSystem(tuple((b @ inverse) / (v * v)
-                                      for v, b in zip(weights, system.blocks)))
+    family = _WeightedDuals(system, tolerance)
+    uniform = np.ones(system.m)
+    return family.dual(uniform, family.solve(uniform)[2])
 
 
 def wce_condition(system: ReconstructionSystem,
@@ -154,18 +219,23 @@ def wce_condition(system: ReconstructionSystem,
     return None
 
 
-def wce_minimize(system: ReconstructionSystem, iterations: int = 5000, seed: int = 0,
-                 tolerance: float = DEFAULT_TOLERANCE,
-                 step_scale: float = 1.0) -> tuple[ReconstructionSystem, float]:
-    """Minimize the worst-case erasure error over the dual family.
+def wce_solve(system: ReconstructionSystem, iterations: int = 5000,
+              tolerance: float = DEFAULT_TOLERANCE) -> WorstCaseSolution:
+    """Minimize the worst-case erasure error over all duals, with a certificate.
 
-    Projected subgradient on the affine dual chart, started at the canonical
-    dual with steps ``step_scale / sqrt(t)``; the best iterate seen is kept,
-    so the returned value never exceeds the canonical dual's worst case.
-    Deterministic (the seed is reserved for tie-breaking experiments; the
-    default run is seed-independent but the argument mirrors the CLI).
+    Multiplicative-weights ascent on ``lam``: each step evaluates the weighted
+    dual, with per-block errors ``e_i``, and moves ``lam_i <- lam_i * e_i``
+    (then rescales), which shifts weight to the blocks whose squared error is
+    above the weighted average ``tr(D_lam^{-1})``.  The full multiplicative
+    step ``lam_i * e_i^2`` can fall into a two-cycle when many blocks overlap;
+    its square root did not in any tested system.  The ascent stops once the
+    best dual's worst case is within ``tolerance`` (relative) of the best
+    lower bound, or after ``iterations`` steps.
 
-    Returns ``(dual, achieved_worst_case)``.
+    The canonical dual is the starting incumbent and is kept unless a weighted
+    dual beats it by more than the tolerance, so ``achieved`` never exceeds
+    the canonical dual's worst case.  Minimal-redundancy systems have a unique
+    dual, returned with zero gap.
     """
     shape = classify(system, tolerance)
     if not shape.is_injective:
@@ -174,29 +244,37 @@ def wce_minimize(system: ReconstructionSystem, iterations: int = 5000, seed: int
         raise NotReconstructionSystemError("system has no positive lower frame bound")
     if iterations < 1:
         raise StructuralError("iterations must be at least 1")
-    del seed  # reserved; the subgradient path is deterministic
 
-    manifold = dual_manifold(system, tolerance)
-    d, total = system.d, system.tr_k
-    offsets = np.cumsum((0,) + system.k)
-    # per block: error operator at parameter Z is  C_i + Z B_i  (d x d)
-    fixed = [manifold.base_synthesis[:, offsets[i]:offsets[i + 1]] @ system.blocks[i]
-             for i in range(system.m)]
-    moving = [manifold.range_complement[:, offsets[i]:offsets[i + 1]] @ system.blocks[i]
-              for i in range(system.m)]
+    canonical = canonical_dual(system, tolerance)
+    incumbent = error_report(system, canonical).worst_case
+    if system.tr_k == system.d:
+        return WorstCaseSolution(canonical, incumbent, incumbent, 0)
 
-    z = np.zeros((d, total), dtype=np.complex128)
-    best_value = np.inf
-    best_z = z
-    for t in range(1, iterations + 1):
-        operators = [c + z @ b for c, b in zip(fixed, moving)]
-        norms = [frobenius(op) for op in operators]
-        worst = int(np.argmax(norms))
-        value = norms[worst]
-        if value < best_value:
-            best_value = value
-            best_z = z.copy()
-        # subgradient of max_i ||C_i + Z B_i|| at the active index
-        gradient = (operators[worst] / value) @ dagger(moving[worst])
-        z = z - (step_scale / np.sqrt(t)) * gradient
-    return manifold.system_at(best_z), float(best_value)
+    family = _WeightedDuals(system, tolerance)
+    weights = np.ones(system.m)
+    upper, lower, best = incumbent, 0.0, None
+    for step in range(1, iterations + 1):
+        value, errors, pinv = family.solve(weights)
+        # tr(D_lam^{-1}) is homogeneous of degree 1 in lam: normalize to the simplex
+        lower = max(lower, float(np.sqrt(value / weights.sum())))
+        worst = float(np.sqrt(errors.max()))
+        if worst < upper:
+            upper, best = worst, (weights, pinv)
+        if upper - lower <= tolerance * upper:
+            break
+        weights = weights * np.sqrt(errors)
+        weights = np.maximum(weights / weights.max(), _WEIGHT_FLOOR)
+
+    if best is not None:
+        candidate = family.dual(*best)
+        measured = error_report(system, candidate).worst_case
+        if incumbent - measured > threshold(tolerance, incumbent):
+            return WorstCaseSolution(candidate, measured, lower, step)
+    return WorstCaseSolution(canonical, incumbent, lower, step)
+
+
+def wce_minimize(system: ReconstructionSystem, iterations: int = 5000,
+                 tolerance: float = DEFAULT_TOLERANCE) -> tuple[ReconstructionSystem, float]:
+    """``(dual, achieved_worst_case)`` from ``wce_solve``."""
+    solution = wce_solve(system, iterations, tolerance)
+    return solution.dual, solution.achieved

@@ -22,7 +22,6 @@ __all__ = [
     "random_projective",
     "random_riesz",
     "random_system",
-    "random_uniform_projective",
 ]
 
 _ATTEMPTS = 100
@@ -72,11 +71,6 @@ def random_projective(d: int, k: Sequence[int], seed,
         if _well_conditioned(system, conditioning):
             return system
     raise SamplingError(f"no well-conditioned projective system for d={d}, k={sizes}")
-
-
-def random_uniform_projective(d: int, k: Sequence[int], seed,
-                              weight: float = 1.0) -> ReconstructionSystem:
-    return random_projective(d, k, seed, weights=[weight] * len(tuple(k)))
 
 
 def partition_protocol(d: int, block_dim: int, copies: int, seed) -> ReconstructionSystem:

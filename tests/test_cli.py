@@ -92,6 +92,8 @@ def test_dual_worst_case(capsys, planes_path):
     report = run_json(capsys, "--iterations", "100", "dual", planes_path,
                       "--kind", "wce")
     assert abs(report["outputs"]["achieved_worst_case"] - np.sqrt(5.0) / 2.0) <= 1e-9
+    assert abs(report["outputs"]["lower_bound"] - np.sqrt(5.0) / 2.0) <= 1e-9
+    assert 1 <= report["outputs"]["steps"] <= 100
     assert report["outputs"]["dual_residual"] <= 1e-9
     assert report["inputs"]["iterations"] == 100
 

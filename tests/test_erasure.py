@@ -5,6 +5,7 @@ import pytest
 
 import gframes as gf
 from gframes._linalg import dagger, frobenius
+from gframes.erasure import _WeightedDuals
 from gframes.errors import (
     NotReconstructionSystemError,
     PreconditionError,
@@ -225,3 +226,51 @@ def test_wce_minimize_validation():
     system = gf.fixtures()["overlapping_planes"]
     with pytest.raises(StructuralError):
         gf.wce_minimize(system, iterations=0)
+
+
+def scaled(system, c):
+    return gf.ReconstructionSystem([c * np.asarray(b) for b in system.blocks])
+
+
+def test_wce_solve_is_scale_invariant():
+    # the error operators W_i^* V_i do not change under V -> cV, W -> W / c
+    for seed in range(4):
+        system = random_system(5, (2, 2, 3, 1), seed=seed)
+        reference = gf.wce_solve(system)
+        for c in (1e-3, 1e-1, 1.0, 10.0, 1e3):
+            solution = gf.wce_solve(scaled(system, c))
+            assert abs(solution.achieved - reference.achieved) <= 1e-7 * reference.achieved
+            assert abs(solution.lower_bound - reference.lower_bound) <= 1e-7 * reference.lower_bound
+            gap = gf.blockwise_distance(scaled(solution.dual, c), reference.dual)
+            assert gap <= 1e-7 * max(frobenius(np.asarray(w)) for w in reference.dual.blocks)
+
+
+def test_wce_solve_certifies_its_gap_against_sampled_duals():
+    for seed in range(4):
+        system = random_system(5, (2, 2, 3, 1), seed=seed)
+        solution = gf.wce_solve(system)
+        canonical = gf.error_report(system, gf.canonical_dual(system)).worst_case
+        assert solution.achieved < canonical - 1e-3
+        assert solution.achieved == gf.error_report(system, solution.dual).worst_case
+        assert gf.verify_dual(solution.dual, system).dual_residual <= 1e-9
+        assert solution.lower_bound <= solution.achieved * (1 + 1e-9)
+        assert solution.achieved - solution.lower_bound <= 1e-6 * solution.achieved
+        assert 1 <= solution.steps <= 5000
+        samples = gf.dual_manifold_sample(system, seed=4130 + seed, count=1000)
+        lowest = min(gf.error_report(system, s).worst_case for s in samples)
+        assert lowest >= solution.lower_bound - 1e-9
+
+
+def test_wce_solve_unique_dual_has_zero_gap():
+    system = draw_riesz(np.random.default_rng(414))
+    solution = gf.wce_solve(system)
+    assert solution.steps == 0
+    assert solution.lower_bound == solution.achieved
+    assert gf.blockwise_distance(solution.dual, gf.canonical_dual(system)) == 0.0
+
+
+def test_weighted_duals_reject_row_spaces_missing_a_direction():
+    flat = gf.ReconstructionSystem([np.array([[1.0, 0.0, 0.0]]),
+                                    np.array([[2.0, 0.0, 0.0]])])
+    with pytest.raises(NotReconstructionSystemError):
+        _WeightedDuals(flat, 1e-9)
