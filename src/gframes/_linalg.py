@@ -13,8 +13,8 @@ import numpy as np
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose of the last two axes (so stacks of matrices work)."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:

@@ -18,7 +18,9 @@ indices are 0-based everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -76,10 +78,6 @@ def _as_block(entry, index: int) -> np.ndarray:
     arr = np.asarray(entry, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise StructuralError(f"block {index} must be a non-empty 2-d matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise StructuralError(f"block {index} contains non-finite entries")
-    arr = arr.copy()
-    arr.flags.writeable = False
     return arr
 
 
@@ -87,17 +85,27 @@ def _as_block(entry, index: int) -> np.ndarray:
 class ReconstructionSystem:
     """Immutable ordered family of complex blocks over a common domain ``C^d``.
 
+    The blocks are stored once, stacked in order as the read-only ``K x d``
+    matrix ``analysis``, which is validated at construction; ``blocks`` holds
+    read-only row-slice views into it.  ``k``, ``tr_k`` and ``signature`` are
+    fixed at construction.
+
     Parameters
     ----------
     blocks
         Iterable of 2-d array-likes, each with the same number of columns.
-        Entries are cast to ``complex128`` and must be finite.
+        Entries are cast to ``complex128`` and must be finite.  They are
+        copied, so later changes to the inputs do not reach the system.
     """
 
     blocks: tuple[np.ndarray, ...]
+    analysis: np.ndarray = field(init=False, repr=False)
+    k: tuple[int, ...] = field(init=False, repr=False)
+    tr_k: int = field(init=False, repr=False)
+    signature: RSSignature = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        converted = tuple(_as_block(b, i) for i, b in enumerate(self.blocks))
+        converted = [_as_block(b, i) for i, b in enumerate(self.blocks)]
         if not converted:
             raise StructuralError("a system needs at least one block")
         d = converted[0].shape[1]
@@ -105,30 +113,64 @@ class ReconstructionSystem:
             if b.shape[1] != d:
                 raise StructuralError(
                     f"block {i} has {b.shape[1]} columns, expected {d} (common domain)")
-        object.__setattr__(self, "blocks", converted)
+        self._adopt(np.concatenate(converted), tuple(b.shape[0] for b in converted))
+
+    def _adopt(self, analysis: np.ndarray, sizes: tuple[int, ...]) -> None:
+        """Freeze ``analysis`` (C-contiguous, owned by nobody else) and slice it into blocks."""
+        ends = list(accumulate(sizes))
+        if not np.isfinite(analysis).all():
+            row = int(np.argmin(np.isfinite(analysis).all(axis=1)))
+            raise StructuralError(
+                f"block {bisect_right(ends, row)} contains non-finite entries")
+        analysis.flags.writeable = False
+        blocks = tuple(analysis[end - ki:end] for ki, end in zip(sizes, ends))
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "analysis", analysis)
+        object.__setattr__(self, "k", sizes)
+        object.__setattr__(self, "tr_k", analysis.shape[0])
+        object.__setattr__(self, "signature", RSSignature(len(sizes), sizes, analysis.shape[1]))
 
     @property
     def m(self) -> int:
         return len(self.blocks)
 
     @property
-    def k(self) -> tuple[int, ...]:
-        return tuple(b.shape[0] for b in self.blocks)
-
-    @property
     def d(self) -> int:
-        return self.blocks[0].shape[1]
-
-    @property
-    def tr_k(self) -> int:
-        return sum(self.k)
-
-    @property
-    def signature(self) -> RSSignature:
-        return RSSignature(self.m, self.k, self.d)
+        return self.analysis.shape[1]
 
     def __repr__(self) -> str:
         return f"ReconstructionSystem(m={self.m}, k={self.k}, d={self.d})"
+
+
+def _from_analysis(analysis: np.ndarray, sizes: Sequence[int]) -> ReconstructionSystem:
+    """System whose blocks are the consecutive row slices of ``analysis`` of heights ``sizes``.
+
+    ``analysis`` must not be used by the caller afterwards: the system keeps
+    it (or a contiguous copy) as its own storage.
+    """
+    sizes = tuple(int(ki) for ki in sizes)
+    if not sizes:
+        raise StructuralError("a system needs at least one block")
+    d = analysis.shape[1]
+    for i, ki in enumerate(sizes):
+        if ki < 1 or d < 1:
+            raise StructuralError(
+                f"block {i} must be a non-empty 2-d matrix, got shape {(ki, d)}")
+    system = object.__new__(ReconstructionSystem)
+    system._adopt(np.ascontiguousarray(analysis, dtype=np.complex128), sizes)
+    return system
+
+
+def _index_subset(indices: Iterable[int], m: int, noun: str) -> tuple[int, ...]:
+    """Sorted distinct indices in ``[0, m)``; error messages name the ``noun``."""
+    listed = [int(i) for i in indices]
+    if len(listed) != len(set(listed)):
+        raise StructuralError(f"{noun} indices must not repeat")
+    if m < 1:
+        raise StructuralError(f"{noun} needs m >= 1")
+    if any(i < 0 or i >= m for i in listed):
+        raise StructuralError(f"{noun} indices must lie in [0, {m})")
+    return tuple(sorted(listed))
 
 
 @dataclass(frozen=True)
@@ -153,12 +195,25 @@ class SystemClassification:
     tolerance: float
 
 
+def _block_gram(analysis: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """Block Gram sum of an analysis matrix, or of a stack of them (``... x K x d``).
+
+    Adds ``V_i^* V_i`` over the row blocks ``V_i`` of heights ``sizes`` in
+    block order, then symmetrizes.  A stacked caller gets, for each matrix,
+    the bits ``frame_operator`` gives on its system alone.
+    """
+    total = np.zeros(analysis.shape[:-2] + analysis.shape[-1:] * 2, dtype=np.complex128)
+    start = 0
+    for ki in sizes:
+        rows = analysis[..., start:start + ki, :]
+        total += dagger(rows) @ rows
+        start += ki
+    return hermitian_part(total)
+
+
 def frame_operator(system: ReconstructionSystem) -> np.ndarray:
     """Block Gram sum ``S = sum_i V_i^* V_i``, symmetrized on return."""
-    total = np.zeros((system.d, system.d), dtype=np.complex128)
-    for b in system.blocks:
-        total += dagger(b) @ b
-    return hermitian_part(total)
+    return _block_gram(system.analysis, system.k)
 
 
 def analysis_apply(system: ReconstructionSystem, x) -> list[np.ndarray]:
@@ -183,13 +238,13 @@ def synthesis_apply(system: ReconstructionSystem, packets: Sequence) -> np.ndarr
 
 
 def analysis_matrix(system: ReconstructionSystem) -> np.ndarray:
-    """Stacked ``K x d`` analysis matrix (blocks vertically, in order)."""
-    return np.vstack(system.blocks)
+    """Writable copy of the stacked ``K x d`` analysis matrix (blocks vertically, in order)."""
+    return system.analysis.copy()
 
 
 def synthesis_matrix(system: ReconstructionSystem) -> np.ndarray:
-    """Adjoint of the analysis matrix, ``d x K``."""
-    return dagger(analysis_matrix(system))
+    """Adjoint of the analysis matrix, ``d x K`` (a new array)."""
+    return dagger(system.analysis)
 
 
 def system_from_synthesis(synthesis: np.ndarray, k: Iterable[int]) -> ReconstructionSystem:
@@ -199,12 +254,7 @@ def system_from_synthesis(synthesis: np.ndarray, k: Iterable[int]) -> Reconstruc
     if syn.ndim != 2 or syn.shape[1] != sum(sizes):
         raise StructuralError(
             f"synthesis matrix must have {sum(sizes)} columns, got shape {syn.shape}")
-    blocks = []
-    offset = 0
-    for ki in sizes:
-        blocks.append(dagger(syn[:, offset:offset + ki]))
-        offset += ki
-    return ReconstructionSystem(tuple(blocks))
+    return _from_analysis(dagger(syn), sizes)
 
 
 def blockwise_distance(a: ReconstructionSystem, b: ReconstructionSystem) -> float:

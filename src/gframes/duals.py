@@ -19,11 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import complex_gaussian, dagger, eigen_bounds, frobenius, threshold
+from ._linalg import dagger, eigen_bounds, frobenius, hermitian_part, threshold
 from .core import (
     DEFAULT_TOLERANCE,
     ReconstructionSystem,
-    analysis_matrix,
+    _block_gram,
+    _from_analysis,
     frame_operator,
     system_from_synthesis,
 )
@@ -38,6 +39,12 @@ __all__ = [
     "inverse_frame_operator",
     "verify_dual",
 ]
+
+# Attempts drawn per batch in ``dual_manifold_sample``: enough to amortize
+# per-call overhead on small systems, with at most _BATCH_ENTRIES chart
+# entries per batch so that large systems stay at a few MB.
+_SAMPLE_CHUNK = 64
+_BATCH_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,9 +121,8 @@ class DualManifold:
 def dual_manifold(system: ReconstructionSystem,
                   tolerance: float = DEFAULT_TOLERANCE) -> DualManifold:
     inverse = inverse_frame_operator(system, tolerance)
-    analysis = analysis_matrix(system)
-    base = inverse @ dagger(analysis)
-    complement = np.eye(system.tr_k) - analysis @ base
+    base = inverse @ dagger(system.analysis)
+    complement = np.eye(system.tr_k) - system.analysis @ base
     return DualManifold(system, base, complement)
 
 
@@ -129,20 +135,35 @@ def dual_manifold_sample(system: ReconstructionSystem, seed: int, count: int,
     Draws whose own block Gram sum is numerically singular are discarded and
     redrawn (such duals exist but are useless downstream); each slot gets at
     most ``max_redraws`` attempts before ``SamplingError``.
+
+    Attempts are drawn and tested in batches, but each one takes the next
+    ``complex_gaussian`` parameter from the generator, as drawing one attempt
+    at a time would, and no batch reaches past the last slot or the redraw
+    limit.  So the samples, and the generator's state afterwards, are those
+    of the one-at-a-time loop.
     """
     if count < 1:
         raise StructuralError("count must be at least 1")
     manifold = dual_manifold(system, tolerance)
     rng = np.random.default_rng(seed)
-    shape = (system.d, system.tr_k)
+    batch = max(1, min(_SAMPLE_CHUNK, _BATCH_ENTRIES // (system.d * system.tr_k)))
     samples: list[ReconstructionSystem] = []
-    for _ in range(count):
-        for _ in range(max_redraws):
-            candidate = manifold.system_at(complex_gaussian(rng, shape, scale))
-            lower, upper = eigen_bounds(frame_operator(candidate))
-            if lower > threshold(tolerance, upper):
-                samples.append(candidate)
-                break
-        else:
+    misses = 0  # consecutive rejected attempts for the current slot
+    while len(samples) < count:
+        if misses >= max_redraws:
             raise SamplingError(f"no usable dual after {max_redraws} redraws")
+        size = min(batch, count - len(samples), max_redraws - misses)
+        # per attempt: the real parts, then the imaginary parts, as complex_gaussian draws them
+        draws = rng.standard_normal((size, 2, system.d, system.tr_k))
+        parameters = scale * (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
+        syntheses = manifold.base_synthesis + parameters @ manifold.range_complement
+        analyses = np.ascontiguousarray(dagger(syntheses))
+        spectra = np.linalg.eigvalsh(hermitian_part(_block_gram(analyses, system.k)))
+        for analysis, lower, upper in zip(analyses, spectra[:, 0].tolist(),
+                                          spectra[:, -1].tolist()):
+            if lower > threshold(tolerance, upper):
+                samples.append(_from_analysis(analysis, system.k))
+                misses = 0
+            else:
+                misses += 1
     return samples

@@ -48,6 +48,7 @@ from ._linalg import dagger, eigen_bounds, frobenius, threshold
 from .core import (
     DEFAULT_TOLERANCE,
     ReconstructionSystem,
+    _index_subset,
     classify,
 )
 from .duals import canonical_dual, inverse_frame_operator
@@ -80,14 +81,7 @@ class ErasureMask:
         raw = self.indices
         if isinstance(raw, (int, np.integer)):
             raw = [int(raw)]
-        listed = [int(i) for i in raw]
-        if len(listed) != len(set(listed)):
-            raise StructuralError("mask indices must not repeat")
-        if self.m < 1:
-            raise StructuralError("mask needs m >= 1")
-        if any(i < 0 or i >= self.m for i in listed):
-            raise StructuralError(f"mask indices must lie in [0, {self.m})")
-        object.__setattr__(self, "indices", frozenset(listed))
+        object.__setattr__(self, "indices", frozenset(_index_subset(raw, self.m, "mask")))
 
     @property
     def dropped(self) -> tuple[int, ...]:

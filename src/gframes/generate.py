@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._linalg import complex_gaussian, dagger, eigen_bounds, random_unitary, singular_values
-from .core import ReconstructionSystem, frame_operator
+from .core import ReconstructionSystem, _from_analysis, frame_operator
 from .errors import SamplingError, StructuralError
 
 __all__ = [
@@ -56,9 +56,18 @@ def random_system(d: int, k: Sequence[int], seed, scale: float = 1.0,
 def random_projective(d: int, k: Sequence[int], seed,
                       weights: Sequence[float] | None = None,
                       conditioning: float = 1e-3) -> ReconstructionSystem:
-    """Weighted random coisometries; weights default to uniform draws in [0.5, 2]."""
+    """Weighted random coisometries; weights default to uniform draws in [0.5, 2].
+
+    Each attempt makes, in one call, the draws ``random_coisometry`` would
+    make block by block, and factors all blocks in one stacked QR.  Zero
+    columns pad every block to the widest; they leave the leading columns of
+    each Q factor unchanged, so the blocks are those of the blockwise loop.
+    """
     rng = np.random.default_rng(seed)
     sizes = tuple(int(ki) for ki in k)
+    if not sizes:
+        raise StructuralError("a system needs at least one block")
+    width = max(sizes)
     for _ in range(_ATTEMPTS):
         if weights is None:
             scales = 0.5 + 1.5 * rng.random(len(sizes))
@@ -66,8 +75,19 @@ def random_projective(d: int, k: Sequence[int], seed,
             scales = np.asarray(weights, dtype=float)
             if scales.shape != (len(sizes),) or np.any(scales <= 0):
                 raise StructuralError("weights must be positive, one per block")
-        system = ReconstructionSystem(tuple(v * random_coisometry(rng, ki, d)
-                                            for v, ki in zip(scales, sizes)))
+        if width > d:
+            raise StructuralError("a coisometry needs k <= d")
+        # block by block: the d x k_i real parts, then the imaginary parts
+        draws = rng.standard_normal(2 * d * sum(sizes))
+        gaussians = np.zeros((len(sizes), d, width), dtype=np.complex128)
+        start = 0
+        for i, ki in enumerate(sizes):
+            real, imag = draws[start:start + 2 * d * ki].reshape(2, d, ki)
+            gaussians[i, :, :ki] = (real + 1j * imag) / np.sqrt(2.0)
+            start += 2 * d * ki
+        q, _ = np.linalg.qr(gaussians)
+        system = _from_analysis(np.concatenate(
+            [v * dagger(q[i, :, :ki]) for i, (v, ki) in enumerate(zip(scales, sizes))]), sizes)
         if _well_conditioned(system, conditioning):
             return system
     raise SamplingError(f"no well-conditioned projective system for d={d}, k={sizes}")

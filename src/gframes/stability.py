@@ -28,7 +28,7 @@ from ._linalg import (
     spectral_norm,
     threshold,
 )
-from .core import DEFAULT_TOLERANCE, ReconstructionSystem, frame_operator
+from .core import DEFAULT_TOLERANCE, ReconstructionSystem, _index_subset, frame_operator
 from .duals import inverse_frame_operator
 from .errors import GFramesError, NotReconstructionSystemError, StructuralError
 
@@ -61,19 +61,10 @@ class TruncationReport:
     bounds_after: tuple[float, float] | None
 
 
-def _index_subset(indices: Iterable[int], m: int) -> tuple[int, ...]:
-    listed = [int(i) for i in indices]
-    if len(listed) != len(set(listed)):
-        raise StructuralError("dropped indices must not repeat")
-    if any(i < 0 or i >= m for i in listed):
-        raise StructuralError(f"dropped indices must lie in [0, {m})")
-    return tuple(sorted(listed))
-
-
 def truncate(system: ReconstructionSystem, dropped: Iterable[int],
              tolerance: float = DEFAULT_TOLERANCE) -> TruncationReport:
     """Drop the blocks in ``dropped`` (a proper subset) and report stability."""
-    drop = _index_subset(dropped, system.m)
+    drop = _index_subset(dropped, system.m, "dropped")
     if len(drop) == system.m:
         raise StructuralError("cannot drop every block")
     inverse = inverse_frame_operator(system, tolerance)
@@ -139,7 +130,7 @@ def ck_sufficient_condition(system: ReconstructionSystem, dropped: Iterable[int]
     ||V_i||_sp^2``; when positive, the survivors are guaranteed to form a
     system with lower frame bound at least ``estimate``.
     """
-    drop = _index_subset(dropped, system.m)
+    drop = _index_subset(dropped, system.m, "dropped")
     gram = frame_operator(system)
     lower, upper = eigen_bounds(gram)
     if lower <= threshold(tolerance, upper):

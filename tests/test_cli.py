@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gframes as gf
-from gframes.cli import main
+from gframes.cli import FIXTURE_NAMES, main
 from gframes.generate import partition_protocol, random_system
 
 
@@ -34,6 +34,10 @@ def test_fixture_listing(capsys):
     names = [entry["name"] for entry in report["outputs"]["available"]]
     assert names == sorted(gf.fixtures())
     assert report["command"] == "fixtures"
+
+
+def test_fixture_names_match_the_catalog():
+    assert FIXTURE_NAMES == tuple(sorted(gf.fixtures()))
 
 
 def test_fixture_export_and_analyze_round_trip(capsys, tmp_path):

@@ -192,6 +192,52 @@ def test_blocks_are_read_only():
         system.blocks[0][0, 0] = 5.0
 
 
+def test_blocks_are_read_only_views_of_the_analysis_matrix():
+    rng = np.random.default_rng(112)
+    for system in (draw_general(rng), random_projective(7, (3, 1, 2, 4), rng),
+                   gf.dual_manifold_sample(draw_general(rng), 1, 2)[1]):
+        assert not system.analysis.flags.writeable
+        assert system.analysis.shape == (system.tr_k, system.d)
+        start = 0
+        for block, ki in zip(system.blocks, system.k):
+            assert not block.flags.writeable
+            assert np.shares_memory(block, system.analysis)
+            assert np.array_equal(block, system.analysis[start:start + ki])
+            start += ki
+
+
+def test_system_keeps_its_own_copy_of_the_inputs():
+    first = np.array([[1.0, 2.0, 3.0]])
+    second = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=np.complex128)
+    system = gf.ReconstructionSystem([first, second])
+    first[0, 0] = 9.0
+    second[1, 2] = 9.0
+    assert np.array_equal(system.blocks[0], [[1.0, 2.0, 3.0]])
+    assert system.blocks[1][1, 2] == 1.0
+    assert not np.shares_memory(system.analysis, second)
+
+
+def test_validation_errors_name_the_block():
+    good = np.eye(2, 3)
+    with pytest.raises(StructuralError, match="^block 2 contains non-finite entries$"):
+        gf.ReconstructionSystem([good, good, np.array([[0.0, 1.0, np.inf]])])
+    with pytest.raises(StructuralError, match="^block 1 contains non-finite entries$"):
+        gf.ReconstructionSystem([good, np.array([[0.0, complex(0.0, np.nan), 0.0]]), good])
+    with pytest.raises(StructuralError, match=r"^block 1 has 4 columns, expected 3 \(common domain\)$"):
+        gf.ReconstructionSystem([good, np.eye(2, 4)])
+
+
+def test_analysis_matrix_is_a_writable_copy():
+    rng = np.random.default_rng(113)
+    system = draw_general(rng)
+    matrix = gf.analysis_matrix(system)
+    assert matrix.flags.writeable
+    assert np.array_equal(matrix, np.vstack(system.blocks))
+    matrix[0, 0] += 1.0
+    assert np.array_equal(system.analysis, np.vstack(system.blocks))
+    assert not np.array_equal(matrix, system.analysis)
+
+
 def test_apply_validation():
     system = gf.fixtures()["overlapping_planes"]
     with pytest.raises(StructuralError):

@@ -43,6 +43,16 @@ def test_mask_accounting_and_validation():
         gf.ErasureMask(frozenset(), 0)
 
 
+def test_mask_error_messages():
+    for indices, m, message in (([1, 1], 3, "mask indices must not repeat"),
+                                ([1, 1], 0, "mask indices must not repeat"),
+                                ([0], 0, "mask needs m >= 1"),
+                                ([3], 3, r"mask indices must lie in \[0, 3\)"),
+                                ([-1], 3, r"mask indices must lie in \[0, 3\)")):
+        with pytest.raises(StructuralError, match=f"^{message}$"):
+            gf.ErasureMask(indices, m)
+
+
 def test_blind_reconstruction_limits():
     rng = np.random.default_rng(401)
     system = draw_general(rng)

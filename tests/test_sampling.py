@@ -1,0 +1,138 @@
+"""Batched samplers against one-at-a-time references: the same draws, bit for bit.
+
+The acceptance tests judge the optimal duals and projective approximations
+against fixed sets of sampled competitors.  These references rebuild each
+sampler the way it draws conceptually, one block or one dual at a time, so
+any batching must keep every competitor identical.
+"""
+
+import numpy as np
+import pytest
+
+import gframes as gf
+from gframes._linalg import complex_gaussian, dagger, eigen_bounds, hermitian_part, threshold
+from gframes.errors import SamplingError
+from gframes.generate import (
+    partition_protocol,
+    random_coisometry,
+    random_projective,
+    random_system,
+)
+
+MIXED_SIZES = [(3, 1, 4, 2), (1, 1, 1, 1, 1, 1, 1), (4, 4, 4), (2, 3), (1, 4, 1, 4, 2)]
+
+
+def gram_loop(system):
+    """Block Gram sum added block by block in order, then symmetrized."""
+    total = np.zeros((system.d, system.d), dtype=np.complex128)
+    for block in system.blocks:
+        total += dagger(block) @ block
+    return hermitian_part(total)
+
+
+def projective_reference(d, k, seed, weights=None, conditioning=1e-3):
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        if weights is None:
+            scales = 0.5 + 1.5 * rng.random(len(k))
+        else:
+            scales = np.asarray(weights, dtype=float)
+        system = gf.ReconstructionSystem(
+            tuple(v * random_coisometry(rng, ki, d) for v, ki in zip(scales, k)))
+        lower, upper = eigen_bounds(gram_loop(system))
+        if lower > conditioning * max(upper, 1.0):
+            return system
+    raise AssertionError("reference found no well-conditioned system")
+
+
+def dual_sample_reference(system, seed, count, scale=1.0, tolerance=1e-9, max_redraws=100):
+    """``(samples, attempts)`` drawn one dual at a time."""
+    manifold = gf.dual_manifold(system, tolerance)
+    rng = np.random.default_rng(seed)
+    samples, attempts = [], 0
+    for _ in range(count):
+        for _ in range(max_redraws):
+            attempts += 1
+            candidate = manifold.system_at(
+                complex_gaussian(rng, (system.d, system.tr_k), scale))
+            lower, upper = eigen_bounds(gram_loop(candidate))
+            if lower > threshold(tolerance, upper):
+                samples.append(candidate)
+                break
+        else:
+            raise SamplingError(f"no usable dual after {max_redraws} redraws")
+    return samples, attempts
+
+
+def assert_same_blocks(first, second):
+    assert first.k == second.k and first.d == second.d
+    for a, b in zip(first.blocks, second.blocks):
+        assert np.array_equal(a, b)
+
+
+def test_frame_operator_is_the_block_ordered_sum():
+    rng = np.random.default_rng(401)
+    for k in MIXED_SIZES:
+        system = random_system(max(k) + 2, k, rng)
+        assert np.array_equal(gf.frame_operator(system), gram_loop(system))
+
+
+@pytest.mark.parametrize("k", MIXED_SIZES)
+def test_random_projective_matches_blockwise_draws(k):
+    d = max(max(k), 5)
+    for seed in (0, 1, 17, 2024):
+        assert_same_blocks(random_projective(d, k, seed), projective_reference(d, k, seed))
+    weights = [0.6 + 0.3 * i for i in range(len(k))]
+    assert_same_blocks(random_projective(d, k, 5, weights=weights),
+                       projective_reference(d, k, 5, weights=weights))
+
+
+def test_random_projective_with_generator_seed():
+    mine, theirs = np.random.default_rng(402), np.random.default_rng(402)
+    for k in MIXED_SIZES:
+        d = max(k) + 1
+        assert_same_blocks(random_projective(d, k, mine), projective_reference(d, k, theirs))
+    # both consumed the generator identically
+    assert np.array_equal(mine.standard_normal(4), theirs.standard_normal(4))
+
+
+@pytest.mark.parametrize("k", MIXED_SIZES)
+def test_dual_manifold_sample_matches_sequential(k):
+    system = random_system(max(k) + 1, k, 403)
+    for seed, count, scale in ((0, 1, 1.0), (7, 70, 1.0), (11, 150, 2.5)):
+        batched = gf.dual_manifold_sample(system, seed, count, scale=scale)
+        reference, _ = dual_sample_reference(system, seed, count, scale=scale)
+        assert len(batched) == count
+        for a, b in zip(batched, reference):
+            assert_same_blocks(a, b)
+
+
+def test_dual_manifold_sample_with_generator_seed():
+    system = random_system(4, (2, 1, 3), 404)
+    mine, theirs = np.random.default_rng(405), np.random.default_rng(405)
+    for count in (3, 65, 130):
+        batched = gf.dual_manifold_sample(system, mine, count)
+        reference, _ = dual_sample_reference(system, theirs, count)
+        for a, b in zip(batched, reference):
+            assert_same_blocks(a, b)
+    # no attempt was drawn that the one-at-a-time loop would not draw
+    assert np.array_equal(mine.standard_normal(4), theirs.standard_normal(4))
+
+
+def test_dual_manifold_sample_redraws_match_and_run_out():
+    # On a protocol (S = I) a large relative tolerance rejects many sampled
+    # duals whose own Gram sum is far from flat.
+    system = partition_protocol(4, 2, 2, seed=406)
+    tolerance = 0.11
+    batched = gf.dual_manifold_sample(system, 3, 80, tolerance=tolerance)
+    reference, attempts = dual_sample_reference(system, 3, 80, tolerance=tolerance)
+    assert attempts > 80 + 40  # dozens of attempts were redrawn
+    for a, b in zip(batched, reference):
+        assert_same_blocks(a, b)
+
+    mine, theirs = np.random.default_rng(407), np.random.default_rng(407)
+    with pytest.raises(SamplingError, match="no usable dual after 6 redraws"):
+        gf.dual_manifold_sample(system, mine, 5, tolerance=0.9, max_redraws=6)
+    with pytest.raises(SamplingError):
+        dual_sample_reference(system, theirs, 5, tolerance=0.9, max_redraws=6)
+    assert np.array_equal(mine.standard_normal(4), theirs.standard_normal(4))

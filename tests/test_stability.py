@@ -136,3 +136,14 @@ def test_truncation_validation():
         gf.truncate(flat, [0])
     with pytest.raises(NotReconstructionSystemError):
         gf.ck_sufficient_condition(flat, [0])
+
+
+def test_dropped_index_error_messages():
+    system = gf.fixtures()["overlapping_planes"]
+    for dropped, message in (([0, 0], "dropped indices must not repeat"),
+                             ([2], r"dropped indices must lie in \[0, 2\)"),
+                             ([-1], r"dropped indices must lie in \[0, 2\)")):
+        with pytest.raises(StructuralError, match=f"^{message}$"):
+            gf.truncate(system, dropped)
+        with pytest.raises(StructuralError, match=f"^{message}$"):
+            gf.ck_sufficient_condition(system, dropped)
