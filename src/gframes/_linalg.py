@@ -45,6 +45,12 @@ def threshold(tolerance: float, scale: float) -> float:
     return tolerance * max(1.0, scale)
 
 
+def is_flat(sigma: np.ndarray, tolerance: float) -> bool:
+    """Whether descending singular values are positive and all equal, at ``tolerance``."""
+    top, bottom = float(sigma[0]), float(sigma[-1])
+    return bottom > threshold(tolerance, top) and (top - bottom) <= threshold(tolerance, top)
+
+
 def null_space(a: np.ndarray, tolerance: float) -> np.ndarray:
     """Orthonormal basis (as columns) of the kernel of ``a``."""
     _, s, vh = np.linalg.svd(a)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import dagger, frobenius, hermitian_part, threshold
-from .core import DEFAULT_TOLERANCE, ReconstructionSystem, classify
+from ._linalg import dagger, frobenius, hermitian_part, is_flat, singular_values, threshold
+from .core import DEFAULT_TOLERANCE, ReconstructionSystem, _block_spectra
 from .errors import PreconditionError
 
 __all__ = [
@@ -61,9 +61,7 @@ def is_weighted_coisometry(block: np.ndarray,
     b = np.asarray(block, dtype=np.complex128)
     if b.ndim != 2 or b.shape[0] > b.shape[1]:
         return False
-    sigma = np.linalg.svd(b, compute_uv=False)
-    top, bottom = float(sigma[0]), float(sigma[-1])
-    return bottom > threshold(tolerance, top) and (top - bottom) <= threshold(tolerance, top)
+    return is_flat(singular_values(b), tolerance)
 
 
 def nearest_projective(system: ReconstructionSystem,
@@ -77,15 +75,14 @@ def nearest_projective(system: ReconstructionSystem,
     because each block problem is a strictly convex projection onto the ray
     through its coisometry.
     """
-    if not classify(system, tolerance).is_injective:
+    spectra, injective = _block_spectra(system, tolerance)
+    if not injective:
         raise PreconditionError("projective approximation needs an injective system")
     blocks = []
     gap = 0.0
-    for b in system.blocks:
-        factors = polar_coisometry(b, tolerance)
-        sigma = np.linalg.svd(b, compute_uv=False)
+    for b, sigma in zip(system.blocks, spectra):
         alpha = float(np.sum(sigma)) / b.shape[0]
-        nearest = alpha * factors.coisometry
+        nearest = alpha * polar_coisometry(b, tolerance).coisometry
         blocks.append(nearest)
         gap += frobenius(b - nearest) ** 2
     return ReconstructionSystem(tuple(blocks)), float(np.sqrt(gap))

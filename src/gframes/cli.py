@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -36,7 +37,6 @@ from .serialize import (
     matrix_to_pairs,
     save_system,
     system_to_dict,
-    vector_to_pairs,
 )
 from .stability import ck_sufficient_condition, truncate, truncated_canonical_dual
 
@@ -85,29 +85,6 @@ def _signal(text: str, d: int) -> np.ndarray:
     return out
 
 
-def _classification_dict(shape) -> dict:
-    return {
-        "is_rs": shape.is_rs,
-        "is_injective": shape.is_injective,
-        "is_projective": shape.is_projective,
-        "weights": list(shape.weights) if shape.weights is not None else None,
-        "is_uniform": shape.is_uniform,
-        "is_protocol": shape.is_protocol,
-        "is_riesz": shape.is_riesz,
-        "lower_bound": shape.lower_bound,
-        "upper_bound": shape.upper_bound,
-        "tolerance": shape.tolerance,
-    }
-
-
-def _error_report_dict(report) -> dict:
-    return {
-        "per_index": list(report.per_index),
-        "two_error": report.two_error,
-        "worst_case": report.worst_case,
-    }
-
-
 def _report(args: argparse.Namespace, inputs: dict, outputs: dict) -> dict:
     return {
         "command": args.command,
@@ -125,7 +102,7 @@ def _cmd_analyze(args: argparse.Namespace) -> dict:
         criterion = wce_condition(system, args.tolerance)
     outputs = {
         "signature": {"m": system.m, "k": list(system.k), "d": system.d},
-        "classification": _classification_dict(shape),
+        "classification": asdict(shape),
         "frame_operator": matrix_to_pairs(frame_operator(system)),
         "wce_condition": criterion,
     }
@@ -147,7 +124,7 @@ def _cmd_dual(args: argparse.Namespace) -> dict:
         outputs["steps"] = solution.steps
     outputs["system"] = system_to_dict(dual)
     outputs["dual_residual"] = verify_dual(dual, system, args.tolerance).dual_residual
-    outputs["error_report"] = _error_report_dict(error_report(system, dual))
+    outputs["error_report"] = asdict(error_report(system, dual))
     inputs = {"path": str(args.path), "kind": args.kind,
               "seed": args.seed, "iterations": args.iterations}
     return _report(args, inputs, outputs)
@@ -161,12 +138,12 @@ def _cmd_erase(args: argparse.Namespace) -> dict:
     packets = analysis_apply(system, signal)
     rebuilt = blind_reconstruct(system, dual, packets, mask)
     outputs = {
-        "reconstruction": vector_to_pairs(rebuilt),
+        "reconstruction": matrix_to_pairs(rebuilt),
         "error_norm": float(np.linalg.norm(signal - rebuilt)),
-        "error_report": _error_report_dict(error_report(system, dual)),
+        "error_report": asdict(error_report(system, dual)),
     }
     inputs = {"path": str(args.path), "dual": str(args.dual) if args.dual else None,
-              "mask": list(mask.dropped), "signal": vector_to_pairs(signal)}
+              "mask": list(mask.dropped), "signal": matrix_to_pairs(signal)}
     return _report(args, inputs, outputs)
 
 
@@ -223,7 +200,7 @@ def _cmd_fixtures(args: argparse.Namespace) -> dict:
     outputs = {
         "name": args.name,
         "system": system_to_dict(system),
-        "classification": _classification_dict(classify(system, args.tolerance)),
+        "classification": asdict(classify(system, args.tolerance)),
         "written": written,
     }
     return _report(args, {"name": args.name, "out": written}, outputs)

@@ -30,8 +30,8 @@ import numpy as np
 
 from ._linalg import (
     dagger,
-    eigen_bounds,
     frobenius,
+    is_flat,
     null_space,
     singular_values,
     threshold,
@@ -39,12 +39,12 @@ from ._linalg import (
 from .core import (
     DEFAULT_TOLERANCE,
     ReconstructionSystem,
+    _classify,
     blockwise_distance,
     classify,
-    frame_operator,
 )
 from .approx import nearest_projective, polar_coisometry
-from .duals import canonical_dual
+from .duals import _checked_frame_operator, _dual_from_inverse
 from .errors import (
     NotReconstructionSystemError,
     PreconditionError,
@@ -147,14 +147,9 @@ def direct_product(a: UnitaryRepresentation,
                    b: UnitaryRepresentation) -> UnitaryRepresentation:
     """Product group acting on the tensor product space via Kronecker products."""
     mats = tuple(np.kron(ua, ub) for ua in a.unitaries for ub in b.unitaries)
-    mb = b.order
-    table = np.zeros((a.order * mb, a.order * mb), dtype=int)
-    for ga in range(a.order):
-        for gb in range(mb):
-            for ha in range(a.order):
-                for hb in range(mb):
-                    table[ga * mb + gb, ha * mb + hb] = a.table[ga, ha] * mb + b.table[gb, hb]
-    return UnitaryRepresentation(mats, table)
+    # table[(ga, gb), (ha, hb)] = (a.table[ga, ha], b.table[gb, hb]), pairs numbered ga * |b| + gb
+    table = a.table[:, None, :, None] * b.order + b.table[None, :, None, :]
+    return UnitaryRepresentation(mats, table.reshape(a.order * b.order, -1))
 
 
 def group_rs(rep: UnitaryRepresentation, base: np.ndarray) -> ReconstructionSystem:
@@ -190,15 +185,12 @@ def group_rs_checks(rep: UnitaryRepresentation, base: np.ndarray,
                     tolerance: float = DEFAULT_TOLERANCE) -> GroupSystemReport:
     """Verify the orbit-structure claims for one representation and base."""
     system = group_rs(rep, base)
-    gram = frame_operator(system)
-    lower, upper = eigen_bounds(gram)
-    if lower <= threshold(tolerance, upper):
-        raise NotReconstructionSystemError("orbit system has no positive lower frame bound")
-
+    gram = _checked_frame_operator(system, tolerance)[0]
     commutation = max(frobenius(gram @ u - u @ gram) for u in rep.unitaries)
 
-    dual = canonical_dual(system, tolerance)
-    dual_base = np.asarray(base, dtype=np.complex128) @ np.linalg.inv(gram)
+    inverse = np.linalg.inv(gram)
+    dual = _dual_from_inverse(system, inverse)
+    dual_base = np.asarray(base, dtype=np.complex128) @ inverse
     dual_deviation = blockwise_distance(dual, group_rs(rep, dual_base))
 
     sigma = singular_values(dual_base)
@@ -326,7 +318,7 @@ class RieszDualCheck:
 def riesz_projective_dual_check(system: ReconstructionSystem,
                                 tolerance: float = DEFAULT_TOLERANCE) -> RieszDualCheck:
     """Decide projective-dual existence when block dimensions sum to ``d``."""
-    shape = classify(system, tolerance)
+    shape, gram = _classify(system, tolerance)
     if not shape.is_riesz:
         raise PreconditionError(
             "the criterion applies when total block dimension equals d")
@@ -342,16 +334,13 @@ def riesz_projective_dual_check(system: ReconstructionSystem,
             kernel = np.eye(system.d, dtype=np.complex128)
         restricted = system.blocks[i] @ kernel
         sigma = singular_values(restricted)
-        top = float(sigma[0]) if sigma.size else 0.0
-        bottom = float(sigma[-1]) if sigma.size else 0.0
-        scaled = (sigma.size > 0
-                  and bottom > threshold(tolerance, top)
-                  and (top - bottom) <= threshold(tolerance, top))
+        scaled = sigma.size > 0 and is_flat(sigma, tolerance)
         checks.append(RieszIndexCheck(index=i,
                                       singular_values=tuple(float(s) for s in sigma),
                                       is_scaled_isometry=scaled))
 
-    dual_projective = classify(canonical_dual(system, tolerance), tolerance).is_projective
+    dual = _dual_from_inverse(system, np.linalg.inv(gram))
+    dual_projective = classify(dual, tolerance).is_projective
     return RieszDualCheck(
         has_projective_dual=all(c.is_scaled_isometry for c in checks),
         per_index=tuple(checks),

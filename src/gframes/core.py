@@ -264,6 +264,48 @@ def blockwise_distance(a: ReconstructionSystem, b: ReconstructionSystem) -> floa
     return max(frobenius(x - y) for x, y in zip(a.blocks, b.blocks))
 
 
+def _block_spectra(system: ReconstructionSystem,
+                   tolerance: float) -> tuple[list[np.ndarray], bool]:
+    """Descending singular values of each block, and whether all have full row rank."""
+    if not tolerance > 0.0:
+        raise StructuralError("tolerance must be positive")
+    spectra = [singular_values(b) for b in system.blocks]
+    injective = all(b.shape[0] <= b.shape[1] and float(s[-1]) > threshold(tolerance, float(s[0]))
+                    for b, s in zip(system.blocks, spectra))
+    return spectra, injective
+
+
+def _classify(system: ReconstructionSystem,
+              tolerance: float) -> tuple[SystemClassification, np.ndarray]:
+    """``classify`` together with the block Gram sum it judged."""
+    spectra, injective = _block_spectra(system, tolerance)
+    gram = frame_operator(system)
+    lower, upper = eigen_bounds(gram)
+
+    spectral = [float(s[0]) for s in spectra]
+    projective = all(
+        top > tolerance
+        and frobenius(b @ dagger(b) - (top * top) * np.eye(b.shape[0]))
+        <= threshold(tolerance, top * top)
+        for b, top in zip(system.blocks, spectral))
+    weights = tuple(spectral) if projective else None
+    uniform = projective and (max(spectral) - min(spectral)) <= threshold(tolerance, max(spectral))
+    protocol = frobenius(gram - np.eye(system.d)) <= threshold(tolerance, upper)
+
+    return SystemClassification(
+        is_rs=lower > threshold(tolerance, upper),
+        is_injective=injective,
+        is_projective=projective,
+        weights=weights,
+        is_uniform=uniform,
+        is_protocol=protocol,
+        is_riesz=system.tr_k == system.d,
+        lower_bound=lower,
+        upper_bound=upper,
+        tolerance=tolerance,
+    ), gram
+
+
 def classify(system: ReconstructionSystem,
              tolerance: float = DEFAULT_TOLERANCE) -> SystemClassification:
     """Classify a system at the given tolerance.
@@ -280,38 +322,4 @@ def classify(system: ReconstructionSystem,
     - ``is_riesz``: total block dimension equals the domain dimension
       (purely combinatorial).
     """
-    if not tolerance > 0.0:
-        raise StructuralError("tolerance must be positive")
-    gram = frame_operator(system)
-    lower, upper = eigen_bounds(gram)
-    is_rs = lower > threshold(tolerance, upper)
-
-    spectral: list[float] = []
-    injective = True
-    projective = True
-    for b in system.blocks:
-        s = singular_values(b)
-        top = float(s[0])
-        spectral.append(top)
-        if b.shape[0] > b.shape[1] or float(s[-1]) <= threshold(tolerance, top):
-            injective = False
-        residual = frobenius(b @ dagger(b) - (top * top) * np.eye(b.shape[0]))
-        if top <= tolerance or residual > threshold(tolerance, top * top):
-            projective = False
-
-    weights = tuple(spectral) if projective else None
-    uniform = projective and (max(spectral) - min(spectral)) <= threshold(tolerance, max(spectral))
-    protocol = frobenius(gram - np.eye(system.d)) <= threshold(tolerance, upper)
-
-    return SystemClassification(
-        is_rs=is_rs,
-        is_injective=injective,
-        is_projective=projective,
-        weights=weights,
-        is_uniform=uniform,
-        is_protocol=protocol,
-        is_riesz=system.tr_k == system.d,
-        lower_bound=lower,
-        upper_bound=upper,
-        tolerance=tolerance,
-    )
+    return _classify(system, tolerance)[0]

@@ -11,6 +11,12 @@ affine translate of the canonical one:
 where ``T`` is the analysis matrix and ``Z`` ranges over all ``d x K``
 matrices.  ``DualManifold`` exposes this chart; sampling duals means drawing
 ``Z`` with complex Gaussian entries.
+
+Whether ``S`` is numerically singular is decided in one place,
+``_checked_frame_operator``: it raises ``NotReconstructionSystemError`` when
+``lambda_min(S) <= threshold(tolerance, lambda_max(S))`` and otherwise
+returns ``S`` with both bounds, so that callers needing ``S``, its bounds or
+``S^{-1}`` build each once.
 """
 
 from __future__ import annotations
@@ -61,22 +67,33 @@ class DualCandidate:
         return self.dual_residual <= self.tolerance
 
 
-def inverse_frame_operator(system: ReconstructionSystem,
-                           tolerance: float = DEFAULT_TOLERANCE) -> np.ndarray:
-    """Inverse of the block Gram sum; raises when it is numerically singular."""
+def _checked_frame_operator(system: ReconstructionSystem,
+                            tolerance: float) -> tuple[np.ndarray, float, float]:
+    """``(S, lambda_min, lambda_max)``; raises when ``S`` is numerically singular."""
     gram = frame_operator(system)
     lower, upper = eigen_bounds(gram)
     if lower <= threshold(tolerance, upper):
         raise NotReconstructionSystemError(
             f"block Gram sum is singular (lambda_min={lower:.3e}, lambda_max={upper:.3e})")
-    return np.linalg.inv(gram)
+    return gram, lower, upper
+
+
+def _dual_from_inverse(system: ReconstructionSystem,
+                       inverse: np.ndarray) -> ReconstructionSystem:
+    """Canonical dual ``V_i S^{-1}`` from an already computed ``S^{-1}``."""
+    return ReconstructionSystem(tuple(b @ inverse for b in system.blocks))
+
+
+def inverse_frame_operator(system: ReconstructionSystem,
+                           tolerance: float = DEFAULT_TOLERANCE) -> np.ndarray:
+    """Inverse of the block Gram sum; raises when it is numerically singular."""
+    return np.linalg.inv(_checked_frame_operator(system, tolerance)[0])
 
 
 def canonical_dual(system: ReconstructionSystem,
                    tolerance: float = DEFAULT_TOLERANCE) -> ReconstructionSystem:
     """Blocks ``V_i S^{-1}``; the minimal-norm dual."""
-    inverse = inverse_frame_operator(system, tolerance)
-    return ReconstructionSystem(tuple(b @ inverse for b in system.blocks))
+    return _dual_from_inverse(system, inverse_frame_operator(system, tolerance))
 
 
 def verify_dual(candidate: ReconstructionSystem, reference: ReconstructionSystem,

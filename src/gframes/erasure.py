@@ -48,10 +48,11 @@ from ._linalg import dagger, eigen_bounds, frobenius, threshold
 from .core import (
     DEFAULT_TOLERANCE,
     ReconstructionSystem,
+    _classify,
     _index_subset,
     classify,
 )
-from .duals import canonical_dual, inverse_frame_operator
+from .duals import _dual_from_inverse
 from .errors import NotReconstructionSystemError, PreconditionError, StructuralError
 
 __all__ = [
@@ -200,12 +201,12 @@ def wce_condition(system: ReconstructionSystem,
     When all the norms agree, the canonical dual is the unique worst-case
     optimal dual; returns the shared value in that case.
     """
-    shape = classify(system, tolerance)
+    shape, gram = _classify(system, tolerance)
     if not shape.is_projective:
         raise PreconditionError("the worst-case criterion applies to projective systems")
     if not shape.is_rs:
         raise NotReconstructionSystemError("system has no positive lower frame bound")
-    inverse = inverse_frame_operator(system, tolerance)
+    inverse = np.linalg.inv(gram)
     norms = [frobenius(inverse @ dagger(b) @ b) for b in system.blocks]
     top = max(norms)
     if top - min(norms) <= threshold(tolerance, top):
@@ -231,7 +232,7 @@ def wce_solve(system: ReconstructionSystem, iterations: int = 5000,
     the canonical dual's worst case.  Minimal-redundancy systems have a unique
     dual, returned with zero gap.
     """
-    shape = classify(system, tolerance)
+    shape, gram = _classify(system, tolerance)
     if not shape.is_injective:
         raise PreconditionError("worst-case optimization needs an injective system")
     if not shape.is_rs:
@@ -239,7 +240,7 @@ def wce_solve(system: ReconstructionSystem, iterations: int = 5000,
     if iterations < 1:
         raise StructuralError("iterations must be at least 1")
 
-    canonical = canonical_dual(system, tolerance)
+    canonical = _dual_from_inverse(system, np.linalg.inv(gram))
     incumbent = error_report(system, canonical).worst_case
     if system.tr_k == system.d:
         return WorstCaseSolution(canonical, incumbent, incumbent, 0)

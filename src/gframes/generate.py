@@ -105,13 +105,8 @@ def partition_protocol(d: int, block_dim: int, copies: int, seed) -> Reconstruct
     if copies < 1:
         raise StructuralError("copies must be at least 1")
     rng = np.random.default_rng(seed)
-    blocks = []
-    for _ in range(copies):
-        unitary = random_unitary(rng, d)
-        for start in range(0, d, block_dim):
-            slice_ = dagger(unitary[:, start:start + block_dim])
-            blocks.append(slice_ / np.sqrt(copies))
-    return ReconstructionSystem(tuple(blocks))
+    rows = np.concatenate([dagger(random_unitary(rng, d)) for _ in range(copies)])
+    return _from_analysis(rows / np.sqrt(copies), (block_dim,) * (copies * d // block_dim))
 
 
 def random_riesz(k: Sequence[int], seed, conditioning: float = 1e-2) -> ReconstructionSystem:
@@ -123,12 +118,7 @@ def random_riesz(k: Sequence[int], seed, conditioning: float = 1e-2) -> Reconstr
         square = complex_gaussian(rng, (d, d))
         sigma = singular_values(square)
         if float(sigma[-1]) > conditioning * float(sigma[0]):
-            blocks = []
-            offset = 0
-            for ki in sizes:
-                blocks.append(square[offset:offset + ki])
-                offset += ki
-            return ReconstructionSystem(tuple(blocks))
+            return _from_analysis(square, sizes)
     raise SamplingError(f"no well-conditioned square matrix for d={d}")
 
 

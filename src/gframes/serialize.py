@@ -26,19 +26,13 @@ __all__ = [
     "save_system",
     "system_from_dict",
     "system_to_dict",
-    "vector_to_pairs",
 ]
 
 
 def matrix_to_pairs(a: np.ndarray) -> list:
-    """Row-major nested lists with each complex entry as ``[re, im]``."""
+    """Row-major nested lists with each complex entry as ``[re, im]`` (any shape)."""
     arr = np.asarray(a, dtype=np.complex128)
     return np.stack([arr.real, arr.imag], axis=-1).tolist()
-
-
-def vector_to_pairs(v: np.ndarray) -> list:
-    arr = np.asarray(v, dtype=np.complex128)
-    return [[float(z.real), float(z.imag)] for z in arr]
 
 
 def _entry(value, where: str) -> complex:

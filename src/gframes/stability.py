@@ -10,6 +10,10 @@ truncated Gram sum directly, or from the full canonical dual times
 ``M_J^{-1}``.  A cheap sufficient condition for invertibility is that the
 dropped spectral energy ``sum_{i in J} ||V_i||_sp^2`` stays below the lower
 frame bound.  Indices are 0-based.
+
+``S``, its lower bound and ``S^{-1}`` are computed once per call, through the
+singular-``S`` check shared with ``duals``; ``truncated_canonical_dual``
+reuses the ``S^{-1}`` that went into ``M_J``.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from ._linalg import (
     spectral_norm,
     threshold,
 )
-from .core import DEFAULT_TOLERANCE, ReconstructionSystem, _index_subset, frame_operator
-from .duals import inverse_frame_operator
+from .core import DEFAULT_TOLERANCE, ReconstructionSystem, _index_subset
+from .duals import _checked_frame_operator
 from .errors import GFramesError, NotReconstructionSystemError, StructuralError
 
 __all__ = [
@@ -61,15 +65,14 @@ class TruncationReport:
     bounds_after: tuple[float, float] | None
 
 
-def truncate(system: ReconstructionSystem, dropped: Iterable[int],
-             tolerance: float = DEFAULT_TOLERANCE) -> TruncationReport:
-    """Drop the blocks in ``dropped`` (a proper subset) and report stability."""
+def _truncation(system: ReconstructionSystem, dropped: Iterable[int],
+                tolerance: float) -> tuple[TruncationReport, np.ndarray]:
+    """``truncate`` together with the inverse full Gram sum ``S^{-1}`` it used."""
     drop = _index_subset(dropped, system.m, "dropped")
     if len(drop) == system.m:
         raise StructuralError("cannot drop every block")
-    inverse = inverse_frame_operator(system, tolerance)
-    gram = frame_operator(system)
-    lower = eigen_bounds(gram)[0]
+    gram, lower, _ = _checked_frame_operator(system, tolerance)
+    inverse = np.linalg.inv(gram)
 
     removed = np.zeros((system.d, system.d), dtype=np.complex128)
     for i in drop:
@@ -83,7 +86,7 @@ def truncate(system: ReconstructionSystem, dropped: Iterable[int],
     kept = tuple(i for i in range(system.m) if i not in drop)
     survivor_gram = hermitian_part(gram - removed)
 
-    return TruncationReport(
+    report = TruncationReport(
         dropped=drop,
         kept=kept,
         truncation_factor=factor,
@@ -92,6 +95,13 @@ def truncate(system: ReconstructionSystem, dropped: Iterable[int],
         lower_bound_estimate=lower * smallest,
         bounds_after=eigen_bounds(survivor_gram) if is_rs_after else None,
     )
+    return report, inverse
+
+
+def truncate(system: ReconstructionSystem, dropped: Iterable[int],
+             tolerance: float = DEFAULT_TOLERANCE) -> TruncationReport:
+    """Drop the blocks in ``dropped`` (a proper subset) and report stability."""
+    return _truncation(system, dropped, tolerance)[0]
 
 
 def truncated_canonical_dual(system: ReconstructionSystem, dropped: Iterable[int],
@@ -103,14 +113,13 @@ def truncated_canonical_dual(system: ReconstructionSystem, dropped: Iterable[int
     mathematically; a discrepancy beyond 1e-9 (relative) means the
     truncation is too ill-conditioned to trust and raises ``GFramesError``.
     """
-    report = truncate(system, dropped, tolerance)
+    report, full_inverse = _truncation(system, dropped, tolerance)
     if not report.is_rs_after:
         raise NotReconstructionSystemError(
             "surviving blocks have no positive lower frame bound")
     direct_inverse = np.linalg.inv(report.truncated_frame_operator)
     direct = [system.blocks[i] @ direct_inverse for i in report.kept]
 
-    full_inverse = inverse_frame_operator(system, tolerance)
     factor_inverse = np.linalg.inv(report.truncation_factor)
     via_factor = [system.blocks[i] @ full_inverse @ factor_inverse for i in report.kept]
 
@@ -131,10 +140,7 @@ def ck_sufficient_condition(system: ReconstructionSystem, dropped: Iterable[int]
     system with lower frame bound at least ``estimate``.
     """
     drop = _index_subset(dropped, system.m, "dropped")
-    gram = frame_operator(system)
-    lower, upper = eigen_bounds(gram)
-    if lower <= threshold(tolerance, upper):
-        raise NotReconstructionSystemError("system has no positive lower frame bound")
+    lower = _checked_frame_operator(system, tolerance)[1]
     total = sum(spectral_norm(system.blocks[i]) ** 2 for i in drop)
     estimate = lower - total
     return total < lower, float(estimate)

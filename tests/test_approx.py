@@ -5,7 +5,7 @@ import pytest
 
 import gframes as gf
 from gframes._linalg import dagger, frobenius, null_space
-from gframes.errors import PreconditionError
+from gframes.errors import PreconditionError, StructuralError
 from gframes.generate import random_coisometry, random_projective, random_system
 from helpers import draw_injective, draw_nonuniform_projective
 
@@ -138,3 +138,15 @@ def test_nearest_projective_requires_injectivity():
     wide = random_system(2, (3, 2), seed=610)
     with pytest.raises(PreconditionError):
         gf.nearest_projective(wide)
+
+
+def test_nearest_projective_precondition_messages():
+    system = random_system(4, (2, 2, 1), seed=611)
+    with pytest.raises(StructuralError, match="^tolerance must be positive$"):
+        gf.nearest_projective(system, tolerance=0)
+    # the second block is 2 x 4 but has rank one
+    deficient = gf.ReconstructionSystem([np.eye(4)[:2], np.array([[1.0, 2.0, 0.0, 0.0],
+                                                                  [2.0, 4.0, 0.0, 0.0]])])
+    with pytest.raises(PreconditionError,
+                       match="^projective approximation needs an injective system$"):
+        gf.nearest_projective(deficient)

@@ -107,7 +107,7 @@ def test_group_rs_validation():
         gf.group_rs(rep, np.zeros((4, 3)))
     with pytest.raises(StructuralError):
         gf.group_rs(rep, np.zeros((1, 4)))
-    with pytest.raises(NotReconstructionSystemError):
+    with pytest.raises(NotReconstructionSystemError, match="^block Gram sum is singular"):
         gf.group_rs_checks(rep, np.zeros((1, 3)))
 
 

@@ -1,0 +1,77 @@
+"""Each op builds the block Gram sum S, takes its spectrum and inverts it as few times as it needs.
+
+The counters wrap ``core._block_gram`` (every ``frame_operator`` call goes
+through it) and the ``numpy.linalg`` entry points ``eigvalsh``, ``inv`` and
+``svd``.  Calls numpy makes internally (``norm(a, 2)``, ``qr``, ``solve``)
+are not counted.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import gframes as gf
+import gframes.core as core
+from gframes.generate import random_projective, random_riesz, random_system
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    tally = Counter()
+
+    def counted(owner, name, key):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            tally[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(core, "_block_gram", "gram")
+    counted(np.linalg, "eigvalsh", "eigvalsh")
+    counted(np.linalg, "inv", "inv")
+    counted(np.linalg, "svd", "svd")
+    return tally
+
+
+GENERAL = random_system(64, (4,) * 32, 5)
+PROJECTIVE = random_projective(12, (3,) * 6, 11)
+RIESZ = random_riesz((2, 3, 1, 2), 3)
+
+
+def orbit_checks():
+    base = np.random.default_rng(0).standard_normal((2, 6)).astype(np.complex128)
+    return gf.group_rs_checks(gf.cyclic_shift_representation(6), base)
+
+
+CASES = {
+    # S once, its spectrum once, S^{-1} once; the survivors' bounds and M_J's singular values
+    "truncate": (lambda: gf.truncate(GENERAL, [0, 3]),
+                 {"gram": 1, "eigvalsh": 2, "inv": 1, "svd": 1}),
+    # truncate's S^{-1} is reused; the two extra inverses are the truncated S and M_J
+    "truncated_canonical_dual": (lambda: gf.truncated_canonical_dual(GENERAL, [0, 3]),
+                                 {"gram": 1, "eigvalsh": 2, "inv": 3, "svd": 1}),
+    # no S at all; per block one values-only SVD and the polar SVD
+    "nearest_projective": (lambda: gf.nearest_projective(GENERAL),
+                           {"svd": 2 * GENERAL.m}),
+    # classify's S is inverted directly
+    "wce_condition": (lambda: gf.wce_condition(PROJECTIVE),
+                      {"gram": 1, "eigvalsh": 1, "inv": 1, "svd": PROJECTIVE.m}),
+    # plus the weighted family: one spectrum of the stacked bases, one R_i^{-1} per block
+    "wce_solve": (lambda: gf.wce_solve(PROJECTIVE, iterations=3),
+                  {"gram": 1, "eigvalsh": 2, "inv": 1 + PROJECTIVE.m, "svd": PROJECTIVE.m}),
+    # the second S classifies the canonical dual; per block a kernel SVD and a restriction SVD
+    "riesz_projective_dual_check": (lambda: gf.riesz_projective_dual_check(RIESZ),
+                                    {"gram": 2, "eigvalsh": 2, "inv": 1, "svd": 4 * RIESZ.m}),
+    # S, its spectrum and S^{-1} once; two SVDs of the dual base, then nearest_projective's
+    "group_rs_checks": (orbit_checks, {"gram": 1, "eigvalsh": 1, "inv": 1, "svd": 2 + 2 * 6}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_linear_algebra_counts(counts, name):
+    op, expected = CASES[name]
+    op()
+    assert dict(counts) == expected

@@ -10,12 +10,21 @@ import numpy as np
 import pytest
 
 import gframes as gf
-from gframes._linalg import complex_gaussian, dagger, eigen_bounds, hermitian_part, threshold
+from gframes._linalg import (
+    complex_gaussian,
+    dagger,
+    eigen_bounds,
+    hermitian_part,
+    random_unitary,
+    singular_values,
+    threshold,
+)
 from gframes.errors import SamplingError
 from gframes.generate import (
     partition_protocol,
     random_coisometry,
     random_projective,
+    random_riesz,
     random_system,
 )
 
@@ -62,6 +71,42 @@ def dual_sample_reference(system, seed, count, scale=1.0, tolerance=1e-9, max_re
         else:
             raise SamplingError(f"no usable dual after {max_redraws} redraws")
     return samples, attempts
+
+
+def riesz_reference(k, seed, conditioning=1e-2):
+    d = sum(k)
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        square = complex_gaussian(rng, (d, d))
+        sigma = singular_values(square)
+        if float(sigma[-1]) > conditioning * float(sigma[0]):
+            blocks, offset = [], 0
+            for ki in k:
+                blocks.append(square[offset:offset + ki])
+                offset += ki
+            return gf.ReconstructionSystem(tuple(blocks))
+    raise AssertionError("reference found no well-conditioned square matrix")
+
+
+def protocol_reference(d, block_dim, copies, seed):
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for _ in range(copies):
+        unitary = random_unitary(rng, d)
+        for start in range(0, d, block_dim):
+            blocks.append(dagger(unitary[:, start:start + block_dim]) / np.sqrt(copies))
+    return gf.ReconstructionSystem(tuple(blocks))
+
+
+def product_table_reference(a, b):
+    mb = b.order
+    table = np.zeros((a.order * mb, a.order * mb), dtype=int)
+    for ga in range(a.order):
+        for gb in range(mb):
+            for ha in range(a.order):
+                for hb in range(mb):
+                    table[ga * mb + gb, ha * mb + hb] = a.table[ga, ha] * mb + b.table[gb, hb]
+    return table
 
 
 def assert_same_blocks(first, second):
@@ -136,3 +181,34 @@ def test_dual_manifold_sample_redraws_match_and_run_out():
     with pytest.raises(SamplingError):
         dual_sample_reference(system, theirs, 5, tolerance=0.9, max_redraws=6)
     assert np.array_equal(mine.standard_normal(4), theirs.standard_normal(4))
+
+
+@pytest.mark.parametrize("k", MIXED_SIZES)
+def test_random_riesz_matches_blockwise_slices(k):
+    for seed in range(20):
+        assert_same_blocks(random_riesz(k, seed), riesz_reference(k, seed))
+    # a tighter conditioning floor rejects a third to two thirds of the draws
+    for seed in range(5):
+        assert_same_blocks(random_riesz(k, seed, conditioning=0.05),
+                           riesz_reference(k, seed, conditioning=0.05))
+
+
+@pytest.mark.parametrize("d, block_dim, copies", [(4, 2, 2), (6, 2, 3), (6, 3, 1), (5, 1, 4),
+                                                  (8, 8, 2)])
+def test_partition_protocol_matches_blockwise_slices(d, block_dim, copies):
+    for seed in range(20):
+        assert_same_blocks(partition_protocol(d, block_dim, copies, seed),
+                           protocol_reference(d, block_dim, copies, seed))
+    mine, theirs = np.random.default_rng(408), np.random.default_rng(408)
+    assert_same_blocks(partition_protocol(d, block_dim, copies, mine),
+                       protocol_reference(d, block_dim, copies, theirs))
+    assert np.array_equal(mine.standard_normal(4), theirs.standard_normal(4))
+
+
+@pytest.mark.parametrize("orders", [(1, 1), (2, 3), (3, 2), (4, 4), (1, 5)])
+def test_direct_product_table_matches_the_pairwise_loop(orders):
+    a, b = (gf.cyclic_shift_representation(n) for n in orders)
+    assert np.array_equal(gf.direct_product(a, b).table, product_table_reference(a, b))
+    nested = gf.direct_product(gf.direct_product(a, b), a)
+    assert np.array_equal(nested.table,
+                          product_table_reference(gf.direct_product(a, b), a))

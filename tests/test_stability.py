@@ -134,7 +134,7 @@ def test_truncation_validation():
     flat = gf.ReconstructionSystem([np.array([[1.0, 0.0]]), np.array([[2.0, 0.0]])])
     with pytest.raises(NotReconstructionSystemError):
         gf.truncate(flat, [0])
-    with pytest.raises(NotReconstructionSystemError):
+    with pytest.raises(NotReconstructionSystemError, match="^block Gram sum is singular"):
         gf.ck_sufficient_condition(flat, [0])
 
 

@@ -1,0 +1,136 @@
+"""Compare the gframes CLI of two source trees call by call.
+
+Usage::
+
+    python tools/cli_identity.py OLD_SRC NEW_SRC [--python EXE] [--verbose]
+
+``OLD_SRC`` and ``NEW_SRC`` are directories that contain the ``gframes``
+package (for example ``src`` of two checkouts).  The script writes the five
+fixtures, a generated ``random_system(32, (4,)*16, 7)`` and a generated
+``random_projective(12, (3,)*6, 11)`` to a temporary directory with the old
+tree, then runs a fixed matrix of CLI calls on them, each in a fresh process
+under each tree, and reports every call whose stdout, stderr or exit code
+differs.  The matrix covers every subcommand and every ``dual --kind``
+(``wce`` also at ``--iterations 200``), ``erase`` with and without a mask and
+with and without ``--dual``, ``truncate`` dropping one and ``m - 1`` blocks,
+and the fixture listing.  Exit status: 0 when every call matched, 1 otherwise.
+
+Standard library only; the trees themselves need numpy.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+FIXTURES = (
+    "overlapping_planes",
+    "overlapping_planes_dual",
+    "redundant_without_projective_dual",
+    "riesz_with_projective_dual",
+    "riesz_without_projective_dual",
+)
+
+GENERATE = """
+import sys
+from gframes import save_system
+from gframes.generate import random_projective, random_system
+save_system(random_system(32, (4,) * 16, 7), sys.argv[1])
+save_system(random_projective(12, (3,) * 6, 11), sys.argv[2])
+"""
+
+
+def run(python: str, src: Path, args: list[str], cwd: Path) -> tuple[int, str, str]:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
+    done = subprocess.run([python, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, check=False)
+    return done.returncode, done.stdout, done.stderr
+
+
+def signal(d: int) -> str:
+    """A fixed signal of length ``d`` mixing real entries and ``[re, im]`` pairs."""
+    entries = [[0.5 * i - 1.0, 0.25 * (i % 3)] if i % 2 else 1.0 + i for i in range(d)]
+    return json.dumps(entries)
+
+
+def matrix(paths: dict[str, Path]) -> list[list[str]]:
+    """CLI argument lists, one per call."""
+    calls = [["fixtures"]] + [["fixtures", "--name", name] for name in FIXTURES]
+    for name, path in paths.items():
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        d, m = payload["d"], len(payload["k"])
+        file = str(path)
+        calls.append(["analyze", file])
+        for kind in ("canonical", "two_error", "wce"):
+            calls.append(["dual", file, "--kind", kind])
+        calls.append(["--iterations", "200", "dual", file, "--kind", "wce"])
+        calls.append(["erase", file, "--signal", signal(d)])
+        calls.append(["erase", file, "--mask", "0", "--signal", signal(d)])
+        calls.append(["erase", file, "--dual", file, "--mask", str(m - 1),
+                      "--signal", signal(d)])
+        calls.append(["truncate", file, "--drop", "0"])
+        calls.append(["truncate", file, "--drop", ",".join(str(i) for i in range(1, m))])
+        calls.append(["approx", file])
+    return calls
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", type=Path, help="source tree holding the reference gframes")
+    parser.add_argument("new", type=Path, help="source tree holding the gframes under test")
+    parser.add_argument("--python", default=sys.executable, help="interpreter to run")
+    parser.add_argument("--verbose", action="store_true", help="print every call")
+    args = parser.parse_args(argv)
+    old, new = args.old.resolve(), args.new.resolve()
+    for tree in (old, new):
+        if not (tree / "gframes" / "cli.py").is_file():
+            parser.error(f"{tree} does not contain gframes/cli.py")
+
+    with tempfile.TemporaryDirectory(prefix="cli-identity-") as tmp:
+        work = Path(tmp)
+        paths = {name: work / f"{name}.json" for name in FIXTURES}
+        for name, path in paths.items():
+            code, _, err = run(args.python, old, ["-m", "gframes.cli", "fixtures",
+                                                  "--name", name, "--out", str(path)], work)
+            if code:
+                print(f"could not write fixture {name}: {err.strip()}", file=sys.stderr)
+                return 2
+        paths["generated"] = work / "generated.json"
+        paths["generated_projective"] = work / "generated_projective.json"
+        code, _, err = run(args.python, old, ["-c", GENERATE, str(paths["generated"]),
+                                              str(paths["generated_projective"])], work)
+        if code:
+            print(f"could not generate systems: {err.strip()}", file=sys.stderr)
+            return 2
+
+        calls = matrix(paths)
+        differing = 0
+        codes: dict[int, int] = {}
+        for call in calls:
+            before = run(args.python, old, ["-m", "gframes.cli", *call], work)
+            after = run(args.python, new, ["-m", "gframes.cli", *call], work)
+            codes[before[0]] = codes.get(before[0], 0) + 1
+            streams = [label for label, a, b in zip(("exit code", "stdout", "stderr"),
+                                                    before, after) if a != b]
+            short = [arg.replace(str(work) + os.sep, "") for arg in call]
+            shown = " ".join(arg if len(arg) < 40 else arg[:36] + " ..." for arg in short)
+            if streams:
+                differing += 1
+                print(f"DIFFERS ({', '.join(streams)}): {shown}")
+                if before[0] != after[0]:
+                    print(f"    exit code {before[0]} -> {after[0]}")
+            elif args.verbose:
+                print(f"same (exit {before[0]}): {shown}")
+
+    summary = ", ".join(f"{count} exit {code}" for code, count in sorted(codes.items()))
+    print(f"{len(calls)} calls, {differing} differing; reference exit codes: {summary}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
