@@ -75,7 +75,7 @@ def nearest_projective(system: ReconstructionSystem,
     because each block problem is a strictly convex projection onto the ray
     through its coisometry.
     """
-    spectra, injective = _block_spectra(system, tolerance)
+    spectra, injective, _ = _block_spectra(system, tolerance)
     if not injective:
         raise PreconditionError("projective approximation needs an injective system")
     blocks = []

@@ -31,6 +31,7 @@ import numpy as np
 from ._linalg import (
     dagger,
     frobenius,
+    hermitian_part,
     is_flat,
     null_space,
     singular_values,
@@ -39,9 +40,9 @@ from ._linalg import (
 from .core import (
     DEFAULT_TOLERANCE,
     ReconstructionSystem,
+    _block_spectra,
     _classify,
     blockwise_distance,
-    classify,
 )
 from .approx import nearest_projective, polar_coisometry
 from .duals import _checked_frame_operator, _dual_from_inverse
@@ -234,10 +235,13 @@ def commuting_projective_dual(system: ReconstructionSystem,
     """Projective dual of a projective system with commuting range projections.
 
     The normalized block Grams ``P_i = v_i^{-2} V_i^* V_i`` must pairwise
-    commute.  Their common eigenspace resolution is recovered by
-    diagonalizing ``sum_i 3^i P_i`` (distinct membership patterns get
-    distinct eigenvalues) and grouping eigenvectors by which projections
-    contain them.  Each eigenspace receives unimodular coefficients summing
+    commute.  Their common eigenspaces are found by refinement from ``C^d``:
+    each ``P_i`` in turn splits every subspace found so far (orthonormal
+    basis ``B``) by the eigenvectors of ``B^* P_i B``, those with eigenvalue
+    above 1/2 inside range ``i`` and the rest outside.  The same pass raises
+    ``PreconditionError`` when ``P_i`` maps some ``B`` out of itself,
+    ``||P_i B - B B^* P_i B|| > tolerance``: the projections do not commute.
+    Each common eigenspace ``Q_j`` receives unimodular coefficients summing
     (conjugated) to one across the blocks containing it, which makes
 
         W_i = v_i^{-2} V_i U_i,    U_i = sum_j eps_ij Q_j
@@ -245,43 +249,35 @@ def commuting_projective_dual(system: ReconstructionSystem,
     a dual, and ``U_i U_i^* = P_i`` makes it projective with weights
     ``1 / v_i``.
     """
-    shape = classify(system, tolerance)
-    if not shape.is_projective:
+    weights = _block_spectra(system, tolerance)[2]
+    if weights is None:
         raise PreconditionError("the construction needs a projective system")
-    weights = shape.weights
-    projections = [(dagger(b) @ b) / (v * v)
-                   for b, v in zip(system.blocks, weights)]
 
-    for i in range(system.m):
-        for j in range(i + 1, system.m):
-            wobble = frobenius(projections[i] @ projections[j]
-                               - projections[j] @ projections[i])
-            if wobble > threshold(tolerance, 1.0):
+    parts = [((), np.eye(system.d, dtype=np.complex128))]
+    for i, (b, v) in enumerate(zip(system.blocks, weights)):
+        projection = (dagger(b) @ b) / (v * v)
+        refined = []
+        for pattern, basis in parts:
+            image = projection @ basis
+            compression = dagger(basis) @ image
+            leak = frobenius(image - basis @ compression)
+            if leak > threshold(tolerance, 1.0):
                 raise PreconditionError(
-                    f"range projections {i} and {j} do not commute (residual {wobble:.3e})")
+                    f"range projection {i} and earlier ones do not commute (leak {leak:.3e})")
+            values, vectors = np.linalg.eigh(hermitian_part(compression))
+            for inside in (True, False):
+                columns = (values > 0.5) == inside
+                if columns.any():
+                    refined.append((pattern + (inside,), basis @ vectors[:, columns]))
+        parts = refined
 
-    separator = np.zeros((system.d, system.d), dtype=np.complex128)
-    for i, p in enumerate(projections):
-        separator += (3.0 ** i) * p
-    _, vectors = np.linalg.eigh(0.5 * (separator + dagger(separator)))
-
-    membership = np.zeros((system.m, system.d), dtype=bool)
-    for i, p in enumerate(projections):
-        quadratic = np.real(np.sum(vectors.conj() * (p @ vectors), axis=0))
-        membership[i] = quadratic > 0.5
-
-    groups: dict[tuple[bool, ...], list[int]] = {}
-    for column in range(system.d):
-        groups.setdefault(tuple(membership[:, column]), []).append(column)
-
-    if any(not any(pattern) for pattern in groups):
+    if any(not any(pattern) for pattern, _ in parts):
         raise NotReconstructionSystemError(
             "some directions lie outside every block range")
 
     factors = [np.zeros((system.d, system.d), dtype=np.complex128)
                for _ in range(system.m)]
-    for pattern, columns in groups.items():
-        basis = vectors[:, columns]
+    for pattern, basis in parts:
         eigenspace = basis @ dagger(basis)
         members = [i for i, inside in enumerate(pattern) if inside]
         for coefficient, i in zip(unit_sum_coefficients(len(members)), members):
@@ -340,11 +336,10 @@ def riesz_projective_dual_check(system: ReconstructionSystem,
                                       is_scaled_isometry=scaled))
 
     dual = _dual_from_inverse(system, np.linalg.inv(gram))
-    dual_projective = classify(dual, tolerance).is_projective
     return RieszDualCheck(
         has_projective_dual=all(c.is_scaled_isometry for c in checks),
         per_index=tuple(checks),
-        canonical_dual_projective=dual_projective,
+        canonical_dual_projective=_block_spectra(dual, tolerance)[2] is not None,
     )
 
 

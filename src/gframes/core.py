@@ -264,38 +264,39 @@ def blockwise_distance(a: ReconstructionSystem, b: ReconstructionSystem) -> floa
     return max(frobenius(x - y) for x, y in zip(a.blocks, b.blocks))
 
 
-def _block_spectra(system: ReconstructionSystem,
-                   tolerance: float) -> tuple[list[np.ndarray], bool]:
-    """Descending singular values of each block, and whether all have full row rank."""
+def _block_spectra(system: ReconstructionSystem, tolerance: float
+                   ) -> tuple[list[np.ndarray], bool, tuple[float, ...] | None]:
+    """Descending singular values of each block, whether all have full row rank, and the
+    weights ``||V_i||_sp`` if every ``V_i V_i^*`` is a positive multiple of I (else None)."""
     if not tolerance > 0.0:
         raise StructuralError("tolerance must be positive")
     spectra = [singular_values(b) for b in system.blocks]
     injective = all(b.shape[0] <= b.shape[1] and float(s[-1]) > threshold(tolerance, float(s[0]))
                     for b, s in zip(system.blocks, spectra))
-    return spectra, injective
-
-
-def _classify(system: ReconstructionSystem,
-              tolerance: float) -> tuple[SystemClassification, np.ndarray]:
-    """``classify`` together with the block Gram sum it judged."""
-    spectra, injective = _block_spectra(system, tolerance)
-    gram = frame_operator(system)
-    lower, upper = eigen_bounds(gram)
-
-    spectral = [float(s[0]) for s in spectra]
+    spectral = tuple(float(s[0]) for s in spectra)
     projective = all(
         top > tolerance
         and frobenius(b @ dagger(b) - (top * top) * np.eye(b.shape[0]))
         <= threshold(tolerance, top * top)
         for b, top in zip(system.blocks, spectral))
-    weights = tuple(spectral) if projective else None
-    uniform = projective and (max(spectral) - min(spectral)) <= threshold(tolerance, max(spectral))
+    return spectra, injective, spectral if projective else None
+
+
+def _classify(system: ReconstructionSystem,
+              tolerance: float) -> tuple[SystemClassification, np.ndarray]:
+    """``classify`` together with the block Gram sum it judged."""
+    _, injective, weights = _block_spectra(system, tolerance)
+    gram = frame_operator(system)
+    lower, upper = eigen_bounds(gram)
+
+    uniform = (weights is not None
+               and (max(weights) - min(weights)) <= threshold(tolerance, max(weights)))
     protocol = frobenius(gram - np.eye(system.d)) <= threshold(tolerance, upper)
 
     return SystemClassification(
         is_rs=lower > threshold(tolerance, upper),
         is_injective=injective,
-        is_projective=projective,
+        is_projective=weights is not None,
         weights=weights,
         is_uniform=uniform,
         is_protocol=protocol,

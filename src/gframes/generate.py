@@ -11,7 +11,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import complex_gaussian, dagger, eigen_bounds, random_unitary, singular_values
+from ._linalg import (complex_gaussian, dagger, eigen_bounds, random_unitary, singular_values,
+                      threshold)
 from .core import ReconstructionSystem, _from_analysis, frame_operator
 from .errors import SamplingError, StructuralError
 
@@ -37,7 +38,7 @@ def random_coisometry(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
 
 def _well_conditioned(system: ReconstructionSystem, floor: float) -> bool:
     lower, upper = eigen_bounds(frame_operator(system))
-    return lower > floor * max(upper, 1.0)
+    return lower > threshold(floor, upper)
 
 
 def random_system(d: int, k: Sequence[int], seed, scale: float = 1.0,

@@ -49,8 +49,8 @@ class TruncationReport:
     """Outcome of dropping a block subset.
 
     ``truncation_factor`` is the matrix ``M_J`` above; multiplying it into
-    the original Gram sum reproduces ``truncated_frame_operator`` (which is
-    computed independently from the surviving blocks).
+    the original Gram sum reproduces ``truncated_frame_operator``, which is
+    formed as ``S - sum_{i in J} V_i^* V_i``, not from the surviving blocks.
     ``lower_bound_estimate`` is the guaranteed lower frame bound
     ``A / ||M_J^{-1}||_sp``; ``bounds_after`` holds the actual extreme
     eigenvalues of the truncated Gram sum when the survivors form a system.
@@ -110,7 +110,7 @@ def truncated_canonical_dual(system: ReconstructionSystem, dropped: Iterable[int
 
     Path one inverts the truncated Gram sum; path two multiplies the full
     canonical dual blocks by the inverse truncation factor.  The two agree
-    mathematically; a discrepancy beyond 1e-9 (relative) means the
+    mathematically; a discrepancy beyond ``tolerance`` (relative) means the
     truncation is too ill-conditioned to trust and raises ``GFramesError``.
     """
     report, full_inverse = _truncation(system, dropped, tolerance)
@@ -125,7 +125,7 @@ def truncated_canonical_dual(system: ReconstructionSystem, dropped: Iterable[int
 
     scale = max(frobenius(b) for b in direct)
     deviation = max(frobenius(a - b) for a, b in zip(direct, via_factor))
-    if deviation > threshold(1e-9, scale):
+    if deviation > threshold(tolerance, scale):
         raise GFramesError(
             f"truncated dual characterizations disagree by {deviation:.3e}")
     return ReconstructionSystem(tuple(direct))

@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gframes as gf
-from gframes._linalg import complex_gaussian, dagger
+from gframes._linalg import complex_gaussian, dagger, hermitian_part, random_unitary
 from gframes.errors import (
     NotReconstructionSystemError,
     PreconditionError,
@@ -157,6 +157,86 @@ def test_commuting_dual_on_random_draws():
         weights = gf.classify(system).weights
         assert np.allclose(dual_info.weights,
                            [1.0 / v for v in weights], atol=1e-8)
+
+
+def assert_projective_dual(system):
+    dual = gf.commuting_projective_dual(system)
+    assert gf.verify_dual(dual, system).dual_residual <= 1e-12
+    dual_info = gf.classify(dual)
+    assert dual_info.is_projective
+    weights = gf.classify(system).weights
+    assert np.allclose(dual_info.weights, [1.0 / v for v in weights], rtol=1e-12, atol=0)
+    return dual
+
+
+@pytest.mark.parametrize("m", [10, 20, 30, 40, 80])
+def test_commuting_dual_is_exact_with_many_blocks(m):
+    # one small range followed by m - 1 full ones: a separation of the eigenspaces by
+    # one weighted sum of the P_i loses the small range in rounding as m grows
+    system = commuting_projective(3, [(0,)] + [(0, 1, 2)] * (m - 1), seed=m)
+    assert_projective_dual(system)
+
+
+def test_commuting_dual_matches_the_known_eigenspaces():
+    rng = np.random.default_rng(710)
+    d = 7
+    masks = [(0, 1, 2), (2, 3), (1, 2, 3, 4, 5), (5, 6), (0, 6), (2, 5)]
+    weights = [0.6, 1.1, 1.7, 0.9, 1.3, 2.0]
+    unitary = random_unitary(rng, d)
+    system = gf.ReconstructionSystem(tuple(v * dagger(unitary[:, list(mask)])
+                                           for v, mask in zip(weights, masks)))
+
+    patterns = {}
+    for j in range(d):
+        patterns.setdefault(tuple(j in mask for mask in masks), []).append(j)
+    factors = [np.zeros((d, d), dtype=np.complex128) for _ in masks]
+    for pattern, coordinates in patterns.items():
+        # any orthonormal basis of the eigenspace gives the same projection
+        basis = unitary[:, coordinates] @ random_unitary(rng, len(coordinates))
+        eigenspace = basis @ dagger(basis)
+        members = [i for i, inside in enumerate(pattern) if inside]
+        for coefficient, i in zip(gf.unit_sum_coefficients(len(members)), members):
+            factors[i] += coefficient * eigenspace
+    reference = gf.ReconstructionSystem(tuple(
+        (b @ u) / (v * v) for b, u, v in zip(system.blocks, factors, weights)))
+
+    dual = assert_projective_dual(system)
+    assert gf.blockwise_distance(dual, reference) <= 1e-12
+
+
+@st.composite
+def mask_families(draw):
+    """Up to 60 masks on C^d, d <= 8: a few random ranges, then up to 51 blocks
+    that are often the full range, so that many late blocks separate nothing."""
+    d = draw(st.integers(min_value=1, max_value=8))
+    mask = st.sets(st.integers(min_value=0, max_value=d - 1), min_size=1)
+    masks = draw(st.lists(mask, min_size=1, max_size=8))
+    masks += draw(st.lists(st.one_of(st.just(set(range(d))), mask), max_size=51))
+    uncovered = set(range(d)).difference(*masks)
+    if uncovered:
+        masks.append(uncovered)
+    return d, [tuple(sorted(mask)) for mask in masks]
+
+
+@settings(max_examples=30, deadline=None)
+@given(mask_families(), st.integers(min_value=0, max_value=2**31))
+def test_commuting_dual_property_over_mask_families(family, seed):
+    d, masks = family
+    assert_projective_dual(commuting_projective(d, masks, seed))
+
+
+@pytest.mark.parametrize("epsilon", [1e-3, 1e-5, 1e-8])
+def test_commuting_dual_rejects_slightly_rotated_blocks(epsilon):
+    system = commuting_projective(4, [(0, 1), (1, 2), (2, 3)], seed=3)
+    rng = np.random.default_rng(711)
+    values, vectors = np.linalg.eigh(hermitian_part(complex_gaussian(rng, (4, 4))))
+    rotation = (vectors * np.exp(1j * epsilon * values)) @ dagger(vectors)
+    blocks = list(system.blocks)
+    blocks[2] = blocks[2] @ rotation
+    rotated = gf.ReconstructionSystem(blocks)
+    assert gf.classify(rotated).is_projective
+    with pytest.raises(PreconditionError, match="do not commute"):
+        gf.commuting_projective_dual(rotated)
 
 
 def test_commuting_dual_preconditions():

@@ -13,7 +13,12 @@ import pytest
 
 import gframes as gf
 import gframes.core as core
-from gframes.generate import random_projective, random_riesz, random_system
+from gframes.generate import (
+    commuting_projective,
+    random_projective,
+    random_riesz,
+    random_system,
+)
 
 
 @pytest.fixture
@@ -39,6 +44,7 @@ def counts(monkeypatch):
 GENERAL = random_system(64, (4,) * 32, 5)
 PROJECTIVE = random_projective(12, (3,) * 6, 11)
 RIESZ = random_riesz((2, 3, 1, 2), 3)
+COMMUTING = commuting_projective(6, [(0, 1, 2), (1, 2, 3), (3, 4, 5), (0, 5)], seed=4)
 
 
 def orbit_checks():
@@ -62,9 +68,12 @@ CASES = {
     # plus the weighted family: one spectrum of the stacked bases, one R_i^{-1} per block
     "wce_solve": (lambda: gf.wce_solve(PROJECTIVE, iterations=3),
                   {"gram": 1, "eigvalsh": 2, "inv": 1 + PROJECTIVE.m, "svd": PROJECTIVE.m}),
-    # the second S classifies the canonical dual; per block a kernel SVD and a restriction SVD
+    # one S for the system; per block a kernel SVD, a restriction SVD and the dual's spectrum
     "riesz_projective_dual_check": (lambda: gf.riesz_projective_dual_check(RIESZ),
-                                    {"gram": 2, "eigvalsh": 2, "inv": 1, "svd": 4 * RIESZ.m}),
+                                    {"gram": 1, "eigvalsh": 1, "inv": 1, "svd": 4 * RIESZ.m}),
+    # no S at all: the weights come from one values-only SVD per block
+    "commuting_projective_dual": (lambda: gf.commuting_projective_dual(COMMUTING),
+                                  {"svd": COMMUTING.m}),
     # S, its spectrum and S^{-1} once; two SVDs of the dual base, then nearest_projective's
     "group_rs_checks": (orbit_checks, {"gram": 1, "eigvalsh": 1, "inv": 1, "svd": 2 + 2 * 6}),
 }

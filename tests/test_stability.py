@@ -5,8 +5,8 @@ import pytest
 
 import gframes as gf
 from gframes._linalg import dagger, eigen_bounds, spectral_norm
-from gframes.errors import NotReconstructionSystemError, StructuralError
-from gframes.generate import partition_protocol
+from gframes.errors import GFramesError, NotReconstructionSystemError, StructuralError
+from gframes.generate import partition_protocol, random_system
 from helpers import draw_general
 
 
@@ -90,6 +90,17 @@ def test_truncated_dual_agrees_with_direct_canonical():
         for block, i in zip(dual.blocks, report.kept):
             alt = system.blocks[i] @ inverse @ factor_inverse
             assert np.max(np.abs(block - alt)) <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, raises=GFramesError,
+                   reason="the survivors' Gram sum is S minus the dropped blocks' Grams, so the "
+                          "rounding of a dominant dropped block makes the two paths disagree")
+def test_truncated_dual_after_dropping_a_dominant_block():
+    system = random_system(4, (2, 2, 2, 2), 1)
+    scaled = gf.ReconstructionSystem((100.0 * system.blocks[0],) + system.blocks[1:])
+    survivors = gf.ReconstructionSystem(system.blocks[1:])
+    dual = gf.truncated_canonical_dual(scaled, [0])
+    assert gf.blockwise_distance(dual, gf.canonical_dual(survivors)) <= 1e-12
 
 
 def test_energy_condition_guarantee():

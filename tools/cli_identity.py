@@ -13,7 +13,8 @@ under each tree, and reports every call whose stdout, stderr or exit code
 differs.  The matrix covers every subcommand and every ``dual --kind``
 (``wce`` also at ``--iterations 200``), ``erase`` with and without a mask and
 with and without ``--dual``, ``truncate`` dropping one and ``m - 1`` blocks,
-and the fixture listing.  Exit status: 0 when every call matched, 1 otherwise.
+``analyze``, ``truncate`` and ``dual --kind two_error`` at ``--tolerance``
+1e-6 and 1e-12, and the fixture listing.  Exit status: 0 when every call matched, 1 otherwise.
 
 Standard library only; the trees themselves need numpy.
 """
@@ -76,6 +77,10 @@ def matrix(paths: dict[str, Path]) -> list[list[str]]:
         calls.append(["truncate", file, "--drop", "0"])
         calls.append(["truncate", file, "--drop", ",".join(str(i) for i in range(1, m))])
         calls.append(["approx", file])
+        for tolerance in ("1e-6", "1e-12"):
+            calls.append(["--tolerance", tolerance, "analyze", file])
+            calls.append(["--tolerance", tolerance, "truncate", file, "--drop", "0"])
+            calls.append(["--tolerance", tolerance, "dual", file, "--kind", "two_error"])
     return calls
 
 
