@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -82,13 +83,48 @@ def _as_block(entry, index: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class _Layout:
+    """What every system of one shape shares: its signature, row slices and padding mask.
+
+    ``rows[i, j]`` says whether row ``j`` of the zero-padded ``m x width x d``
+    block stack holds a row of block ``i`` (``j < k_i``).
+    """
+
+    signature: RSSignature
+    ends: tuple[int, ...]
+    slices: tuple[slice, ...]
+    rows: np.ndarray
+
+
+@lru_cache(maxsize=256)
+def _layout(sizes: tuple[int, ...], d: int) -> _Layout:
+    for i, ki in enumerate(sizes):
+        if ki < 1 or d < 1:
+            raise StructuralError(
+                f"block {i} must be a non-empty 2-d matrix, got shape {(ki, d)}")
+    signature = RSSignature(len(sizes), sizes, d)
+    ends = tuple(accumulate(sizes))
+    rows = np.arange(max(sizes)) < np.asarray(sizes)[:, None]
+    rows.flags.writeable = False
+    return _Layout(signature, ends,
+                   tuple(slice(end - ki, end) for ki, end in zip(sizes, ends)), rows)
+
+
+@dataclass(frozen=True, eq=False)
 class ReconstructionSystem:
     """Immutable ordered family of complex blocks over a common domain ``C^d``.
 
     The blocks are stored once, stacked in order as the read-only ``K x d``
     matrix ``analysis``, which is validated at construction; ``blocks`` holds
     read-only row-slice views into it.  ``k``, ``tr_k`` and ``signature`` are
-    fixed at construction.
+    fixed at construction; systems of one shape share their signature and
+    row slices through a bounded cache.
+
+    A system also caches, on first use, the triangular factors ``R_i`` of
+    ``V_i^* = Q_i R_i`` (``_block_factor``, one stacked QR).  Systems never
+    change after construction, so the factor stays valid for the system's
+    lifetime, and ``error_report`` reuses it on every call against the same
+    system.
 
     Parameters
     ----------
@@ -117,18 +153,17 @@ class ReconstructionSystem:
 
     def _adopt(self, analysis: np.ndarray, sizes: tuple[int, ...]) -> None:
         """Freeze ``analysis`` (C-contiguous, owned by nobody else) and slice it into blocks."""
-        ends = list(accumulate(sizes))
+        layout = _layout(sizes, analysis.shape[1])
         if not np.isfinite(analysis).all():
             row = int(np.argmin(np.isfinite(analysis).all(axis=1)))
             raise StructuralError(
-                f"block {bisect_right(ends, row)} contains non-finite entries")
+                f"block {bisect_right(layout.ends, row)} contains non-finite entries")
         analysis.flags.writeable = False
-        blocks = tuple(analysis[end - ki:end] for ki, end in zip(sizes, ends))
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", tuple(map(analysis.__getitem__, layout.slices)))
         object.__setattr__(self, "analysis", analysis)
         object.__setattr__(self, "k", sizes)
         object.__setattr__(self, "tr_k", analysis.shape[0])
-        object.__setattr__(self, "signature", RSSignature(len(sizes), sizes, analysis.shape[1]))
+        object.__setattr__(self, "signature", layout.signature)
 
     @property
     def m(self) -> int:
@@ -138,8 +173,30 @@ class ReconstructionSystem:
     def d(self) -> int:
         return self.analysis.shape[1]
 
+    @cached_property
+    def _block_factor(self) -> np.ndarray:
+        """Read-only ``m x min(d, width) x width`` stack of the ``R_i`` in ``V_i^* = Q_i R_i``.
+
+        Zero padding to the widest block leaves each leading ``R_i`` unchanged
+        and the padded columns zero; blocks with ``k_i > d`` or deficient
+        rank need no special case.
+        """
+        factor = np.linalg.qr(dagger(_block_stack(self)), mode="r")
+        factor.flags.writeable = False
+        return factor
+
     def __repr__(self) -> str:
         return f"ReconstructionSystem(m={self.m}, k={self.k}, d={self.d})"
+
+
+def _block_stack(system: ReconstructionSystem) -> np.ndarray:
+    """The blocks as a zero-padded ``m x width x d`` stack; a read-only view if none is padded."""
+    rows = _layout(system.k, system.d).rows
+    if rows.size == system.tr_k:
+        return system.analysis.reshape(rows.shape + (system.d,))
+    stack = np.zeros(rows.shape + (system.d,), dtype=np.complex128)
+    stack[rows] = system.analysis
+    return stack
 
 
 def _from_analysis(analysis: np.ndarray, sizes: Sequence[int]) -> ReconstructionSystem:
@@ -148,14 +205,9 @@ def _from_analysis(analysis: np.ndarray, sizes: Sequence[int]) -> Reconstruction
     ``analysis`` must not be used by the caller afterwards: the system keeps
     it (or a contiguous copy) as its own storage.
     """
-    sizes = tuple(int(ki) for ki in sizes)
+    sizes = tuple(map(int, sizes))
     if not sizes:
         raise StructuralError("a system needs at least one block")
-    d = analysis.shape[1]
-    for i, ki in enumerate(sizes):
-        if ki < 1 or d < 1:
-            raise StructuralError(
-                f"block {i} must be a non-empty 2-d matrix, got shape {(ki, d)}")
     system = object.__new__(ReconstructionSystem)
     system._adopt(np.ascontiguousarray(analysis, dtype=np.complex128), sizes)
     return system

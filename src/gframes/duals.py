@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import dagger, eigen_bounds, frobenius, hermitian_part, threshold
+from ._linalg import dagger, eigen_bounds, frobenius, threshold
 from .core import (
     DEFAULT_TOLERANCE,
     ReconstructionSystem,
@@ -175,7 +175,7 @@ def dual_manifold_sample(system: ReconstructionSystem, seed: int, count: int,
         parameters = scale * (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
         syntheses = manifold.base_synthesis + parameters @ manifold.range_complement
         analyses = np.ascontiguousarray(dagger(syntheses))
-        spectra = np.linalg.eigvalsh(hermitian_part(_block_gram(analyses, system.k)))
+        spectra = np.linalg.eigvalsh(_block_gram(analyses, system.k))
         for analysis, lower, upper in zip(analyses, spectra[:, 0].tolist(),
                                           spectra[:, -1].tolist()):
             if lower > threshold(tolerance, upper):

@@ -6,6 +6,14 @@ is ``W_j^* V_j``.  Two figures of merit aggregate the per-index Frobenius
 norms ``||W_j^* V_j||``: their Euclidean norm (``two_error``) and their
 maximum (``worst_case``).
 
+``error_report`` never forms the ``d x d`` products ``W_j^* V_j``.  With the
+QR factorization ``V_j^* = Q_j R_j``, where ``Q_j`` has orthonormal columns,
+``||W_j^* V_j|| = ||V_j^* W_j|| = ||R_j W_j||``.  The ``R_j`` of a system come
+from one stacked QR of its zero-padded blocks, computed on first use and
+cached on the (immutable) system, so scoring many duals against one system
+costs one batched ``R W`` product and one norm per block for each dual.  The
+values agree with the direct products up to rounding.
+
 Both optima come from one weighted family of duals.  Write each block of an
 injective system as ``V_i = R_i^* U_i`` with orthonormal rows ``U_i``, and for
 weights ``lam_i > 0`` let ``D_lam = sum_i U_i^* U_i / lam_i``, a weighted sum of
@@ -48,8 +56,10 @@ from ._linalg import dagger, eigen_bounds, frobenius, threshold
 from .core import (
     DEFAULT_TOLERANCE,
     ReconstructionSystem,
+    _block_stack,
     _classify,
     _index_subset,
+    _layout,
     classify,
 )
 from .duals import _dual_from_inverse
@@ -125,8 +135,11 @@ def error_report(system: ReconstructionSystem,
     """Per-index norms ``||W_j^* V_j||`` and their two aggregates."""
     if dual.signature != system.signature:
         raise StructuralError("dual and system signatures differ")
-    per = tuple(frobenius(dagger(w) @ v)
-                for w, v in zip(dual.blocks, system.blocks))
+    # ||W_j^* V_j|| = ||V_j^* W_j|| = ||R_j W_j||, as Q_j has orthonormal columns
+    products = system._block_factor @ _block_stack(dual)
+    # squares of the real and imaginary parts, summed per block without temporaries
+    parts = products.reshape(system.m, -1).view(np.float64)
+    per = tuple(np.sqrt(np.einsum("ij,ij->i", parts, parts)).tolist())
     return ErrorReport(per_index=per,
                        two_error=float(np.sqrt(sum(e * e for e in per))),
                        worst_case=max(per))
@@ -152,14 +165,16 @@ class _WeightedDuals:
     """The duals minimizing ``sum_i lam_i ||W_i^* V_i||^2``, one per weight vector ``lam``."""
 
     def __init__(self, system: ReconstructionSystem, tolerance: float) -> None:
-        factors = [np.linalg.qr(dagger(b)) for b in system.blocks]  # V_i^* = Q_i R_i
-        self.bases = np.vstack([dagger(q) for q, _ in factors])
+        # V_i^* = Q_i R_i for all blocks in one QR of the zero-padded stack; the
+        # padding leaves each leading Q_i and R_i as the block's own QR gives them
+        q, r = np.linalg.qr(dagger(_block_stack(system)))
+        self.bases = dagger(q)[_layout(system.k, system.d).rows]
         lower, upper = eigen_bounds(dagger(self.bases) @ self.bases)
         if lower <= threshold(tolerance, upper):
             raise NotReconstructionSystemError(
                 f"block row spaces do not span the domain (lambda_min={lower:.3e})")
         # (V_i V_i^*)^{-1} V_i = R_i^{-1} U_i
-        self.coordinates = [np.linalg.inv(r) for _, r in factors]
+        self.coordinates = [np.linalg.inv(r[i, :ki, :ki]) for i, ki in enumerate(system.k)]
         self.sizes = np.asarray(system.k)
         self.starts = np.cumsum(self.sizes) - self.sizes
 

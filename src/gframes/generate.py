@@ -7,13 +7,13 @@ at the 1e-10 level stay meaningful downstream.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import (complex_gaussian, dagger, eigen_bounds, random_unitary, singular_values,
-                      threshold)
-from .core import ReconstructionSystem, _from_analysis, frame_operator
+from ._linalg import complex_gaussian, dagger, random_unitary, singular_values, threshold
+from .core import ReconstructionSystem, _from_analysis, _layout, frame_operator
 from .errors import SamplingError, StructuralError
 
 __all__ = [
@@ -37,7 +37,8 @@ def random_coisometry(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
 
 
 def _well_conditioned(system: ReconstructionSystem, floor: float) -> bool:
-    lower, upper = eigen_bounds(frame_operator(system))
+    # frame_operator returns S exactly Hermitian, so it is not symmetrized again
+    lower, upper = np.linalg.eigvalsh(frame_operator(system))[[0, -1]].tolist()
     return lower > threshold(floor, upper)
 
 
@@ -54,41 +55,56 @@ def random_system(d: int, k: Sequence[int], seed, scale: float = 1.0,
     raise SamplingError(f"no well-conditioned system for d={d}, k={sizes}")
 
 
+@lru_cache(maxsize=16)
+def _draw_gather(d: int, sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where one attempt's draws go in the zero-padded ``m x d x width`` Gaussian stack.
+
+    Returns the stack's mask of entries that are not padding (column ``c`` of
+    block ``i`` with ``c < k_i``) and, in mask order, the indices of each
+    entry's real and imaginary draw: block by block, the ``d x k_i`` real
+    parts, then the imaginary parts, as ``random_coisometry`` draws them.
+    """
+    columns = _layout(sizes, d).rows
+    entries = np.broadcast_to(columns[:, None, :], (len(sizes), d, columns.shape[1]))
+    counts = d * np.asarray(sizes)
+    starts = np.cumsum(2 * counts) - 2 * counts
+    real = np.concatenate([start + np.arange(count) for start, count in zip(starts, counts)])
+    imag = real + np.repeat(counts, counts)
+    real.flags.writeable = imag.flags.writeable = False
+    return entries, real, imag
+
+
 def random_projective(d: int, k: Sequence[int], seed,
                       weights: Sequence[float] | None = None,
                       conditioning: float = 1e-3) -> ReconstructionSystem:
     """Weighted random coisometries; weights default to uniform draws in [0.5, 2].
 
     Each attempt makes, in one call, the draws ``random_coisometry`` would
-    make block by block, and factors all blocks in one stacked QR.  Zero
-    columns pad every block to the widest; they leave the leading columns of
-    each Q factor unchanged, so the blocks are those of the blockwise loop.
+    make block by block, gathers them into a zero-padded stack, and factors
+    all blocks in one stacked QR.  Zero columns pad every block to the
+    widest; they leave the leading columns of each Q factor unchanged, so the
+    blocks are those of the blockwise loop.
     """
     rng = np.random.default_rng(seed)
     sizes = tuple(int(ki) for ki in k)
     if not sizes:
         raise StructuralError("a system needs at least one block")
-    width = max(sizes)
+    if weights is not None:
+        scales = np.asarray(weights, dtype=float)
+        if scales.shape != (len(sizes),) or np.any(scales <= 0):
+            raise StructuralError("weights must be positive, one per block")
+    if max(sizes) > d:
+        raise StructuralError("a coisometry needs k <= d")
+    entries, real, imag = _draw_gather(d, sizes)
+    rows = _layout(sizes, d).rows  # the rows of each padded Q_i^* that block i keeps
     for _ in range(_ATTEMPTS):
         if weights is None:
             scales = 0.5 + 1.5 * rng.random(len(sizes))
-        else:
-            scales = np.asarray(weights, dtype=float)
-            if scales.shape != (len(sizes),) or np.any(scales <= 0):
-                raise StructuralError("weights must be positive, one per block")
-        if width > d:
-            raise StructuralError("a coisometry needs k <= d")
-        # block by block: the d x k_i real parts, then the imaginary parts
         draws = rng.standard_normal(2 * d * sum(sizes))
-        gaussians = np.zeros((len(sizes), d, width), dtype=np.complex128)
-        start = 0
-        for i, ki in enumerate(sizes):
-            real, imag = draws[start:start + 2 * d * ki].reshape(2, d, ki)
-            gaussians[i, :, :ki] = (real + 1j * imag) / np.sqrt(2.0)
-            start += 2 * d * ki
+        gaussians = np.zeros(entries.shape, dtype=np.complex128)
+        gaussians[entries] = (draws[real] + 1j * draws[imag]) / np.sqrt(2.0)
         q, _ = np.linalg.qr(gaussians)
-        system = _from_analysis(np.concatenate(
-            [v * dagger(q[i, :, :ki]) for i, (v, ki) in enumerate(zip(scales, sizes))]), sizes)
+        system = _from_analysis(np.repeat(scales, sizes)[:, None] * dagger(q)[rows], sizes)
         if _well_conditioned(system, conditioning):
             return system
     raise SamplingError(f"no well-conditioned projective system for d={d}, k={sizes}")

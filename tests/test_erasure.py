@@ -104,6 +104,29 @@ def test_error_report_against_trace_oracle():
     assert report.two_error <= np.sqrt(system.m) * report.worst_case + 1e-12
 
 
+@pytest.mark.parametrize("c", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+def test_error_report_matches_the_direct_block_products(c):
+    # d = 3 with mixed block sizes, a block taller than the domain (k = 5 > d)
+    # and a rank-one block; the duals are the canonical one and random blocks
+    rng = np.random.default_rng(415)
+    d, sizes = 3, (2, 5, 3, 1)
+
+    def gaussian(k):
+        return rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
+
+    blocks = [gaussian(k) for k in sizes]
+    blocks[2] = np.outer(gaussian(3)[:, 0], gaussian(1)[0])
+    base = gf.ReconstructionSystem(blocks)
+    system = gf.ReconstructionSystem([c * b for b in blocks])
+    for candidate in (gf.canonical_dual(base).blocks, [gaussian(k) for k in sizes]):
+        dual = gf.ReconstructionSystem([c * w for w in candidate])
+        report = gf.error_report(system, dual)
+        for got, w, v in zip(report.per_index, dual.blocks, system.blocks):
+            direct = frobenius(dagger(w) @ v)
+            assert abs(got - direct) <= 1e-12 * direct
+        assert report.worst_case == max(report.per_index)
+
+
 def test_error_report_single_identity_block():
     system = gf.ReconstructionSystem([np.eye(2)])
     report = gf.error_report(system, gf.canonical_dual(system))

@@ -3,7 +3,8 @@
 The counters wrap ``core._block_gram`` (every ``frame_operator`` call goes
 through it) and the ``numpy.linalg`` entry points ``eigvalsh``, ``inv`` and
 ``svd``.  Calls numpy makes internally (``norm(a, 2)``, ``qr``, ``solve``)
-are not counted.
+are not counted.  A separate counter checks that ``error_report`` factors
+each system once, however many duals it scores against it.
 """
 
 from collections import Counter
@@ -84,3 +85,21 @@ def test_linear_algebra_counts(counts, name):
     op, expected = CASES[name]
     op()
     assert dict(counts) == expected
+
+
+def test_error_report_factors_each_system_once(monkeypatch):
+    factorizations = Counter()
+    qr = np.linalg.qr
+
+    def counted(*args, **kwargs):
+        factorizations["qr"] += 1
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    system = random_system(6, (2, 3, 4, 2, 4), 8)
+    first, second = gf.dual_manifold_sample(system, seed=9, count=2)
+    gf.error_report(system, first)
+    assert factorizations["qr"] == 1
+    gf.error_report(system, second)
+    gf.error_report(system, first)
+    assert factorizations["qr"] == 1

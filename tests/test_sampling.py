@@ -29,6 +29,12 @@ from gframes.generate import (
 )
 
 MIXED_SIZES = [(3, 1, 4, 2), (1, 1, 1, 1, 1, 1, 1), (4, 4, 4), (2, 3), (1, 4, 1, 4, 2)]
+# Drawn over C^d with d = max(max(k), 5), each has blocks with k_i = d.
+FULL_WIDTH_SIZES = [(5, 5, 1), (6, 2, 6, 3)]
+# Conditioning floors near the median of lambda_min / max(1, lambda_max) over
+# each shape's projective draws, so that about half of the attempts are rejected.
+REJECTING_FLOORS = {(3, 1, 4, 2): 0.17, (1, 1, 1, 1, 1, 1, 1): 0.036, (4, 4, 4): 0.33,
+                    (2, 3): 0.022, (1, 4, 1, 4, 2): 0.22, (5, 5, 1): 0.68, (6, 2, 6, 3): 0.5}
 
 
 def gram_loop(system):
@@ -40,8 +46,9 @@ def gram_loop(system):
 
 
 def projective_reference(d, k, seed, weights=None, conditioning=1e-3):
+    """``(system, attempts)`` drawn one coisometry at a time."""
     rng = np.random.default_rng(seed)
-    for _ in range(100):
+    for attempt in range(1, 101):
         if weights is None:
             scales = 0.5 + 1.5 * rng.random(len(k))
         else:
@@ -50,7 +57,7 @@ def projective_reference(d, k, seed, weights=None, conditioning=1e-3):
             tuple(v * random_coisometry(rng, ki, d) for v, ki in zip(scales, k)))
         lower, upper = eigen_bounds(gram_loop(system))
         if lower > conditioning * max(upper, 1.0):
-            return system
+            return system, attempt
     raise AssertionError("reference found no well-conditioned system")
 
 
@@ -122,21 +129,33 @@ def test_frame_operator_is_the_block_ordered_sum():
         assert np.array_equal(gf.frame_operator(system), gram_loop(system))
 
 
-@pytest.mark.parametrize("k", MIXED_SIZES)
+@pytest.mark.parametrize("k", MIXED_SIZES + FULL_WIDTH_SIZES)
 def test_random_projective_matches_blockwise_draws(k):
     d = max(max(k), 5)
     for seed in (0, 1, 17, 2024):
-        assert_same_blocks(random_projective(d, k, seed), projective_reference(d, k, seed))
+        assert_same_blocks(random_projective(d, k, seed), projective_reference(d, k, seed)[0])
     weights = [0.6 + 0.3 * i for i in range(len(k))]
     assert_same_blocks(random_projective(d, k, 5, weights=weights),
-                       projective_reference(d, k, 5, weights=weights))
+                       projective_reference(d, k, 5, weights=weights)[0])
+
+    # rejected attempts consume the same draws: the same systems from one
+    # generator, and the same generator state afterwards
+    floor = REJECTING_FLOORS[k]
+    mine, theirs = np.random.default_rng(409), np.random.default_rng(409)
+    accepted, attempts = 8, 0
+    for _ in range(accepted):
+        reference, tries = projective_reference(d, k, theirs, conditioning=floor)
+        assert_same_blocks(random_projective(d, k, mine, conditioning=floor), reference)
+        attempts += tries
+    assert attempts - accepted >= attempts / 3
+    assert np.array_equal(mine.standard_normal(4), theirs.standard_normal(4))
 
 
 def test_random_projective_with_generator_seed():
     mine, theirs = np.random.default_rng(402), np.random.default_rng(402)
     for k in MIXED_SIZES:
         d = max(k) + 1
-        assert_same_blocks(random_projective(d, k, mine), projective_reference(d, k, theirs))
+        assert_same_blocks(random_projective(d, k, mine), projective_reference(d, k, theirs)[0])
     # both consumed the generator identically
     assert np.array_equal(mine.standard_normal(4), theirs.standard_normal(4))
 

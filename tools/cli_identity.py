@@ -2,7 +2,7 @@
 
 Usage::
 
-    python tools/cli_identity.py OLD_SRC NEW_SRC [--python EXE] [--verbose]
+    python tools/cli_identity.py OLD_SRC NEW_SRC [--numeric] [--python EXE] [--verbose]
 
 ``OLD_SRC`` and ``NEW_SRC`` are directories that contain the ``gframes``
 package (for example ``src`` of two checkouts).  The script writes the five
@@ -16,6 +16,16 @@ with and without ``--dual``, ``truncate`` dropping one and ``m - 1`` blocks,
 ``analyze``, ``truncate`` and ``dual --kind two_error`` at ``--tolerance``
 1e-6 and 1e-12, and the fixture listing.  Exit status: 0 when every call matched, 1 otherwise.
 
+``--numeric`` compares stdout as JSON instead of as bytes: keys, strings,
+integers, booleans and nulls must be equal, as must stderr and the exit
+code, while floats may differ by up to 1e-12 relative
+(``|a - b| / max(|a|, |b|)``).  A float printed with 17 significant digits
+can look like an integer (``1.0`` prints as ``1``), so a number parsed as an
+integer on one side and as a float on the other is compared as a float.  The
+largest relative deviation is printed per differing call, with where in the
+report it sits, and for the whole run.  A stdout that is not JSON is
+compared as bytes.
+
 Standard library only; the trees themselves need numpy.
 """
 
@@ -23,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -84,12 +95,74 @@ def matrix(paths: dict[str, Path]) -> list[list[str]]:
     return calls
 
 
+NUMERIC_TOLERANCE = 1e-12
+
+
+class Mismatch(Exception):
+    """Two JSON reports differ in something other than float digits."""
+
+
+def float_deviation(a, b, where: str = "$") -> tuple[float, str]:
+    """Largest relative float difference between two parsed JSON values, and where it is.
+
+    Raises ``Mismatch`` on any difference in keys, lengths, strings, integers,
+    booleans or nulls.
+    """
+    numbers = (int, float)
+    if (isinstance(a, numbers) and isinstance(b, numbers) and not isinstance(a, bool)
+            and not isinstance(b, bool) and float in (type(a), type(b))):
+        a, b = float(a), float(b)
+        if a == b:
+            return 0.0, where
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise Mismatch(f"{where}: {a!r} vs {b!r}")
+        return abs(a - b) / max(abs(a), abs(b)), where
+    if type(a) is not type(b):
+        raise Mismatch(f"{where}: {type(a).__name__} vs {type(b).__name__}")
+    if isinstance(a, dict):
+        if list(a) != list(b):
+            raise Mismatch(f"{where}: keys {sorted(a)} vs {sorted(b)}")
+        parts = [float_deviation(a[key], b[key], f"{where}.{key}") for key in a]
+    elif isinstance(a, list):
+        if len(a) != len(b):
+            raise Mismatch(f"{where}: lengths {len(a)} vs {len(b)}")
+        parts = [float_deviation(x, y, f"{where}[{i}]") for i, (x, y) in enumerate(zip(a, b))]
+    else:
+        if a != b:
+            raise Mismatch(f"{where}: {a!r} vs {b!r}")
+        parts = []
+    return max(parts, default=(0.0, where), key=lambda part: part[0])
+
+
+def compare(before: tuple[int, str, str], after: tuple[int, str, str],
+            numeric: bool) -> tuple[list[str], float, str]:
+    """The differing streams of one call, with the largest float deviation and where it is."""
+    differing = [label for label, a, b in zip(("exit code", "stdout", "stderr"), before, after)
+                 if a != b]
+    if not numeric or "stdout" not in differing:
+        return differing, 0.0, ""
+    try:
+        reports = json.loads(before[1]), json.loads(after[1])
+    except json.JSONDecodeError:
+        return differing, 0.0, ""
+    differing.remove("stdout")
+    try:
+        deviation, where = float_deviation(*reports)
+    except Mismatch as exc:
+        return differing + [f"stdout ({exc})"], 0.0, ""
+    if deviation > NUMERIC_TOLERANCE:
+        differing.append(f"stdout floats beyond {NUMERIC_TOLERANCE:g}")
+    return differing, deviation, where
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path, help="source tree holding the reference gframes")
     parser.add_argument("new", type=Path, help="source tree holding the gframes under test")
     parser.add_argument("--python", default=sys.executable, help="interpreter to run")
     parser.add_argument("--verbose", action="store_true", help="print every call")
+    parser.add_argument("--numeric", action="store_true",
+                        help="compare stdout as JSON, floats to 1e-12 relative")
     args = parser.parse_args(argv)
     old, new = args.old.resolve(), args.new.resolve()
     for tree in (old, new):
@@ -114,14 +187,16 @@ def main(argv=None) -> int:
             return 2
 
         calls = matrix(paths)
-        differing = 0
+        differing = inexact = 0
+        largest = 0.0
         codes: dict[int, int] = {}
         for call in calls:
             before = run(args.python, old, ["-m", "gframes.cli", *call], work)
             after = run(args.python, new, ["-m", "gframes.cli", *call], work)
             codes[before[0]] = codes.get(before[0], 0) + 1
-            streams = [label for label, a, b in zip(("exit code", "stdout", "stderr"),
-                                                    before, after) if a != b]
+            streams, deviation, where = compare(before, after, args.numeric)
+            largest = max(largest, deviation)
+            inexact += deviation > 0.0
             short = [arg.replace(str(work) + os.sep, "") for arg in call]
             shown = " ".join(arg if len(arg) < 40 else arg[:36] + " ..." for arg in short)
             if streams:
@@ -129,11 +204,16 @@ def main(argv=None) -> int:
                 print(f"DIFFERS ({', '.join(streams)}): {shown}")
                 if before[0] != after[0]:
                     print(f"    exit code {before[0]} -> {after[0]}")
-            elif args.verbose:
+            elif deviation > 0.0 or args.verbose:
                 print(f"same (exit {before[0]}): {shown}")
+            if deviation > 0.0:
+                print(f"    largest relative float deviation {deviation:.2e} at {where}")
 
     summary = ", ".join(f"{count} exit {code}" for code, count in sorted(codes.items()))
     print(f"{len(calls)} calls, {differing} differing; reference exit codes: {summary}")
+    if args.numeric:
+        print(f"{inexact} calls with float deviations; largest {largest:.2e} "
+              f"(allowed {NUMERIC_TOLERANCE:g})")
     return 1 if differing else 0
 
 
