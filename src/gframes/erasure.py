@@ -137,9 +137,7 @@ def error_report(system: ReconstructionSystem,
         raise StructuralError("dual and system signatures differ")
     # ||W_j^* V_j|| = ||V_j^* W_j|| = ||R_j W_j||, as Q_j has orthonormal columns
     products = system._block_factor @ _block_stack(dual)
-    # squares of the real and imaginary parts, summed per block without temporaries
-    parts = products.reshape(system.m, -1).view(np.float64)
-    per = tuple(np.sqrt(np.einsum("ij,ij->i", parts, parts)).tolist())
+    per = tuple(np.linalg.norm(products, axis=(1, 2)).tolist())
     return ErrorReport(per_index=per,
                        two_error=float(np.sqrt(sum(e * e for e in per))),
                        worst_case=max(per))

@@ -12,7 +12,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import complex_gaussian, dagger, random_unitary, singular_values, threshold
+from ._linalg import (complex_gaussian, dagger, eigen_bounds, random_unitary, singular_values,
+                      threshold)
 from .core import ReconstructionSystem, _from_analysis, _layout, frame_operator
 from .errors import SamplingError, StructuralError
 
@@ -37,8 +38,7 @@ def random_coisometry(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
 
 
 def _well_conditioned(system: ReconstructionSystem, floor: float) -> bool:
-    # frame_operator returns S exactly Hermitian, so it is not symmetrized again
-    lower, upper = np.linalg.eigvalsh(frame_operator(system))[[0, -1]].tolist()
+    lower, upper = eigen_bounds(frame_operator(system))
     return lower > threshold(floor, upper)
 
 

@@ -3,12 +3,14 @@
 Usage::
 
     python tools/bench_compare.py PARENT_ROOT CHANGE_ROOT --workload W --pairs N \\
-        --seed-base S --out BENCH_<n>.json [--seconds 30] [--python EXE]
+        --seed-base S --out BENCH_<n>.json
 
 ``PARENT_ROOT`` and ``CHANGE_ROOT`` are repository roots; each runs its own
-``bench/run.py --workload W --seed SEED --seconds T --trace 0``.  Pair ``i``
-runs both sides at seed ``S + i``; the parent goes first in even pairs and the
-change in odd ones, so drift in machine speed favours neither side.
+``bench/run.py --workload W --seed SEED --seconds T --trace 0`` with the
+interpreter running this script, where ``T`` is the ``run_seconds`` of the
+change's ``BENCHMARK.json``, so both sides run as long as the benchmark sets.  Pair
+``i`` runs both sides at seed ``S + i``; the parent goes first in even pairs
+and the change in odd ones, so drift in machine speed favours neither side.
 
 For each end-to-end metric named in the change's ``BENCHMARK.json`` the record
 holds, per side, the values of every run, their median and quartiles
@@ -16,10 +18,14 @@ holds, per side, the values of every run, their median and quartiles
 same for the unscaled values from the ``# summary`` line.  It also holds the
 number of pairs the change won (ties count for neither side) and two verdicts:
 
-- ``gain``: the change won at least nine tenths of the pairs and its median
-  beats the parent's by more than the parent's interquartile distance;
-- ``within_bound``: the change's median is no worse than the parent's by more
-  than the metric's bound.
+- ``gain``: ``"too few pairs"`` below ten pairs; otherwise ``"yes"`` when the
+  change won at least nine tenths of the pairs and its median beats the
+  parent's by more than the parent's interquartile distance, else ``"no"``;
+- ``within_bound``: ``"unresolved"`` when either side's interquartile
+  distance is wider than the metric's bound (relative to the parent's median)
+  and not every run of the change reads better than every run of the parent;
+  otherwise ``"yes"`` when the change's median is no worse than the parent's
+  by more than the bound, else ``"no"``.
 
 Every run's ``# summary`` line is kept as printed, with the first run's
 ``# environment`` line.  The output file may hold several workloads: an
@@ -41,11 +47,13 @@ from pathlib import Path
 # Unscaled counterparts of the scaled timing metrics, as named in ``# summary``.
 RAW_NAMES = {"setup_s": "setup_s_raw", "op_ms_p50": "op_ms_p50_raw",
              "ops_per_s": "ops_per_s_raw"}
+# Fewest pairs on which a gain may be claimed.
+MIN_PAIRS = 10
 
 
-def run_bench(python: str, root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run: its result line, summary and environment."""
-    command = [python, "bench/run.py", "--workload", workload, "--seed", str(seed),
+    command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(command, cwd=root, capture_output=True, text=True, check=False)
     lines = done.stdout.strip().splitlines()
@@ -71,13 +79,25 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     before, after = spread(parent), spread(change)
     improvement = sign * (before["median"] - after["median"])
+    if len(parent) < MIN_PAIRS:
+        gain = "too few pairs"
+    else:
+        won = wins >= 0.9 * len(parent) and improvement > before["q3"] - before["q1"]
+        gain = "yes" if won else "no"
+    allowed = bound * abs(before["median"])
+    noisy = max(side["q3"] - side["q1"] for side in (before, after)) > allowed
+    separated = min(sign * p for p in parent) > max(sign * c for c in change)
+    if noisy and not separated:
+        within = "unresolved"
+    else:
+        within = "yes" if -improvement <= allowed else "no"
     return {
         "parent": before,
         "change": after,
         "wins": wins,
         "ties": sum(p == c for p, c in zip(parent, change)),
-        "gain": wins >= 0.9 * len(parent) and improvement > before["q3"] - before["q1"],
-        "within_bound": -improvement <= bound * abs(before["median"]),
+        "gain": gain,
+        "within_bound": within,
     }
 
 
@@ -89,8 +109,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed-base", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True, help="JSON record to write")
-    parser.add_argument("--seconds", type=float, default=30.0, help="length of each run")
-    parser.add_argument("--python", default=sys.executable, help="interpreter to run")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -99,6 +117,7 @@ def main(argv=None) -> int:
         if not (root / "bench" / "run.py").is_file():
             parser.error(f"{root} has no bench/run.py")
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
 
     runs = []
     for pair in range(args.pairs):
@@ -106,7 +125,7 @@ def main(argv=None) -> int:
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
             try:
-                outcome = run_bench(args.python, roots[side], args.workload, seed, args.seconds)
+                outcome = run_bench(roots[side], args.workload, seed, seconds)
             except RuntimeError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
@@ -136,7 +155,7 @@ def main(argv=None) -> int:
 
     record = json.loads(args.out.read_text(encoding="utf-8")) if args.out.is_file() else {}
     record.setdefault("workloads", {})[args.workload] = {
-        "command": f"bench/run.py --workload {args.workload} --seconds {args.seconds:g} "
+        "command": f"bench/run.py --workload {args.workload} --seconds {seconds:g} "
                    "--trace 0",
         "pairs": args.pairs,
         "seeds": [args.seed_base + pair for pair in range(args.pairs)],
