@@ -41,8 +41,8 @@ def eigen_bounds(h: np.ndarray) -> tuple[float, float]:
 
 
 def threshold(tolerance: float, scale: float) -> float:
-    """Comparison threshold relative to the largest magnitude involved."""
-    return tolerance * max(1.0, scale)
+    """Comparison threshold relative to the largest magnitude involved (no absolute floor)."""
+    return tolerance * scale
 
 
 def is_flat(sigma: np.ndarray, tolerance: float) -> bool:

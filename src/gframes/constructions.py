@@ -40,12 +40,12 @@ from ._linalg import (
 from .core import (
     DEFAULT_TOLERANCE,
     ReconstructionSystem,
+    _analysis_factor,
     _block_spectra,
     _classify,
     blockwise_distance,
 )
 from .approx import nearest_projective, polar_coisometry
-from .duals import _checked_frame_operator, _dual_from_inverse
 from .errors import (
     NotReconstructionSystemError,
     PreconditionError,
@@ -186,12 +186,12 @@ def group_rs_checks(rep: UnitaryRepresentation, base: np.ndarray,
                     tolerance: float = DEFAULT_TOLERANCE) -> GroupSystemReport:
     """Verify the orbit-structure claims for one representation and base."""
     system = group_rs(rep, base)
-    gram = _checked_frame_operator(system, tolerance)[0]
+    factor = _analysis_factor(system, tolerance)
+    gram = dagger(factor.r) @ factor.r
     commutation = max(frobenius(gram @ u - u @ gram) for u in rep.unitaries)
 
-    inverse = np.linalg.inv(gram)
-    dual = _dual_from_inverse(system, inverse)
-    dual_base = np.asarray(base, dtype=np.complex128) @ inverse
+    dual = factor.dual(system.k)
+    dual_base = np.asarray(base, dtype=np.complex128) @ factor.inverse()
     dual_deviation = blockwise_distance(dual, group_rs(rep, dual_base))
 
     sigma = singular_values(dual_base)
@@ -261,7 +261,7 @@ def commuting_projective_dual(system: ReconstructionSystem,
             image = projection @ basis
             compression = dagger(basis) @ image
             leak = frobenius(image - basis @ compression)
-            if leak > threshold(tolerance, 1.0):
+            if leak > tolerance:
                 raise PreconditionError(
                     f"range projection {i} and earlier ones do not commute (leak {leak:.3e})")
             values, vectors = np.linalg.eigh(hermitian_part(compression))
@@ -314,7 +314,7 @@ class RieszDualCheck:
 def riesz_projective_dual_check(system: ReconstructionSystem,
                                 tolerance: float = DEFAULT_TOLERANCE) -> RieszDualCheck:
     """Decide projective-dual existence when block dimensions sum to ``d``."""
-    shape, gram = _classify(system, tolerance)
+    shape, factor = _classify(system, tolerance)
     if not shape.is_riesz:
         raise PreconditionError(
             "the criterion applies when total block dimension equals d")
@@ -335,7 +335,7 @@ def riesz_projective_dual_check(system: ReconstructionSystem,
                                       singular_values=tuple(float(s) for s in sigma),
                                       is_scaled_isometry=scaled))
 
-    dual = _dual_from_inverse(system, np.linalg.inv(gram))
+    dual = factor.dual(system.k)
     return RieszDualCheck(
         has_projective_dual=all(c.is_scaled_isometry for c in checks),
         per_index=tuple(checks),

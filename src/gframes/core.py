@@ -8,8 +8,8 @@ A reconstruction system is an ordered family of complex blocks
 plays the role of the frame operator: the family admits stable linear
 reconstruction exactly when ``S`` is positive definite, and the extreme
 eigenvalues of ``S`` are the frame bounds.  Stacking the blocks vertically
-gives the ``K x d`` analysis matrix (``K = sum_i k_i``); its adjoint is the
-synthesis matrix, and ``S`` is analysis followed by synthesis.
+gives the ``K x d`` analysis matrix ``T`` (``K = sum_i k_i``); its adjoint is
+the synthesis matrix, and ``S = T^* T`` is analysis followed by synthesis.
 
 All norms written ``||.||`` in this module's docstrings are Frobenius norms
 unless said otherwise; spectral norms are always called out by name.  Block
@@ -26,15 +26,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import (
-    dagger,
-    eigen_bounds,
-    frobenius,
-    hermitian_part,
-    singular_values,
-    threshold,
-)
-from .errors import StructuralError
+from ._linalg import dagger, frobenius, hermitian_part, singular_values, threshold
+from .errors import NotReconstructionSystemError, StructuralError
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -247,6 +240,48 @@ class SystemClassification:
     tolerance: float
 
 
+@dataclass(frozen=True, eq=False)
+class _AnalysisFactor:
+    """Thin QR ``T = Q R`` of an analysis matrix (``q`` is None unless asked for), and the
+    eigenvalues ``sigma(R)^2`` of ``S = R^* R``, descending, zero-padded to ``d``."""
+
+    q: np.ndarray | None
+    r: np.ndarray
+    spectrum: np.ndarray
+    lower: float
+    upper: float
+
+    def is_rs(self, tolerance: float) -> bool:
+        """The one rule for a positive lower frame bound: ``sigma_min^2 > tol sigma_max^2``."""
+        return self.lower > threshold(tolerance, self.upper)
+
+    @cached_property
+    def r_inverse(self) -> np.ndarray:
+        return np.linalg.inv(self.r)
+
+    def inverse(self) -> np.ndarray:
+        """``S^{-1} = R^{-1} R^{-*}``."""
+        return self.r_inverse @ dagger(self.r_inverse)
+
+    def dual(self, sizes: Sequence[int]) -> ReconstructionSystem:
+        """The canonical dual, analysis matrix ``Q R^{-*} = T S^{-1}``, in blocks of ``sizes``."""
+        return _from_analysis(self.q @ dagger(self.r_inverse), sizes)
+
+
+def _analysis_factor(system: ReconstructionSystem, tolerance: float | None = None,
+                     basis: bool = True) -> _AnalysisFactor:
+    """Factor ``system.analysis`` (``Q`` only if ``basis``); given a ``tolerance``, raise
+    ``NotReconstructionSystemError`` unless ``is_rs(tolerance)``."""
+    q, r = np.linalg.qr(system.analysis) if basis else (None, np.linalg.qr(system.analysis, "r"))
+    sigma = np.linalg.svd(r, compute_uv=False)
+    spectrum = np.concatenate((sigma * sigma, np.zeros(system.d - sigma.size)))
+    factor = _AnalysisFactor(q, r, spectrum, float(spectrum[-1]), float(spectrum[0]))
+    if tolerance is not None and not factor.is_rs(tolerance):
+        raise NotReconstructionSystemError("block Gram sum is singular (lambda_min="
+                                           f"{factor.lower:.3e}, lambda_max={factor.upper:.3e})")
+    return factor
+
+
 def _block_gram(analysis: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     """Block Gram sum of an analysis matrix, or of a stack of them (``... x K x d``).
 
@@ -326,46 +361,48 @@ def _block_spectra(system: ReconstructionSystem, tolerance: float
     injective = all(b.shape[0] <= b.shape[1] and float(s[-1]) > threshold(tolerance, float(s[0]))
                     for b, s in zip(system.blocks, spectra))
     spectral = tuple(float(s[0]) for s in spectra)
+    largest = max(spectral)
     projective = all(
-        top > tolerance
+        top > threshold(tolerance, largest)
         and frobenius(b @ dagger(b) - (top * top) * np.eye(b.shape[0]))
         <= threshold(tolerance, top * top)
         for b, top in zip(system.blocks, spectral))
     return spectra, injective, spectral if projective else None
 
 
-def _classify(system: ReconstructionSystem,
-              tolerance: float) -> tuple[SystemClassification, np.ndarray]:
-    """``classify`` together with the block Gram sum it judged."""
+def _classify(system: ReconstructionSystem, tolerance: float,
+              basis: bool = True) -> tuple[SystemClassification, _AnalysisFactor]:
+    """``classify`` together with the analysis factor it judged (``Q`` only if ``basis``)."""
     _, injective, weights = _block_spectra(system, tolerance)
-    gram = frame_operator(system)
-    lower, upper = eigen_bounds(gram)
-
+    factor = _analysis_factor(system, basis=basis)
     uniform = (weights is not None
                and (max(weights) - min(weights)) <= threshold(tolerance, max(weights)))
-    protocol = frobenius(gram - np.eye(system.d)) <= threshold(tolerance, upper)
+    # ||S - I|| from the eigenvalues of the Hermitian S
+    protocol = frobenius(factor.spectrum - 1.0) <= threshold(tolerance, factor.upper)
 
     return SystemClassification(
-        is_rs=lower > threshold(tolerance, upper),
+        is_rs=factor.is_rs(tolerance),
         is_injective=injective,
         is_projective=weights is not None,
         weights=weights,
         is_uniform=uniform,
         is_protocol=protocol,
         is_riesz=system.tr_k == system.d,
-        lower_bound=lower,
-        upper_bound=upper,
+        lower_bound=factor.lower,
+        upper_bound=factor.upper,
         tolerance=tolerance,
-    ), gram
+    ), factor
 
 
 def classify(system: ReconstructionSystem,
              tolerance: float = DEFAULT_TOLERANCE) -> SystemClassification:
     """Classify a system at the given tolerance.
 
-    Flags, with thresholds relative to the largest magnitude involved:
+    Flags, with thresholds ``tolerance`` times the largest magnitude involved
+    (no absolute floor, so no flag but ``is_protocol`` depends on units):
 
-    - ``is_rs``: smallest eigenvalue of the block Gram sum is positive.
+    - ``is_rs``: ``sigma_min(T)^2 > tolerance * sigma_max(T)^2`` for the
+      analysis matrix ``T``; ``canonical_dual`` returns exactly when it holds.
     - ``is_injective``: every block has full row rank (each ``V_i V_i^*``
       invertible).
     - ``is_projective``: every ``V_i V_i^*`` is a positive multiple of the
@@ -375,4 +412,4 @@ def classify(system: ReconstructionSystem,
     - ``is_riesz``: total block dimension equals the domain dimension
       (purely combinatorial).
     """
-    return _classify(system, tolerance)[0]
+    return _classify(system, tolerance, basis=False)[0]

@@ -12,11 +12,11 @@ where ``T`` is the analysis matrix and ``Z`` ranges over all ``d x K``
 matrices.  ``DualManifold`` exposes this chart; sampling duals means drawing
 ``Z`` with complex Gaussian entries.
 
-Whether ``S`` is numerically singular is decided in one place,
-``_checked_frame_operator``: it raises ``NotReconstructionSystemError`` when
-``lambda_min(S) <= threshold(tolerance, lambda_max(S))`` and otherwise
-returns ``S`` with both bounds, so that callers needing ``S``, its bounds or
-``S^{-1}`` build each once.
+The canonical dual ``Q R^{-*}``, ``S^{-1} = R^{-1} R^{-*}`` and the chart's
+projector ``I - Q Q^*`` come from one checked QR factor ``T = Q R`` of the
+analysis matrix (``core._analysis_factor``), which raises
+``NotReconstructionSystemError`` exactly when ``classify(...).is_rs`` fails.
+``S`` is never formed, so accuracy follows ``kappa(T)``, not ``kappa(T)^2``.
 """
 
 from __future__ import annotations
@@ -25,16 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import dagger, eigen_bounds, frobenius, threshold
+from ._linalg import dagger, frobenius, threshold
 from .core import (
     DEFAULT_TOLERANCE,
     ReconstructionSystem,
+    _analysis_factor,
     _block_gram,
     _from_analysis,
-    frame_operator,
     system_from_synthesis,
 )
-from .errors import NotReconstructionSystemError, SamplingError, StructuralError
+from .errors import SamplingError, StructuralError
 
 __all__ = [
     "DualCandidate",
@@ -67,33 +67,16 @@ class DualCandidate:
         return self.dual_residual <= self.tolerance
 
 
-def _checked_frame_operator(system: ReconstructionSystem,
-                            tolerance: float) -> tuple[np.ndarray, float, float]:
-    """``(S, lambda_min, lambda_max)``; raises when ``S`` is numerically singular."""
-    gram = frame_operator(system)
-    lower, upper = eigen_bounds(gram)
-    if lower <= threshold(tolerance, upper):
-        raise NotReconstructionSystemError(
-            f"block Gram sum is singular (lambda_min={lower:.3e}, lambda_max={upper:.3e})")
-    return gram, lower, upper
-
-
-def _dual_from_inverse(system: ReconstructionSystem,
-                       inverse: np.ndarray) -> ReconstructionSystem:
-    """Canonical dual ``V_i S^{-1}`` from an already computed ``S^{-1}``."""
-    return ReconstructionSystem(tuple(b @ inverse for b in system.blocks))
-
-
 def inverse_frame_operator(system: ReconstructionSystem,
                            tolerance: float = DEFAULT_TOLERANCE) -> np.ndarray:
-    """Inverse of the block Gram sum; raises when it is numerically singular."""
-    return np.linalg.inv(_checked_frame_operator(system, tolerance)[0])
+    """Inverse of the block Gram sum, ``R^{-1} R^{-*}``; raises when it is numerically singular."""
+    return _analysis_factor(system, tolerance, basis=False).inverse()
 
 
 def canonical_dual(system: ReconstructionSystem,
                    tolerance: float = DEFAULT_TOLERANCE) -> ReconstructionSystem:
-    """Blocks ``V_i S^{-1}``; the minimal-norm dual."""
-    return _dual_from_inverse(system, inverse_frame_operator(system, tolerance))
+    """Blocks ``V_i S^{-1}``, stacked as ``Q R^{-*}``; the minimal-norm dual."""
+    return _analysis_factor(system, tolerance).dual(system.k)
 
 
 def verify_dual(candidate: ReconstructionSystem, reference: ReconstructionSystem,
@@ -137,9 +120,9 @@ class DualManifold:
 
 def dual_manifold(system: ReconstructionSystem,
                   tolerance: float = DEFAULT_TOLERANCE) -> DualManifold:
-    inverse = inverse_frame_operator(system, tolerance)
-    base = inverse @ dagger(system.analysis)
-    complement = np.eye(system.tr_k) - system.analysis @ base
+    factor = _analysis_factor(system, tolerance)
+    base = factor.r_inverse @ dagger(factor.q)
+    complement = np.eye(system.tr_k) - factor.q @ dagger(factor.q)
     return DualManifold(system, base, complement)
 
 
@@ -178,7 +161,8 @@ def dual_manifold_sample(system: ReconstructionSystem, seed: int, count: int,
         spectra = np.linalg.eigvalsh(_block_gram(analyses, system.k))
         for analysis, lower, upper in zip(analyses, spectra[:, 0].tolist(),
                                           spectra[:, -1].tolist()):
-            if lower > threshold(tolerance, upper):
+            # scale floored at 1: every seeded draw is tuned to lambda_min / max(1, lambda_max)
+            if lower > threshold(tolerance, max(1.0, upper)):
                 samples.append(_from_analysis(analysis, system.k))
                 misses = 0
             else:

@@ -52,17 +52,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import dagger, eigen_bounds, frobenius, threshold
+from ._linalg import dagger, threshold
 from .core import (
     DEFAULT_TOLERANCE,
     ReconstructionSystem,
+    _analysis_factor,
     _block_stack,
     _classify,
     _index_subset,
     _layout,
     classify,
 )
-from .duals import _dual_from_inverse
 from .errors import NotReconstructionSystemError, PreconditionError, StructuralError
 
 __all__ = [
@@ -167,10 +167,8 @@ class _WeightedDuals:
         # padding leaves each leading Q_i and R_i as the block's own QR gives them
         q, r = np.linalg.qr(dagger(_block_stack(system)))
         self.bases = dagger(q)[_layout(system.k, system.d).rows]
-        lower, upper = eigen_bounds(dagger(self.bases) @ self.bases)
-        if lower <= threshold(tolerance, upper):
-            raise NotReconstructionSystemError(
-                f"block row spaces do not span the domain (lambda_min={lower:.3e})")
+        # the row spaces span the domain when the stacked bases pass the frame-bound check
+        _analysis_factor(ReconstructionSystem((self.bases,)), tolerance, basis=False)
         # (V_i V_i^*)^{-1} V_i = R_i^{-1} U_i
         self.coordinates = [np.linalg.inv(r[i, :ki, :ki]) for i, ki in enumerate(system.k)]
         self.sizes = np.asarray(system.k)
@@ -212,15 +210,15 @@ def wce_condition(system: ReconstructionSystem,
     """Common value of ``||S^{-1} V_i^* V_i||`` when it exists, else ``None``.
 
     When all the norms agree, the canonical dual is the unique worst-case
-    optimal dual; returns the shared value in that case.
+    optimal dual; returns the shared value in that case.  The norms are the
+    canonical dual's erasure errors, since ``S^{-1} V_i^* V_i = W_i^* V_i``.
     """
-    shape, gram = _classify(system, tolerance)
+    shape, factor = _classify(system, tolerance)
     if not shape.is_projective:
         raise PreconditionError("the worst-case criterion applies to projective systems")
     if not shape.is_rs:
         raise NotReconstructionSystemError("system has no positive lower frame bound")
-    inverse = np.linalg.inv(gram)
-    norms = [frobenius(inverse @ dagger(b) @ b) for b in system.blocks]
+    norms = error_report(system, factor.dual(system.k)).per_index
     top = max(norms)
     if top - min(norms) <= threshold(tolerance, top):
         return float(np.mean(norms))
@@ -245,7 +243,7 @@ def wce_solve(system: ReconstructionSystem, iterations: int = 5000,
     the canonical dual's worst case.  Minimal-redundancy systems have a unique
     dual, returned with zero gap.
     """
-    shape, gram = _classify(system, tolerance)
+    shape, factor = _classify(system, tolerance)
     if not shape.is_injective:
         raise PreconditionError("worst-case optimization needs an injective system")
     if not shape.is_rs:
@@ -253,7 +251,7 @@ def wce_solve(system: ReconstructionSystem, iterations: int = 5000,
     if iterations < 1:
         raise StructuralError("iterations must be at least 1")
 
-    canonical = _dual_from_inverse(system, np.linalg.inv(gram))
+    canonical = factor.dual(system.k)
     incumbent = error_report(system, canonical).worst_case
     if system.tr_k == system.d:
         return WorstCaseSolution(canonical, incumbent, incumbent, 0)

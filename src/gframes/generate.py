@@ -39,7 +39,8 @@ def random_coisometry(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
 
 def _well_conditioned(system: ReconstructionSystem, floor: float) -> bool:
     lower, upper = eigen_bounds(frame_operator(system))
-    return lower > threshold(floor, upper)
+    # scale floored at 1: every seeded draw is tuned to lambda_min / max(1, lambda_max)
+    return lower > threshold(floor, max(1.0, upper))
 
 
 def random_system(d: int, k: Sequence[int], seed, scale: float = 1.0,

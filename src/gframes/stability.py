@@ -5,15 +5,13 @@ Dropping the blocks in ``J`` multiplies the block Gram sum on the left by
     M_J = I - sum_{i in J} V_i^* V_i S^{-1}
 
 so the survivors form a usable system exactly when this factor is
-invertible, and then their canonical dual is reachable two ways: from the
-truncated Gram sum directly, or from the full canonical dual times
-``M_J^{-1}``.  A cheap sufficient condition for invertibility is that the
+invertible.  A cheap sufficient condition for invertibility is that the
 dropped spectral energy ``sum_{i in J} ||V_i||_sp^2`` stays below the lower
 frame bound.  Indices are 0-based.
 
-``S``, its lower bound and ``S^{-1}`` are computed once per call, through the
-singular-``S`` check shared with ``duals``; ``truncated_canonical_dual``
-reuses the ``S^{-1}`` that went into ``M_J``.
+The lower bound and ``S^{-1} = R^{-1} R^{-*}`` come from the checked QR factor
+of the analysis matrix.  The survivors' canonical dual comes from a QR factor
+of their own rows, certified by its residual ``||sum_kept W_i^* V_i - I||``.
 """
 
 from __future__ import annotations
@@ -32,8 +30,7 @@ from ._linalg import (
     spectral_norm,
     threshold,
 )
-from .core import DEFAULT_TOLERANCE, ReconstructionSystem, _index_subset
-from .duals import _checked_frame_operator
+from .core import DEFAULT_TOLERANCE, ReconstructionSystem, _analysis_factor, _index_subset
 from .errors import GFramesError, NotReconstructionSystemError, StructuralError
 
 __all__ = [
@@ -65,70 +62,52 @@ class TruncationReport:
     bounds_after: tuple[float, float] | None
 
 
-def _truncation(system: ReconstructionSystem, dropped: Iterable[int],
-                tolerance: float) -> tuple[TruncationReport, np.ndarray]:
-    """``truncate`` together with the inverse full Gram sum ``S^{-1}`` it used."""
+def truncate(system: ReconstructionSystem, dropped: Iterable[int],
+             tolerance: float = DEFAULT_TOLERANCE) -> TruncationReport:
+    """Drop the blocks in ``dropped`` (a proper subset) and report stability."""
     drop = _index_subset(dropped, system.m, "dropped")
     if len(drop) == system.m:
         raise StructuralError("cannot drop every block")
-    gram, lower, _ = _checked_frame_operator(system, tolerance)
-    inverse = np.linalg.inv(gram)
+    factor = _analysis_factor(system, tolerance, basis=False)
 
     removed = np.zeros((system.d, system.d), dtype=np.complex128)
     for i in drop:
         removed += dagger(system.blocks[i]) @ system.blocks[i]
-    factor = np.eye(system.d) - removed @ inverse
+    truncation_factor = np.eye(system.d) - removed @ factor.inverse()
 
-    sigma = singular_values(factor)
+    sigma = singular_values(truncation_factor)
     smallest = float(sigma[-1])
     is_rs_after = smallest > threshold(tolerance, float(sigma[0]))
+    survivor_gram = hermitian_part(dagger(factor.r) @ factor.r - removed)
 
-    kept = tuple(i for i in range(system.m) if i not in drop)
-    survivor_gram = hermitian_part(gram - removed)
-
-    report = TruncationReport(
+    return TruncationReport(
         dropped=drop,
-        kept=kept,
-        truncation_factor=factor,
+        kept=tuple(i for i in range(system.m) if i not in drop),
+        truncation_factor=truncation_factor,
         is_rs_after=is_rs_after,
         truncated_frame_operator=survivor_gram,
-        lower_bound_estimate=lower * smallest,
+        lower_bound_estimate=factor.lower * smallest,
         bounds_after=eigen_bounds(survivor_gram) if is_rs_after else None,
     )
-    return report, inverse
-
-
-def truncate(system: ReconstructionSystem, dropped: Iterable[int],
-             tolerance: float = DEFAULT_TOLERANCE) -> TruncationReport:
-    """Drop the blocks in ``dropped`` (a proper subset) and report stability."""
-    return _truncation(system, dropped, tolerance)[0]
 
 
 def truncated_canonical_dual(system: ReconstructionSystem, dropped: Iterable[int],
                              tolerance: float = DEFAULT_TOLERANCE) -> ReconstructionSystem:
-    """Canonical dual of the survivors, computed two ways and cross-checked.
+    """Canonical dual of the survivors from their own QR factor, certified by its residual.
 
-    Path one inverts the truncated Gram sum; path two multiplies the full
-    canonical dual blocks by the inverse truncation factor.  The two agree
-    mathematically; a discrepancy beyond ``tolerance`` (relative) means the
-    truncation is too ill-conditioned to trust and raises ``GFramesError``.
+    Raises ``NotReconstructionSystemError`` when ``truncate`` finds no positive lower
+    frame bound after the drop, ``GFramesError`` when ``||sum_kept W_i^* V_i - I|| > tolerance``.
     """
-    report, full_inverse = _truncation(system, dropped, tolerance)
+    report = truncate(system, dropped, tolerance)
     if not report.is_rs_after:
-        raise NotReconstructionSystemError(
-            "surviving blocks have no positive lower frame bound")
-    direct_inverse = np.linalg.inv(report.truncated_frame_operator)
-    direct = [system.blocks[i] @ direct_inverse for i in report.kept]
-
-    factor_inverse = np.linalg.inv(report.truncation_factor)
-    via_factor = [system.blocks[i] @ full_inverse @ factor_inverse for i in report.kept]
-
-    scale = max(frobenius(b) for b in direct)
-    deviation = max(frobenius(a - b) for a, b in zip(direct, via_factor))
-    if deviation > threshold(tolerance, scale):
-        raise GFramesError(
-            f"truncated dual characterizations disagree by {deviation:.3e}")
-    return ReconstructionSystem(tuple(direct))
+        raise NotReconstructionSystemError("surviving blocks have no positive lower frame bound")
+    survivors = ReconstructionSystem(tuple(system.blocks[i] for i in report.kept))
+    del report  # its two d x d matrices need not outlive the survivors' factorization
+    dual = _analysis_factor(survivors, tolerance).dual(survivors.k)
+    residual = frobenius(dagger(dual.analysis) @ survivors.analysis - np.eye(system.d))
+    if residual > tolerance:
+        raise GFramesError(f"truncated canonical dual misses the identity by {residual:.3e}")
+    return dual
 
 
 def ck_sufficient_condition(system: ReconstructionSystem, dropped: Iterable[int],
@@ -140,7 +119,7 @@ def ck_sufficient_condition(system: ReconstructionSystem, dropped: Iterable[int]
     system with lower frame bound at least ``estimate``.
     """
     drop = _index_subset(dropped, system.m, "dropped")
-    lower = _checked_frame_operator(system, tolerance)[1]
+    lower = _analysis_factor(system, tolerance, basis=False).lower
     total = sum(spectral_norm(system.blocks[i]) ** 2 for i in drop)
     estimate = lower - total
     return total < lower, float(estimate)

@@ -1,10 +1,13 @@
-"""Each op builds the block Gram sum S, takes its spectrum and inverts it as few times as it needs.
+"""Each op factors the analysis matrix once, and builds S, spectra and inverses only where it needs them.
 
 The counters wrap ``core._block_gram`` (every ``frame_operator`` call goes
-through it) and the ``numpy.linalg`` entry points ``eigvalsh``, ``inv`` and
-``svd``.  Calls numpy makes internally (``norm(a, 2)``, ``qr``, ``solve``)
-are not counted.  A separate counter checks that ``error_report`` factors
-each system once, however many duals it scores against it.
+through it) and the ``numpy.linalg`` entry points ``qr``, ``eigvalsh``,
+``inv`` and ``svd``.  Every op that needs the frame bounds or ``S^{-1}``
+takes them from one QR of the analysis matrix ``T = Q R`` (one ``qr``, one
+values-only ``svd`` of ``R`` and at most one ``inv`` of ``R``); no op builds
+``S`` block by block or inverts it.  Calls numpy makes internally (``norm(a, 2)``, ``solve``) are not
+counted.  A separate counter checks that ``error_report`` factors each
+system once, however many duals it scores against it.
 """
 
 from collections import Counter
@@ -36,6 +39,7 @@ def counts(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(core, "_block_gram", "gram")
+    counted(np.linalg, "qr", "qr")
     counted(np.linalg, "eigvalsh", "eigvalsh")
     counted(np.linalg, "inv", "inv")
     counted(np.linalg, "svd", "svd")
@@ -53,30 +57,39 @@ def orbit_checks():
     return gf.group_rs_checks(gf.cyclic_shift_representation(6), base)
 
 
+def fresh(system):
+    """A copy without a cached block factor, so that counts do not depend on test order."""
+    return gf.ReconstructionSystem(system.blocks)
+
+
 CASES = {
-    # S once, its spectrum once, S^{-1} once; the survivors' bounds and M_J's singular values
+    # one analysis QR for the bound, S = R^* R and S^{-1} = R^{-1} R^{-*}; the survivors'
+    # bounds and M_J's singular values
     "truncate": (lambda: gf.truncate(GENERAL, [0, 3]),
-                 {"gram": 1, "eigvalsh": 2, "inv": 1, "svd": 1}),
-    # truncate's S^{-1} is reused; the two extra inverses are the truncated S and M_J
+                 {"qr": 1, "eigvalsh": 1, "inv": 1, "svd": 2}),
+    # truncate, then one analysis QR of the kept rows for their dual
     "truncated_canonical_dual": (lambda: gf.truncated_canonical_dual(GENERAL, [0, 3]),
-                                 {"gram": 1, "eigvalsh": 2, "inv": 3, "svd": 1}),
+                                 {"qr": 2, "eigvalsh": 1, "inv": 2, "svd": 3}),
     # no S at all; per block one values-only SVD and the polar SVD
     "nearest_projective": (lambda: gf.nearest_projective(GENERAL),
                            {"svd": 2 * GENERAL.m}),
-    # classify's S is inverted directly
-    "wce_condition": (lambda: gf.wce_condition(PROJECTIVE),
-                      {"gram": 1, "eigvalsh": 1, "inv": 1, "svd": PROJECTIVE.m}),
-    # plus the weighted family: one spectrum of the stacked bases, one R_i^{-1} per block
-    "wce_solve": (lambda: gf.wce_solve(PROJECTIVE, iterations=3),
-                  {"gram": 1, "eigvalsh": 2, "inv": 1 + PROJECTIVE.m, "svd": PROJECTIVE.m}),
-    # one S for the system; per block a kernel SVD, a restriction SVD and the dual's spectrum
+    # one analysis QR for classify and the canonical dual; error_report's block factor
+    "wce_condition": (lambda: gf.wce_condition(fresh(PROJECTIVE)),
+                      {"qr": 2, "inv": 1, "svd": PROJECTIVE.m + 1}),
+    # plus the weighted family: one QR of the blocks, the frame-bound check of their stacked
+    # bases (one QR and one SVD), one R_i^{-1} per block, one QR per step
+    "wce_solve": (lambda: gf.wce_solve(fresh(PROJECTIVE), iterations=3),
+                  {"qr": 2 + 2 + 3, "inv": 1 + PROJECTIVE.m, "svd": PROJECTIVE.m + 2}),
+    # one analysis QR for the system; per block a kernel SVD, a restriction SVD and the
+    # dual's spectrum
     "riesz_projective_dual_check": (lambda: gf.riesz_projective_dual_check(RIESZ),
-                                    {"gram": 1, "eigvalsh": 1, "inv": 1, "svd": 4 * RIESZ.m}),
+                                    {"qr": 1, "inv": 1, "svd": 4 * RIESZ.m + 1}),
     # no S at all: the weights come from one values-only SVD per block
     "commuting_projective_dual": (lambda: gf.commuting_projective_dual(COMMUTING),
                                   {"svd": COMMUTING.m}),
-    # S, its spectrum and S^{-1} once; two SVDs of the dual base, then nearest_projective's
-    "group_rs_checks": (orbit_checks, {"gram": 1, "eigvalsh": 1, "inv": 1, "svd": 2 + 2 * 6}),
+    # one analysis QR for S = R^* R, the dual and S^{-1}; two SVDs of the dual base, then
+    # nearest_projective's
+    "group_rs_checks": (orbit_checks, {"qr": 1, "inv": 1, "svd": 1 + 2 + 2 * 6}),
 }
 
 
@@ -98,6 +111,8 @@ def test_error_report_factors_each_system_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", counted)
     system = random_system(6, (2, 3, 4, 2, 4), 8)
     first, second = gf.dual_manifold_sample(system, seed=9, count=2)
+    assert factorizations["qr"] == 1  # the sampler's chart comes from one analysis QR
+    factorizations.clear()
     gf.error_report(system, first)
     assert factorizations["qr"] == 1
     gf.error_report(system, second)

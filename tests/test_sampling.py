@@ -72,7 +72,8 @@ def dual_sample_reference(system, seed, count, scale=1.0, tolerance=1e-9, max_re
             candidate = manifold.system_at(
                 complex_gaussian(rng, (system.d, system.tr_k), scale))
             lower, upper = eigen_bounds(gram_loop(candidate))
-            if lower > threshold(tolerance, upper):
+            # scale floored at 1, as the sampler does: its seeded draws are tuned to it
+            if lower > threshold(tolerance, max(1.0, upper)):
                 samples.append(candidate)
                 break
         else:

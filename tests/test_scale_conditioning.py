@@ -1,0 +1,132 @@
+"""Verdicts that do not depend on units, and duals whose accuracy follows kappa(T).
+
+Scaling every block by ``c > 0`` scales the analysis matrix ``T`` and leaves
+every structural verdict unchanged, so the ladders below compare the
+verdicts at ``c = 10^j``, ``j = -8..8``, with those at ``c = 1``.  The
+canonical dual comes from a QR factor of ``T``, so its residual
+``||sum_i W_i^* V_i - I||`` grows like ``eps * kappa(T)``: on the d=6
+systems below it stayed under ``0.76 * d * eps * kappa(T)`` in 2000 draws
+with kappa up to 3e4, where a dual built from ``S^{-1}`` grows like
+``eps * kappa(T)^2``.  A system judged RS has ``kappa(T)`` at most
+``tolerance^{-1/2}``, so the dual is either accurate or refused.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gframes as gf
+from gframes._linalg import random_unitary
+from gframes.errors import NotReconstructionSystemError
+from gframes.generate import partition_protocol, random_projective, random_system
+
+EPS = np.finfo(float).eps
+SCALES = [10.0 ** j for j in range(-8, 9)]
+
+
+def scaled(system, c):
+    return gf.ReconstructionSystem(tuple(c * np.asarray(b) for b in system.blocks))
+
+
+def conditioned(kappa, seed, d=6, k=(2,) * 6):
+    """Analysis matrix ``U diag(s) V^*`` with singular values from 1 down to ``1 / kappa``."""
+    rng = np.random.default_rng(seed)
+    left = random_unitary(rng, sum(k))[:, :d]
+    right = random_unitary(rng, d)
+    sigma = np.logspace(0, -np.log10(kappa), d)
+    return gf.system_from_synthesis(((left * sigma) @ right.conj().T).conj().T, k)
+
+
+def residual(system):
+    return gf.verify_dual(gf.canonical_dual(system), system).dual_residual
+
+
+def verdicts(system, drop):
+    shape = gf.classify(system)
+    wce = None
+    if shape.is_projective and shape.is_rs:
+        wce = gf.wce_condition(system) is not None
+    after = gf.truncate(system, drop).is_rs_after if shape.is_rs else None
+    return (shape.is_rs, shape.is_injective, shape.is_projective, shape.is_uniform, after, wce)
+
+
+@pytest.mark.parametrize("c", [1e-5, 1e-8])
+def test_scaled_planes_fixture_is_a_system_with_an_accurate_dual(c):
+    system = scaled(gf.fixtures()["overlapping_planes"], c)
+    assert gf.classify(system).is_rs
+    assert residual(system) <= 1e-12
+
+
+def test_scaled_random_system_has_a_canonical_dual():
+    system = scaled(random_system(6, (2, 3, 4, 2), 1), 1e-6)
+    assert gf.verify_dual(gf.canonical_dual(system), system).is_dual
+
+
+def test_canonical_dual_at_kappa_1e4():
+    system = conditioned(1e4, 0)
+    assert np.isclose(np.linalg.cond(system.analysis), 1e4)
+    assert residual(system) <= 1e-12
+
+
+def draw(kind, seed, m):
+    rng = np.random.default_rng(seed)
+    d = 6
+    if kind == "general":
+        return random_system(d, (2,) * m, rng)
+    if kind == "projective":
+        return random_projective(d, (2,) * m, rng)
+    if kind == "uniform":
+        return random_projective(d, (2,) * m, rng, weights=[0.7] * m)
+    return partition_protocol(d, 2, m // 3, rng)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(["general", "projective", "uniform", "protocol"]),
+       st.integers(min_value=0, max_value=2**31), st.sampled_from([3, 6, 81]))
+def test_verdicts_do_not_depend_on_units(kind, seed, m):
+    system = draw(kind, seed, m)
+    drop = tuple(range(0, m, 3))
+    expected = verdicts(system, drop)
+    assert all(verdicts(scaled(system, c), drop) == expected for c in SCALES)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(min_value=0.0, max_value=7.0), st.integers(min_value=0, max_value=2**31))
+def test_dual_is_accurate_to_kappa_or_refused(exponent, seed):
+    kappa = 10.0 ** exponent
+    system = conditioned(kappa, seed)
+    is_rs = gf.classify(system).is_rs
+    try:
+        error = residual(system)
+    except NotReconstructionSystemError:
+        # refused exactly when sigma_min^2 <= 1e-9 sigma_max^2, i.e. kappa >= 1e4.5
+        assert not is_rs and kappa > 3e4
+        return
+    assert is_rs
+    assert error <= 1e-9 and error <= 4 * system.d * EPS * kappa
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(min_value=4.0, max_value=5.0), st.integers(min_value=0, max_value=2**31),
+       st.sampled_from([1e-16, 1.0, 1e16]))
+def test_classify_is_rs_exactly_when_the_canonical_dual_returns(exponent, seed, c):
+    system = scaled(conditioned(10.0 ** exponent, seed), c)
+    try:
+        gf.canonical_dual(system)
+        returned = True
+    except NotReconstructionSystemError:
+        returned = False
+    assert gf.classify(system).is_rs == returned
+
+
+@pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+def test_many_blocks(c):
+    system = scaled(random_system(12, (1,) * 80, 80), c)
+    assert gf.classify(system).is_rs
+    assert residual(system) <= 1e-12
+    drop = tuple(range(40))
+    assert gf.truncate(system, drop).is_rs_after
+    survivors = gf.truncated_canonical_dual(system, drop)
+    kept = gf.ReconstructionSystem(system.blocks[40:])
+    assert gf.blockwise_distance(survivors, gf.canonical_dual(kept)) <= 1e-12 / c

@@ -18,13 +18,16 @@ with and without ``--dual``, ``truncate`` dropping one and ``m - 1`` blocks,
 
 ``--numeric`` compares stdout as JSON instead of as bytes: keys, strings,
 integers, booleans and nulls must be equal, as must stderr and the exit
-code, while floats may differ by up to 1e-12 relative
-(``|a - b| / max(|a|, |b|)``).  A float printed with 17 significant digits
-can look like an integer (``1.0`` prints as ``1``), so a number parsed as an
-integer on one side and as a float on the other is compared as a float.  The
-largest relative deviation is printed per differing call, with where in the
-report it sits, and for the whole run.  A stdout that is not JSON is
-compared as bytes.
+code, while floats may differ normwise by up to 1e-12: each deviation
+``|a - b|`` is divided by the largest float magnitude in the call's
+``outputs`` on either side (the whole report if it has no ``outputs``), not
+by ``max(|a|, |b|)``, so that an exact zero against a rounding-level value
+counts at the scale of the report.  A float printed with 17 significant
+digits can look like an integer (``1.0`` prints as ``1``), so a number
+parsed as an integer on one side and as a float on the other is compared as
+a float.  The largest normwise deviation is printed per differing call, with
+where in the report it sits, and for the whole run.  A stdout that is not
+JSON is compared as bytes.
 
 Standard library only; the trees themselves need numpy.
 """
@@ -102,8 +105,9 @@ class Mismatch(Exception):
     """Two JSON reports differ in something other than float digits."""
 
 
-def float_deviation(a, b, where: str = "$") -> tuple[float, str]:
-    """Largest relative float difference between two parsed JSON values, and where it is.
+def float_deviation(a, b, where: str = "$") -> tuple[float, str, float]:
+    """Largest absolute float difference between two parsed JSON values, where it is, and
+    the largest float magnitude on either side.
 
     Raises ``Mismatch`` on any difference in keys, lengths, strings, integers,
     booleans or nulls.
@@ -112,11 +116,11 @@ def float_deviation(a, b, where: str = "$") -> tuple[float, str]:
     if (isinstance(a, numbers) and isinstance(b, numbers) and not isinstance(a, bool)
             and not isinstance(b, bool) and float in (type(a), type(b))):
         a, b = float(a), float(b)
-        if a == b:
-            return 0.0, where
         if not (math.isfinite(a) and math.isfinite(b)):
+            if a == b:
+                return 0.0, where, 0.0
             raise Mismatch(f"{where}: {a!r} vs {b!r}")
-        return abs(a - b) / max(abs(a), abs(b)), where
+        return abs(a - b), where, max(abs(a), abs(b))
     if type(a) is not type(b):
         raise Mismatch(f"{where}: {type(a).__name__} vs {type(b).__name__}")
     if isinstance(a, dict):
@@ -131,7 +135,19 @@ def float_deviation(a, b, where: str = "$") -> tuple[float, str]:
         if a != b:
             raise Mismatch(f"{where}: {a!r} vs {b!r}")
         parts = []
-    return max(parts, default=(0.0, where), key=lambda part: part[0])
+    deviation, place, _ = max(parts, default=(0.0, where, 0.0), key=lambda part: part[0])
+    return deviation, place, max((part[2] for part in parts), default=0.0)
+
+
+def normwise_deviation(a, b) -> tuple[float, str]:
+    """Largest float difference between two parsed reports over the largest float magnitude
+    in their ``outputs`` (or in the whole reports), and where it is."""
+    deviation, where, _ = float_deviation(a, b)
+    if deviation == 0.0:
+        return 0.0, where
+    scale = float_deviation(*(r["outputs"] if isinstance(r, dict) and "outputs" in r else r
+                               for r in (a, b)))[2]
+    return (deviation / scale if scale else math.inf), where
 
 
 def compare(before: tuple[int, str, str], after: tuple[int, str, str],
@@ -147,7 +163,7 @@ def compare(before: tuple[int, str, str], after: tuple[int, str, str],
         return differing, 0.0, ""
     differing.remove("stdout")
     try:
-        deviation, where = float_deviation(*reports)
+        deviation, where = normwise_deviation(*reports)
     except Mismatch as exc:
         return differing + [f"stdout ({exc})"], 0.0, ""
     if deviation > NUMERIC_TOLERANCE:
@@ -162,7 +178,7 @@ def main(argv=None) -> int:
     parser.add_argument("--python", default=sys.executable, help="interpreter to run")
     parser.add_argument("--verbose", action="store_true", help="print every call")
     parser.add_argument("--numeric", action="store_true",
-                        help="compare stdout as JSON, floats to 1e-12 relative")
+                        help="compare stdout as JSON, floats to 1e-12 normwise")
     args = parser.parse_args(argv)
     old, new = args.old.resolve(), args.new.resolve()
     for tree in (old, new):
@@ -207,7 +223,7 @@ def main(argv=None) -> int:
             elif deviation > 0.0 or args.verbose:
                 print(f"same (exit {before[0]}): {shown}")
             if deviation > 0.0:
-                print(f"    largest relative float deviation {deviation:.2e} at {where}")
+                print(f"    largest normwise float deviation {deviation:.2e} at {where}")
 
     summary = ", ".join(f"{count} exit {code}" for code, count in sorted(codes.items()))
     print(f"{len(calls)} calls, {differing} differing; reference exit codes: {summary}")
