@@ -8,6 +8,15 @@ positive multiple of a coisometry is ``alpha U`` with ``alpha`` the mean
 singular value, the trace of the positive factor divided by ``k``.  Applying
 this blockwise gives the projective system nearest to an injective one in
 the stacked-analysis Frobenius distance.
+
+``nearest_projective`` takes one stacked thin SVD ``B_i = L_i diag(sigma_i) R_i``
+per block height, a view of the analysis matrix when all heights agree, and
+forms each ``U_i = L_i R_i`` without its positive factor.  Since ``B_i`` and
+``alpha_i U_i`` share their singular vectors, the distance is
+
+    ||T - T_hat|| = sqrt(sum_i sum_j (sigma_ij - alpha_i)^2),
+
+read from the same singular values without forming the difference.
 """
 
 from __future__ import annotations
@@ -16,9 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import dagger, frobenius, hermitian_part, is_flat, singular_values, threshold
-from .core import DEFAULT_TOLERANCE, ReconstructionSystem, _block_spectra
-from .errors import PreconditionError
+from ._linalg import dagger, hermitian_part, is_flat, singular_values, threshold
+from .core import (
+    DEFAULT_TOLERANCE,
+    ReconstructionSystem,
+    _from_analysis,
+    _group_stacks,
+)
+from .errors import PreconditionError, StructuralError
 
 __all__ = [
     "PolarFactorization",
@@ -75,14 +89,21 @@ def nearest_projective(system: ReconstructionSystem,
     because each block problem is a strictly convex projection onto the ray
     through its coisometry.
     """
-    spectra, injective, _ = _block_spectra(system, tolerance)
-    if not injective:
-        raise PreconditionError("projective approximation needs an injective system")
-    blocks = []
+    if not tolerance > 0.0:
+        raise StructuralError("tolerance must be positive")
+    pieces = []
     gap = 0.0
-    for b, sigma in zip(system.blocks, spectra):
-        alpha = float(np.sum(sigma)) / b.shape[0]
-        nearest = alpha * polar_coisometry(b, tolerance).coisometry
-        blocks.append(nearest)
-        gap += frobenius(b - nearest) ** 2
-    return ReconstructionSystem(tuple(blocks)), float(np.sqrt(gap))
+    for _, rows, stack in _group_stacks(system):
+        left, sigma, right = np.linalg.svd(stack, full_matrices=False)
+        if stack.shape[1] > system.d or np.any(sigma[:, -1] <= threshold(tolerance, sigma[:, 0])):
+            raise PreconditionError("projective approximation needs an injective system")
+        alpha = np.mean(sigma, axis=1, keepdims=True)
+        gap += float(np.sum((sigma - alpha) ** 2))
+        pieces.append((rows, (alpha[..., None] * left) @ right))  # the alpha_i U_i
+    if len(pieces) == 1:
+        nearest = pieces[0][1].reshape(system.analysis.shape)
+    else:
+        nearest = np.empty_like(system.analysis)
+        for rows, weighted in pieces:
+            nearest[rows] = weighted.reshape(-1, system.d)
+    return _from_analysis(nearest, system.k), float(np.sqrt(gap))

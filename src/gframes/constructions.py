@@ -249,7 +249,7 @@ def commuting_projective_dual(system: ReconstructionSystem,
     a dual, and ``U_i U_i^* = P_i`` makes it projective with weights
     ``1 / v_i``.
     """
-    weights = _block_spectra(system, tolerance)[2]
+    weights = _block_spectra(system, tolerance)[1]
     if weights is None:
         raise PreconditionError("the construction needs a projective system")
 
@@ -339,7 +339,7 @@ def riesz_projective_dual_check(system: ReconstructionSystem,
     return RieszDualCheck(
         has_projective_dual=all(c.is_scaled_isometry for c in checks),
         per_index=tuple(checks),
-        canonical_dual_projective=_block_spectra(dual, tolerance)[2] is not None,
+        canonical_dual_projective=_block_spectra(dual, tolerance)[1] is not None,
     )
 
 

@@ -22,11 +22,11 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._linalg import dagger, frobenius, hermitian_part, singular_values, threshold
+from ._linalg import dagger, frobenius, hermitian_part, threshold
 from .errors import NotReconstructionSystemError, StructuralError
 
 DEFAULT_TOLERANCE = 1e-9
@@ -351,29 +351,68 @@ def blockwise_distance(a: ReconstructionSystem, b: ReconstructionSystem) -> floa
     return max(frobenius(x - y) for x, y in zip(a.blocks, b.blocks))
 
 
+@lru_cache(maxsize=256)
+def _size_groups(sizes: tuple[int, ...]) -> tuple[tuple[int, np.ndarray, np.ndarray | None], ...]:
+    """The blocks of a shape grouped by height: ``(height, block indices, analysis rows)``.
+
+    Groups come in order of first appearance; the rows are None when every
+    block has the same height, since the whole analysis matrix is then the stack.
+    """
+    heights = np.asarray(sizes)
+    starts = np.concatenate(([0], np.cumsum(heights)[:-1]))
+    groups = []
+    for ki in dict.fromkeys(sizes):
+        members = np.flatnonzero(heights == ki)
+        members.flags.writeable = False
+        rows = None
+        if members.size < len(sizes):
+            rows = (starts[members, None] + np.arange(ki)).ravel()
+            rows.flags.writeable = False
+        groups.append((ki, members, rows))
+    return tuple(groups)
+
+
+def _group_stacks(system: ReconstructionSystem
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray | None, np.ndarray]]:
+    """Per block height: the block indices, their analysis rows (None for all rows) and the
+    ``n x k x d`` stack of those blocks, a view of ``analysis`` when all heights agree."""
+    for ki, members, rows in _size_groups(system.k):
+        source = system.analysis if rows is None else system.analysis[rows]
+        yield members, rows, source.reshape(members.size, ki, system.d)
+
+
 def _block_spectra(system: ReconstructionSystem, tolerance: float
-                   ) -> tuple[list[np.ndarray], bool, tuple[float, ...] | None]:
-    """Descending singular values of each block, whether all have full row rank, and the
-    weights ``||V_i||_sp`` if every ``V_i V_i^*`` is a positive multiple of I (else None)."""
+                   ) -> tuple[bool, tuple[float, ...] | None]:
+    """Whether every block has full row rank, and the weights ``||V_i||_sp`` if every
+    ``V_i V_i^*`` is a positive multiple of I (else None).
+
+    One values-only SVD per block height fills an ``m x width`` table of the
+    ``k_i`` eigenvalues of each ``V_i V_i^*`` (``k_i - d`` of them zero when
+    ``k_i > d``), padded with ``sigma_1^2``, so ``||V_i V_i^* - sigma_1^2 I||``
+    is the row norm of ``table - sigma_1^2``.
+    """
     if not tolerance > 0.0:
         raise StructuralError("tolerance must be positive")
-    spectra = [singular_values(b) for b in system.blocks]
-    injective = all(b.shape[0] <= b.shape[1] and float(s[-1]) > threshold(tolerance, float(s[0]))
-                    for b, s in zip(system.blocks, spectra))
-    spectral = tuple(float(s[0]) for s in spectra)
-    largest = max(spectral)
-    projective = all(
-        top > threshold(tolerance, largest)
-        and frobenius(b @ dagger(b) - (top * top) * np.eye(b.shape[0]))
-        <= threshold(tolerance, top * top)
-        for b, top in zip(system.blocks, spectral))
-    return spectra, injective, spectral if projective else None
+    rows = _layout(system.k, system.d).rows
+    sigma = np.zeros(rows.shape)
+    for members, _, stack in _group_stacks(system):
+        values = np.linalg.svd(stack, compute_uv=False)
+        sigma[members, :values.shape[1]] = values
+    top = sigma[:, 0]
+    bottom = sigma[np.arange(system.m), np.asarray(system.k) - 1]  # 0 when k_i > d
+    injective = bool(np.all(bottom > threshold(tolerance, top)))
+    peak = top * top
+    table = np.where(rows, sigma * sigma, peak[:, None])
+    deviation = np.sqrt(np.sum((table - peak[:, None]) ** 2, axis=1))
+    projective = bool(np.all(top > threshold(tolerance, float(top.max())))
+                      and np.all(deviation <= threshold(tolerance, peak)))
+    return injective, tuple(top.tolist()) if projective else None
 
 
 def _classify(system: ReconstructionSystem, tolerance: float,
               basis: bool = True) -> tuple[SystemClassification, _AnalysisFactor]:
     """``classify`` together with the analysis factor it judged (``Q`` only if ``basis``)."""
-    _, injective, weights = _block_spectra(system, tolerance)
+    injective, weights = _block_spectra(system, tolerance)
     factor = _analysis_factor(system, basis=basis)
     uniform = (weights is not None
                and (max(weights) - min(weights)) <= threshold(tolerance, max(weights)))

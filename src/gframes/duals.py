@@ -81,13 +81,14 @@ def canonical_dual(system: ReconstructionSystem,
 
 def verify_dual(candidate: ReconstructionSystem, reference: ReconstructionSystem,
                 tolerance: float = DEFAULT_TOLERANCE) -> DualCandidate:
-    """Measure ``||sum_i W_i^* V_i - I||`` for equal-signature systems."""
+    """Measure ``||sum_i W_i^* V_i - I||`` for equal-signature systems.
+
+    The sum is one product of the stacked matrices, ``synthesis(W) analysis(V)``.
+    """
     if candidate.signature != reference.signature:
         raise StructuralError(
             f"signature mismatch: {candidate.signature} vs {reference.signature}")
-    total = np.zeros((reference.d, reference.d), dtype=np.complex128)
-    for w, v in zip(candidate.blocks, reference.blocks):
-        total += dagger(w) @ v
+    total = dagger(candidate.analysis) @ reference.analysis
     residual = frobenius(total - np.eye(reference.d))
     return DualCandidate(candidate, reference, residual, tolerance)
 

@@ -9,15 +9,19 @@ invertible.  A cheap sufficient condition for invertibility is that the
 dropped spectral energy ``sum_{i in J} ||V_i||_sp^2`` stays below the lower
 frame bound.  Indices are 0-based.
 
-The lower bound and ``S^{-1} = R^{-1} R^{-*}`` come from the checked QR factor
-of the analysis matrix.  The survivors' canonical dual comes from a QR factor
-of their own rows, certified by its residual ``||sum_kept W_i^* V_i - I||``.
+``truncate`` takes the lower bound and ``S^{-1} = R^{-1} R^{-*}`` from the
+checked QR factor of the analysis matrix, and the dropped Gram sum as one
+product of the dropped rows.  ``truncated_canonical_dual`` does not run
+``truncate``: it copies the kept rows once and judges them by the one
+``is_rs`` rule of their own QR factor, so it returns exactly when
+``canonical_dual`` of the kept blocks returns.  Its dual is certified by the
+residual ``||sum_kept W_i^* V_i - I||``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,7 +34,13 @@ from ._linalg import (
     spectral_norm,
     threshold,
 )
-from .core import DEFAULT_TOLERANCE, ReconstructionSystem, _analysis_factor, _index_subset
+from .core import (
+    DEFAULT_TOLERANCE,
+    ReconstructionSystem,
+    _analysis_factor,
+    _from_analysis,
+    _index_subset,
+)
 from .errors import GFramesError, NotReconstructionSystemError, StructuralError
 
 __all__ = [
@@ -62,6 +72,13 @@ class TruncationReport:
     bounds_after: tuple[float, float] | None
 
 
+def _rows(system: ReconstructionSystem, blocks: Sequence[int]) -> np.ndarray:
+    """A copy of the analysis rows of the listed blocks, in block order."""
+    chosen = np.zeros(system.m, dtype=bool)
+    chosen[list(blocks)] = True
+    return system.analysis[np.repeat(chosen, system.k)]
+
+
 def truncate(system: ReconstructionSystem, dropped: Iterable[int],
              tolerance: float = DEFAULT_TOLERANCE) -> TruncationReport:
     """Drop the blocks in ``dropped`` (a proper subset) and report stability."""
@@ -70,9 +87,9 @@ def truncate(system: ReconstructionSystem, dropped: Iterable[int],
         raise StructuralError("cannot drop every block")
     factor = _analysis_factor(system, tolerance, basis=False)
 
-    removed = np.zeros((system.d, system.d), dtype=np.complex128)
-    for i in drop:
-        removed += dagger(system.blocks[i]) @ system.blocks[i]
+    rows = _rows(system, drop)
+    removed = dagger(rows) @ rows
+    del rows  # the copy need not outlive the product
     truncation_factor = np.eye(system.d) - removed @ factor.inverse()
 
     sigma = singular_values(truncation_factor)
@@ -95,15 +112,20 @@ def truncated_canonical_dual(system: ReconstructionSystem, dropped: Iterable[int
                              tolerance: float = DEFAULT_TOLERANCE) -> ReconstructionSystem:
     """Canonical dual of the survivors from their own QR factor, certified by its residual.
 
-    Raises ``NotReconstructionSystemError`` when ``truncate`` finds no positive lower
-    frame bound after the drop, ``GFramesError`` when ``||sum_kept W_i^* V_i - I|| > tolerance``.
+    Raises ``NotReconstructionSystemError`` when the kept rows fail the ``is_rs``
+    rule, exactly when ``canonical_dual`` of the kept blocks raises, and
+    ``GFramesError`` when ``||sum_kept W_i^* V_i - I|| > tolerance``.
     """
-    report = truncate(system, dropped, tolerance)
-    if not report.is_rs_after:
-        raise NotReconstructionSystemError("surviving blocks have no positive lower frame bound")
-    survivors = ReconstructionSystem(tuple(system.blocks[i] for i in report.kept))
-    del report  # its two d x d matrices need not outlive the survivors' factorization
-    dual = _analysis_factor(survivors, tolerance).dual(survivors.k)
+    drop = _index_subset(dropped, system.m, "dropped")
+    if len(drop) == system.m:
+        raise StructuralError("cannot drop every block")
+    kept = [i for i in range(system.m) if i not in drop]
+    survivors = _from_analysis(_rows(system, kept), [system.k[i] for i in kept])
+    try:
+        dual = _analysis_factor(survivors, tolerance).dual(survivors.k)
+    except NotReconstructionSystemError:
+        raise NotReconstructionSystemError(
+            "surviving blocks have no positive lower frame bound") from None
     residual = frobenius(dagger(dual.analysis) @ survivors.analysis - np.eye(system.d))
     if residual > tolerance:
         raise GFramesError(f"truncated canonical dual misses the identity by {residual:.3e}")

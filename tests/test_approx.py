@@ -150,3 +150,55 @@ def test_nearest_projective_precondition_messages():
     with pytest.raises(PreconditionError,
                        match="^projective approximation needs an injective system$"):
         gf.nearest_projective(deficient)
+
+
+def polar_reference(system):
+    """Blockwise ``alpha_i U_i`` from ``polar_coisometry``, one block at a time."""
+    blocks = []
+    for block in system.blocks:
+        sigma = np.linalg.svd(np.asarray(block), compute_uv=False)
+        blocks.append(float(np.mean(sigma)) * gf.polar_coisometry(block).coisometry)
+    return blocks
+
+
+MIXED = random_system(6, (2, 5, 3, 1, 5), seed=612)
+UNIFORM = random_system(8, (3,) * 5, seed=613)
+
+
+@pytest.mark.parametrize("system", [MIXED, UNIFORM], ids=["mixed", "uniform"])
+def test_stacked_nearest_projective_matches_blockwise_polar(system):
+    approx, distance = gf.nearest_projective(system)
+    assert approx.k == system.k
+    for block, expected in zip(approx.blocks, polar_reference(system)):
+        assert frobenius(block - expected) <= 1e-12 * frobenius(expected)
+    direct = frobenius(gf.analysis_matrix(system) - gf.analysis_matrix(approx))
+    assert abs(distance - direct) <= 1e-12 * direct
+
+
+def verdict(system):
+    try:
+        approx, _ = gf.nearest_projective(system)
+    except PreconditionError:
+        return None
+    shape = gf.classify(approx)
+    return shape.is_projective, shape.is_uniform, shape.is_injective
+
+
+@pytest.mark.parametrize("system", [
+    MIXED,
+    UNIFORM,
+    random_projective(6, (2, 3, 3), seed=614, weights=[1.0, 1.0, 1.0]),
+    gf.ReconstructionSystem([np.eye(4)[:2], np.array([[1.0, 2.0, 0.0, 0.0],
+                                                      [2.0, 4.0, 0.0, 0.0]])]),
+    random_system(2, (3, 2), seed=610),
+], ids=["mixed", "uniform", "uniform-projective", "rank-deficient", "wide"])
+def test_nearest_projective_verdicts_do_not_depend_on_scale(system):
+    reference = verdict(system)
+    approx = gf.nearest_projective(system)[0] if reference is not None else None
+    for c in (10.0 ** j for j in range(-8, 9)):
+        scaled = gf.ReconstructionSystem(tuple(c * np.asarray(b) for b in system.blocks))
+        assert verdict(scaled) == reference
+        if approx is not None:
+            result = gf.analysis_matrix(gf.nearest_projective(scaled)[0])
+            expected = c * gf.analysis_matrix(approx)
+            assert frobenius(result - expected) <= 1e-12 * frobenius(expected)

@@ -165,3 +165,15 @@ def test_sampling_error_when_every_draw_degenerates():
     with pytest.raises(SamplingError):
         gf.dual_manifold_sample(system, seed=0, count=1, scale=1e12,
                                 max_redraws=5)
+
+
+@pytest.mark.parametrize("d, k", [(6, (2, 5, 3, 1, 5)), (4, (1, 1, 3, 2)), (5, (2, 2, 2))])
+def test_stacked_verify_dual_matches_the_blockwise_sum(d, k):
+    rng = np.random.default_rng(309)
+    system = gf.ReconstructionSystem([complex_gaussian(rng, (ki, d)) for ki in k])
+    for candidate in (gf.canonical_dual(system),
+                      gf.ReconstructionSystem([complex_gaussian(rng, (ki, d)) for ki in k])):
+        total = sum(dagger(w) @ v for w, v in zip(candidate.blocks, system.blocks))
+        blockwise = frobenius(total - np.eye(d))
+        scale = frobenius(candidate.analysis) * frobenius(system.analysis)
+        assert abs(gf.verify_dual(candidate, system).dual_residual - blockwise) <= 1e-12 * scale

@@ -5,7 +5,8 @@ through it) and the ``numpy.linalg`` entry points ``qr``, ``eigvalsh``,
 ``inv`` and ``svd``.  Every op that needs the frame bounds or ``S^{-1}``
 takes them from one QR of the analysis matrix ``T = Q R`` (one ``qr``, one
 values-only ``svd`` of ``R`` and at most one ``inv`` of ``R``); no op builds
-``S`` block by block or inverts it.  Calls numpy makes internally (``norm(a, 2)``, ``solve``) are not
+``S`` block by block or inverts it.  Per-block spectra and polar factors take
+one stacked ``svd`` per block height, not one per block.  Calls numpy makes internally (``norm(a, 2)``, ``solve``) are not
 counted.  A separate counter checks that ``error_report`` factors each
 system once, however many duals it scores against it.
 """
@@ -67,29 +68,31 @@ CASES = {
     # bounds and M_J's singular values
     "truncate": (lambda: gf.truncate(GENERAL, [0, 3]),
                  {"qr": 1, "eigvalsh": 1, "inv": 1, "svd": 2}),
-    # truncate, then one analysis QR of the kept rows for their dual
+    # no truncate: one analysis QR of the kept rows for their bound and their dual
     "truncated_canonical_dual": (lambda: gf.truncated_canonical_dual(GENERAL, [0, 3]),
-                                 {"qr": 2, "eigvalsh": 1, "inv": 2, "svd": 3}),
-    # no S at all; per block one values-only SVD and the polar SVD
-    "nearest_projective": (lambda: gf.nearest_projective(GENERAL),
-                           {"svd": 2 * GENERAL.m}),
-    # one analysis QR for classify and the canonical dual; error_report's block factor
+                                 {"qr": 1, "inv": 1, "svd": 1}),
+    # no S at all; one stacked SVD per block height (GENERAL has one)
+    "nearest_projective": (lambda: gf.nearest_projective(GENERAL), {"svd": 1}),
+    # one stacked product, no factorization
+    "verify_dual": (lambda: gf.verify_dual(GENERAL, GENERAL), {}),
+    # classify's stacked block spectra and one analysis QR for the bounds and the canonical
+    # dual; error_report's block factor
     "wce_condition": (lambda: gf.wce_condition(fresh(PROJECTIVE)),
-                      {"qr": 2, "inv": 1, "svd": PROJECTIVE.m + 1}),
+                      {"qr": 2, "inv": 1, "svd": 1 + 1}),
     # plus the weighted family: one QR of the blocks, the frame-bound check of their stacked
     # bases (one QR and one SVD), one R_i^{-1} per block, one QR per step
     "wce_solve": (lambda: gf.wce_solve(fresh(PROJECTIVE), iterations=3),
-                  {"qr": 2 + 2 + 3, "inv": 1 + PROJECTIVE.m, "svd": PROJECTIVE.m + 2}),
-    # one analysis QR for the system; per block a kernel SVD, a restriction SVD and the
-    # dual's spectrum
+                  {"qr": 2 + 2 + 3, "inv": 1 + PROJECTIVE.m, "svd": 1 + 2}),
+    # one analysis QR for the system; per block a kernel SVD and a restriction SVD; the
+    # stacked block spectra of the system and of its dual, one SVD per height (three here)
     "riesz_projective_dual_check": (lambda: gf.riesz_projective_dual_check(RIESZ),
-                                    {"qr": 1, "inv": 1, "svd": 4 * RIESZ.m + 1}),
-    # no S at all: the weights come from one values-only SVD per block
+                                    {"qr": 1, "inv": 1, "svd": 1 + 2 * RIESZ.m + 2 * 3}),
+    # no S at all: the weights come from one values-only SVD per block height (two here)
     "commuting_projective_dual": (lambda: gf.commuting_projective_dual(COMMUTING),
-                                  {"svd": COMMUTING.m}),
+                                  {"svd": 2}),
     # one analysis QR for S = R^* R, the dual and S^{-1}; two SVDs of the dual base, then
-    # nearest_projective's
-    "group_rs_checks": (orbit_checks, {"qr": 1, "inv": 1, "svd": 1 + 2 + 2 * 6}),
+    # nearest_projective's one stacked SVD
+    "group_rs_checks": (orbit_checks, {"qr": 1, "inv": 1, "svd": 1 + 2 + 1}),
 }
 
 

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gframes as gf
-from gframes._linalg import dagger, eigen_bounds, spectral_norm
+from gframes._linalg import complex_gaussian, dagger, eigen_bounds, frobenius, spectral_norm
 from gframes.errors import NotReconstructionSystemError, StructuralError
 from gframes.generate import partition_protocol, random_system
 from helpers import draw_general
@@ -155,3 +157,60 @@ def test_dropped_index_error_messages():
             gf.truncate(system, dropped)
         with pytest.raises(StructuralError, match=f"^{message}$"):
             gf.ck_sufficient_condition(system, dropped)
+        with pytest.raises(StructuralError, match=f"^{message}$"):
+            gf.truncated_canonical_dual(system, dropped)
+    with pytest.raises(StructuralError, match="^cannot drop every block$"):
+        gf.truncated_canonical_dual(system, [0, 1])
+
+
+FIXTURES = gf.fixtures()
+
+
+@st.composite
+def truncations(draw):
+    """A system and a proper drop set: fixtures, Gaussian blocks with no conditioning
+    floor, and Gaussian blocks whose first block dominates by up to 1e8."""
+    source = draw(st.sampled_from(["fixture", "gaussian", "dominant"]))
+    if source == "fixture":
+        system = FIXTURES[draw(st.sampled_from(sorted(FIXTURES)))]
+    else:
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
+        d = draw(st.integers(min_value=1, max_value=6))
+        k = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=6))
+        system = gf.ReconstructionSystem([complex_gaussian(rng, (ki, d)) for ki in k])
+        if source == "dominant":
+            c = 10.0 ** draw(st.integers(min_value=1, max_value=8))
+            system = gf.ReconstructionSystem((c * system.blocks[0],) + system.blocks[1:])
+    drop = draw(st.lists(st.integers(min_value=0, max_value=system.m - 1), unique=True,
+                         max_size=system.m - 1))
+    return system, drop
+
+
+@settings(max_examples=150, deadline=None)
+@given(truncations())
+def test_truncated_dual_is_the_canonical_dual_of_the_kept_blocks(case):
+    system, drop = case
+    survivors = gf.ReconstructionSystem([b for i, b in enumerate(system.blocks)
+                                         if i not in drop])
+    try:
+        expected = gf.canonical_dual(survivors)
+    except NotReconstructionSystemError:
+        with pytest.raises(NotReconstructionSystemError,
+                           match="^surviving blocks have no positive lower frame bound$"):
+            gf.truncated_canonical_dual(system, drop)
+        return
+    dual = gf.truncated_canonical_dual(system, drop)
+    assert dual.k == expected.k
+    assert frobenius(dual.analysis - expected.analysis) <= 1e-12 * frobenius(expected.analysis)
+
+
+def test_truncated_dual_of_a_system_that_is_not_rs():
+    # the dominant first block puts the whole system past the RS rule; the rest is RS
+    system = random_system(4, (2, 2, 2, 2), 1)
+    dominated = gf.ReconstructionSystem((1e6 * system.blocks[0],) + system.blocks[1:])
+    assert not gf.classify(dominated).is_rs
+    with pytest.raises(NotReconstructionSystemError, match="^block Gram sum is singular"):
+        gf.truncate(dominated, [0])
+    dual = gf.truncated_canonical_dual(dominated, [0])
+    expected = gf.canonical_dual(gf.ReconstructionSystem(system.blocks[1:]))
+    assert frobenius(dual.analysis - expected.analysis) <= 1e-12 * frobenius(expected.analysis)

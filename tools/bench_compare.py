@@ -32,6 +32,13 @@ Every run's ``# summary`` line is kept as printed, with the first run's
 existing file is read and only the entry of workload ``W`` is replaced.  A run
 that exits non-zero or prints no result stops the script with exit status 2.
 
+Before the pairs, the test-suite layer is measured once per side: the tier-1
+suite (``python -m pytest -q --continue-on-collection-errors -p no:cacheprovider
+--durations=3`` with ``PYTHONPATH=src``) runs in each checkout at ``OPENBLAS_NUM_THREADS=1``,
+and the record's top-level ``tier1`` entry holds per side its wall time, exit
+code, closing pytest line and three slowest test ids with their seconds.  A
+failing suite is recorded, not fatal.
+
 Standard library only; the checkouts themselves need numpy.
 """
 
@@ -39,9 +46,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 # Unscaled counterparts of the scaled timing metrics, as named in ``# summary``.
@@ -49,6 +59,11 @@ RAW_NAMES = {"setup_s": "setup_s_raw", "op_ms_p50": "op_ms_p50_raw",
              "ops_per_s": "ops_per_s_raw"}
 # Fewest pairs on which a gain may be claimed.
 MIN_PAIRS = 10
+# The tier-1 suite, timed once per side with the three slowest tests named.
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
+         "--durations=3"]
+# A line of pytest's "slowest durations" table, e.g. "11.68s call     tests/x.py::test_y".
+DURATION = re.compile(r"^(\d+(?:\.\d+)?)s (setup|call|teardown) +(\S+)$")
 
 
 def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -66,6 +81,22 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
             if line.startswith(f"# {tag} "):
                 tagged[tag] = json.loads(line[len(tag) + 3:])
     return {"result": json.loads(lines[-1]), **tagged}
+
+
+def run_tier1(root: Path) -> dict:
+    """Wall time of the checkout's tier-1 suite at one BLAS thread, and its slowest tests."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), path])))
+    begin = time.perf_counter()
+    done = subprocess.run([sys.executable, *TIER1], cwd=root, env=env, capture_output=True,
+                          text=True, check=False)
+    wall = time.perf_counter() - begin
+    lines = done.stdout.strip().splitlines()
+    slowest = [{"seconds": float(hit[1]), "when": hit[2], "id": hit[3]}
+               for hit in map(DURATION.match, lines) if hit]
+    return {"wall_s": wall, "exit": done.returncode, "result": lines[-1] if lines else "",
+            "slowest": slowest}
 
 
 def spread(values: list[float]) -> dict:
@@ -119,6 +150,12 @@ def main(argv=None) -> int:
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
 
+    tier1 = {}
+    for side in ("parent", "change"):
+        tier1[side] = run_tier1(roots[side])
+        print(f"tier-1 {side}: {tier1[side]['wall_s']:.1f} s, {tier1[side]['result']}",
+              file=sys.stderr)
+
     runs = []
     for pair in range(args.pairs):
         seed = args.seed_base + pair
@@ -154,6 +191,8 @@ def main(argv=None) -> int:
               for side in ("parent", "change")}
 
     record = json.loads(args.out.read_text(encoding="utf-8")) if args.out.is_file() else {}
+    record["tier1"] = {"command": "python " + " ".join(TIER1),
+                       "env": {"OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": "src"}, **tier1}
     record.setdefault("workloads", {})[args.workload] = {
         "command": f"bench/run.py --workload {args.workload} --seconds {seconds:g} "
                    "--trace 0",
