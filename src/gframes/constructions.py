@@ -42,10 +42,10 @@ from .core import (
     ReconstructionSystem,
     _analysis_factor,
     _block_spectra,
-    _classify,
     blockwise_distance,
+    classify,
 )
-from .approx import nearest_projective, polar_coisometry
+from .approx import nearest_projective
 from .errors import (
     NotReconstructionSystemError,
     PreconditionError,
@@ -194,14 +194,14 @@ def group_rs_checks(rep: UnitaryRepresentation, base: np.ndarray,
     dual_base = np.asarray(base, dtype=np.complex128) @ factor.inverse()
     dual_deviation = blockwise_distance(dual, group_rs(rep, dual_base))
 
-    sigma = singular_values(dual_base)
+    # one SVD of the dual base serves the rank test, the weight and the polar coisometry
+    left, sigma, right = np.linalg.svd(dual_base, full_matrices=False)
     approx_deviation = None
     if float(sigma[-1]) > threshold(tolerance, float(sigma[0])):
         weight = float(np.sum(sigma)) / dual_base.shape[0]
-        coisometry = polar_coisometry(dual_base, tolerance).coisometry
         approximation, _ = nearest_projective(dual, tolerance)
         approx_deviation = blockwise_distance(
-            approximation, group_rs(rep, weight * coisometry))
+            approximation, group_rs(rep, weight * (left @ right)))
 
     return GroupSystemReport(
         commutation_residual=float(commutation),
@@ -314,7 +314,8 @@ class RieszDualCheck:
 def riesz_projective_dual_check(system: ReconstructionSystem,
                                 tolerance: float = DEFAULT_TOLERANCE) -> RieszDualCheck:
     """Decide projective-dual existence when block dimensions sum to ``d``."""
-    shape, factor = _classify(system, tolerance)
+    factor = _analysis_factor(system)  # seeds the spectrum that classify reads
+    shape = classify(system, tolerance)
     if not shape.is_riesz:
         raise PreconditionError(
             "the criterion applies when total block dimension equals d")

@@ -11,6 +11,10 @@ eigenvalues of ``S`` are the frame bounds.  Stacking the blocks vertically
 gives the ``K x d`` analysis matrix ``T`` (``K = sum_i k_i``); its adjoint is
 the synthesis matrix, and ``S = T^* T`` is analysis followed by synthesis.
 
+Systems are immutable, so each caches what every op would otherwise
+recompute: its block factor and the spectrum ``sigma(T)^2`` that every
+verdict reads (see ``ReconstructionSystem``).
+
 All norms written ``||.||`` in this module's docstrings are Frobenius norms
 unless said otherwise; spectral norms are always called out by name.  Block
 indices are 0-based everywhere.
@@ -113,11 +117,17 @@ class ReconstructionSystem:
     fixed at construction; systems of one shape share their signature and
     row slices through a bounded cache.
 
-    A system also caches, on first use, the triangular factors ``R_i`` of
-    ``V_i^* = Q_i R_i`` (``_block_factor``, one stacked QR).  Systems never
-    change after construction, so the factor stays valid for the system's
-    lifetime, and ``error_report`` reuses it on every call against the same
-    system.
+    A system also caches two things on first use, each as a read-only
+    array: the triangular factors ``R_i`` of ``V_i^* = Q_i R_i``
+    (``_block_factor``, one stacked QR), and the eigenvalues of ``S`` as the
+    squared singular values of ``T`` (``_spectrum``, ``d`` floats).  Systems
+    never change after construction, so both stay valid for the system's
+    lifetime: ``error_report`` reuses the block factor on every call against
+    the same system, and every verdict (``is_rs``, the frame bounds,
+    ``is_protocol`` and the lower bound that truncation reads) comes from
+    the one spectrum, whichever op computed it.  No ``Q``, ``R`` or
+    ``R^{-1}`` of ``T`` is cached: they cost ``K d`` and ``d^2`` entries per
+    system, and each op that needs them refactors ``T``.
 
     Parameters
     ----------
@@ -177,6 +187,15 @@ class ReconstructionSystem:
         factor = np.linalg.qr(dagger(_block_stack(self)), mode="r")
         factor.flags.writeable = False
         return factor
+
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        """Read-only eigenvalues ``sigma(T)^2`` of ``S = T^* T``, descending, zero-padded to ``d``.
+
+        The first ``_analysis_factor`` call seeds it from the ``R`` it computes;
+        a verdict asked for before any such call takes a values-only QR.
+        """
+        return _squared_spectrum(np.linalg.qr(self.analysis, mode="r"), self.d)
 
     def __repr__(self) -> str:
         return f"ReconstructionSystem(m={self.m}, k={self.k}, d={self.d})"
@@ -242,18 +261,10 @@ class SystemClassification:
 
 @dataclass(frozen=True, eq=False)
 class _AnalysisFactor:
-    """Thin QR ``T = Q R`` of an analysis matrix (``q`` is None unless asked for), and the
-    eigenvalues ``sigma(R)^2`` of ``S = R^* R``, descending, zero-padded to ``d``."""
+    """Thin QR ``T = Q R`` of an analysis matrix (``q`` is None unless asked for)."""
 
     q: np.ndarray | None
     r: np.ndarray
-    spectrum: np.ndarray
-    lower: float
-    upper: float
-
-    def is_rs(self, tolerance: float) -> bool:
-        """The one rule for a positive lower frame bound: ``sigma_min^2 > tol sigma_max^2``."""
-        return self.lower > threshold(tolerance, self.upper)
 
     @cached_property
     def r_inverse(self) -> np.ndarray:
@@ -268,18 +279,46 @@ class _AnalysisFactor:
         return _from_analysis(self.q @ dagger(self.r_inverse), sizes)
 
 
+def _squared_spectrum(r: np.ndarray, d: int) -> np.ndarray:
+    """Read-only ``sigma(R)^2``, descending, zero-padded to ``d``: the eigenvalues of ``R^* R``."""
+    sigma = np.linalg.svd(r, compute_uv=False)
+    spectrum = np.concatenate((sigma * sigma, np.zeros(d - sigma.size)))
+    spectrum.flags.writeable = False
+    return spectrum
+
+
+def _is_rs(lower: float, upper: float, tolerance: float) -> bool:
+    """The one rule for a positive lower frame bound: ``sigma_min^2 > tol sigma_max^2``."""
+    return lower > threshold(tolerance, upper)
+
+
+def _frame_bounds(system: ReconstructionSystem,
+                  tolerance: float | None = None) -> tuple[float, float]:
+    """``(lambda_min, lambda_max)`` of ``S`` from the system's spectrum; given a
+    ``tolerance``, raise ``NotReconstructionSystemError`` unless ``_is_rs``."""
+    spectrum = system._spectrum
+    lower, upper = float(spectrum[-1]), float(spectrum[0])
+    if tolerance is not None and not _is_rs(lower, upper, tolerance):
+        raise NotReconstructionSystemError("block Gram sum is singular (lambda_min="
+                                           f"{lower:.3e}, lambda_max={upper:.3e})")
+    return lower, upper
+
+
 def _analysis_factor(system: ReconstructionSystem, tolerance: float | None = None,
                      basis: bool = True) -> _AnalysisFactor:
     """Factor ``system.analysis`` (``Q`` only if ``basis``); given a ``tolerance``, raise
-    ``NotReconstructionSystemError`` unless ``is_rs(tolerance)``."""
+    ``NotReconstructionSystemError`` unless the system passes ``_is_rs``.
+
+    The first call on a system seeds its ``_spectrum`` from this ``R``, so no op
+    factors ``T`` twice.  numpy takes ``R`` from the same LAPACK ``geqrf`` call
+    with or without ``Q``, so the spectrum does not depend on which op seeds it.
+    """
     q, r = np.linalg.qr(system.analysis) if basis else (None, np.linalg.qr(system.analysis, "r"))
-    sigma = np.linalg.svd(r, compute_uv=False)
-    spectrum = np.concatenate((sigma * sigma, np.zeros(system.d - sigma.size)))
-    factor = _AnalysisFactor(q, r, spectrum, float(spectrum[-1]), float(spectrum[0]))
-    if tolerance is not None and not factor.is_rs(tolerance):
-        raise NotReconstructionSystemError("block Gram sum is singular (lambda_min="
-                                           f"{factor.lower:.3e}, lambda_max={factor.upper:.3e})")
-    return factor
+    cache = vars(system)  # where cached_property keeps its value
+    if "_spectrum" not in cache:
+        cache["_spectrum"] = _squared_spectrum(r, system.d)
+    _frame_bounds(system, tolerance)
+    return _AnalysisFactor(q, r)
 
 
 def _block_gram(analysis: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
@@ -381,23 +420,30 @@ def _group_stacks(system: ReconstructionSystem
         yield members, rows, source.reshape(members.size, ki, system.d)
 
 
+def _block_sigma(system: ReconstructionSystem) -> np.ndarray:
+    """``m x width`` table of each block's singular values, descending and zero-padded,
+    from one values-only SVD per block height."""
+    sigma = np.zeros(_layout(system.k, system.d).rows.shape)
+    for members, _, stack in _group_stacks(system):
+        values = np.linalg.svd(stack, compute_uv=False)
+        sigma[members, :values.shape[1]] = values
+    return sigma
+
+
 def _block_spectra(system: ReconstructionSystem, tolerance: float
                    ) -> tuple[bool, tuple[float, ...] | None]:
     """Whether every block has full row rank, and the weights ``||V_i||_sp`` if every
     ``V_i V_i^*`` is a positive multiple of I (else None).
 
-    One values-only SVD per block height fills an ``m x width`` table of the
-    ``k_i`` eigenvalues of each ``V_i V_i^*`` (``k_i - d`` of them zero when
-    ``k_i > d``), padded with ``sigma_1^2``, so ``||V_i V_i^* - sigma_1^2 I||``
-    is the row norm of ``table - sigma_1^2``.
+    The squared ``_block_sigma`` table holds the ``k_i`` eigenvalues of each
+    ``V_i V_i^*`` (``k_i - d`` of them zero when ``k_i > d``); padded with
+    ``sigma_1^2``, ``||V_i V_i^* - sigma_1^2 I||`` is the row norm of
+    ``table - sigma_1^2``.
     """
     if not tolerance > 0.0:
         raise StructuralError("tolerance must be positive")
     rows = _layout(system.k, system.d).rows
-    sigma = np.zeros(rows.shape)
-    for members, _, stack in _group_stacks(system):
-        values = np.linalg.svd(stack, compute_uv=False)
-        sigma[members, :values.shape[1]] = values
+    sigma = _block_sigma(system)
     top = sigma[:, 0]
     bottom = sigma[np.arange(system.m), np.asarray(system.k) - 1]  # 0 when k_i > d
     injective = bool(np.all(bottom > threshold(tolerance, top)))
@@ -407,30 +453,6 @@ def _block_spectra(system: ReconstructionSystem, tolerance: float
     projective = bool(np.all(top > threshold(tolerance, float(top.max())))
                       and np.all(deviation <= threshold(tolerance, peak)))
     return injective, tuple(top.tolist()) if projective else None
-
-
-def _classify(system: ReconstructionSystem, tolerance: float,
-              basis: bool = True) -> tuple[SystemClassification, _AnalysisFactor]:
-    """``classify`` together with the analysis factor it judged (``Q`` only if ``basis``)."""
-    injective, weights = _block_spectra(system, tolerance)
-    factor = _analysis_factor(system, basis=basis)
-    uniform = (weights is not None
-               and (max(weights) - min(weights)) <= threshold(tolerance, max(weights)))
-    # ||S - I|| from the eigenvalues of the Hermitian S
-    protocol = frobenius(factor.spectrum - 1.0) <= threshold(tolerance, factor.upper)
-
-    return SystemClassification(
-        is_rs=factor.is_rs(tolerance),
-        is_injective=injective,
-        is_projective=weights is not None,
-        weights=weights,
-        is_uniform=uniform,
-        is_protocol=protocol,
-        is_riesz=system.tr_k == system.d,
-        lower_bound=factor.lower,
-        upper_bound=factor.upper,
-        tolerance=tolerance,
-    ), factor
 
 
 def classify(system: ReconstructionSystem,
@@ -450,5 +472,26 @@ def classify(system: ReconstructionSystem,
     - ``is_protocol``: the block Gram sum is the identity.
     - ``is_riesz``: total block dimension equals the domain dimension
       (purely combinatorial).
+
+    The bounds, ``is_rs`` and ``is_protocol`` read the system's cached
+    spectrum, so classifying a system that some op has factored takes no
+    factor of ``T``.
     """
-    return _classify(system, tolerance, basis=False)[0]
+    injective, weights = _block_spectra(system, tolerance)
+    lower, upper = _frame_bounds(system)
+    uniform = (weights is not None
+               and (max(weights) - min(weights)) <= threshold(tolerance, max(weights)))
+    # ||S - I|| from the eigenvalues of the Hermitian S
+    protocol = frobenius(system._spectrum - 1.0) <= threshold(tolerance, upper)
+    return SystemClassification(
+        is_rs=_is_rs(lower, upper, tolerance),
+        is_injective=injective,
+        is_projective=weights is not None,
+        weights=weights,
+        is_uniform=uniform,
+        is_protocol=protocol,
+        is_riesz=system.tr_k == system.d,
+        lower_bound=lower,
+        upper_bound=upper,
+        tolerance=tolerance,
+    )

@@ -15,8 +15,12 @@ matrices.  ``DualManifold`` exposes this chart; sampling duals means drawing
 The canonical dual ``Q R^{-*}``, ``S^{-1} = R^{-1} R^{-*}`` and the chart's
 projector ``I - Q Q^*`` come from one checked QR factor ``T = Q R`` of the
 analysis matrix (``core._analysis_factor``), which raises
-``NotReconstructionSystemError`` exactly when ``classify(...).is_rs`` fails.
-``S`` is never formed, so accuracy follows ``kappa(T)``, not ``kappa(T)^2``.
+``NotReconstructionSystemError`` exactly when ``classify(...).is_rs`` fails:
+both read the one spectrum ``sigma(T)^2`` that the system caches, seeded by
+the first factor of ``T`` and valid for the system's lifetime, since systems
+are immutable.  ``Q`` and ``R`` are not cached; each call refactors ``T``,
+but takes no second SVD.  ``S`` is never formed, so accuracy follows
+``kappa(T)``, not ``kappa(T)^2``.
 """
 
 from __future__ import annotations

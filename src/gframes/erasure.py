@@ -58,7 +58,7 @@ from .core import (
     ReconstructionSystem,
     _analysis_factor,
     _block_stack,
-    _classify,
+    _frame_bounds,
     _index_subset,
     _layout,
     classify,
@@ -168,7 +168,7 @@ class _WeightedDuals:
         q, r = np.linalg.qr(dagger(_block_stack(system)))
         self.bases = dagger(q)[_layout(system.k, system.d).rows]
         # the row spaces span the domain when the stacked bases pass the frame-bound check
-        _analysis_factor(ReconstructionSystem((self.bases,)), tolerance, basis=False)
+        _frame_bounds(ReconstructionSystem((self.bases,)), tolerance)
         # (V_i V_i^*)^{-1} V_i = R_i^{-1} U_i
         self.coordinates = [np.linalg.inv(r[i, :ki, :ki]) for i, ki in enumerate(system.k)]
         self.sizes = np.asarray(system.k)
@@ -213,7 +213,8 @@ def wce_condition(system: ReconstructionSystem,
     optimal dual; returns the shared value in that case.  The norms are the
     canonical dual's erasure errors, since ``S^{-1} V_i^* V_i = W_i^* V_i``.
     """
-    shape, factor = _classify(system, tolerance)
+    factor = _analysis_factor(system)  # seeds the spectrum that classify reads
+    shape = classify(system, tolerance)
     if not shape.is_projective:
         raise PreconditionError("the worst-case criterion applies to projective systems")
     if not shape.is_rs:
@@ -243,7 +244,8 @@ def wce_solve(system: ReconstructionSystem, iterations: int = 5000,
     the canonical dual's worst case.  Minimal-redundancy systems have a unique
     dual, returned with zero gap.
     """
-    shape, factor = _classify(system, tolerance)
+    factor = _analysis_factor(system)  # seeds the spectrum that classify reads
+    shape = classify(system, tolerance)
     if not shape.is_injective:
         raise PreconditionError("worst-case optimization needs an injective system")
     if not shape.is_rs:

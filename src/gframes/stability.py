@@ -9,10 +9,15 @@ invertible.  A cheap sufficient condition for invertibility is that the
 dropped spectral energy ``sum_{i in J} ||V_i||_sp^2`` stays below the lower
 frame bound.  Indices are 0-based.
 
-``truncate`` takes the lower bound and ``S^{-1} = R^{-1} R^{-*}`` from the
-checked QR factor of the analysis matrix, and the dropped Gram sum as one
-product of the dropped rows.  ``truncated_canonical_dual`` does not run
-``truncate``: it copies the kept rows once and judges them by the one
+``truncate`` takes ``S^{-1} = R^{-1} R^{-*}`` from the checked QR factor of
+the analysis matrix, the lower bound from the spectrum the system caches
+(see ``core.ReconstructionSystem``: seeded by the first factor of ``T`` and
+valid for the system's lifetime, since systems are immutable), and the
+dropped Gram sum as one product of the dropped rows.
+``ck_sufficient_condition`` factors nothing once that spectrum is cached: it
+reads the lower bound from it and takes the dropped blocks' spectral norms
+from one values-only SVD per block height.  ``truncated_canonical_dual`` does
+not run ``truncate``: it copies the kept rows once and judges them by the one
 ``is_rs`` rule of their own QR factor, so it returns exactly when
 ``canonical_dual`` of the kept blocks returns.  Its dual is certified by the
 residual ``||sum_kept W_i^* V_i - I||``.
@@ -31,13 +36,14 @@ from ._linalg import (
     frobenius,
     hermitian_part,
     singular_values,
-    spectral_norm,
     threshold,
 )
 from .core import (
     DEFAULT_TOLERANCE,
     ReconstructionSystem,
     _analysis_factor,
+    _block_sigma,
+    _frame_bounds,
     _from_analysis,
     _index_subset,
 )
@@ -86,6 +92,7 @@ def truncate(system: ReconstructionSystem, dropped: Iterable[int],
     if len(drop) == system.m:
         raise StructuralError("cannot drop every block")
     factor = _analysis_factor(system, tolerance, basis=False)
+    lower, _ = _frame_bounds(system)
 
     rows = _rows(system, drop)
     removed = dagger(rows) @ rows
@@ -103,7 +110,7 @@ def truncate(system: ReconstructionSystem, dropped: Iterable[int],
         truncation_factor=truncation_factor,
         is_rs_after=is_rs_after,
         truncated_frame_operator=survivor_gram,
-        lower_bound_estimate=factor.lower * smallest,
+        lower_bound_estimate=lower * smallest,
         bounds_after=eigen_bounds(survivor_gram) if is_rs_after else None,
     )
 
@@ -141,7 +148,11 @@ def ck_sufficient_condition(system: ReconstructionSystem, dropped: Iterable[int]
     system with lower frame bound at least ``estimate``.
     """
     drop = _index_subset(dropped, system.m, "dropped")
-    lower = _analysis_factor(system, tolerance, basis=False).lower
-    total = sum(spectral_norm(system.blocks[i]) ** 2 for i in drop)
+    lower, _ = _frame_bounds(system, tolerance)
+    tops = []
+    if drop:
+        removed = _from_analysis(_rows(system, drop), [system.k[i] for i in drop])
+        tops = _block_sigma(removed)[:, 0].tolist()
+    total = sum(top ** 2 for top in tops)  # in block order, as a per-block loop adds them
     estimate = lower - total
     return total < lower, float(estimate)

@@ -3,9 +3,10 @@
 The counters wrap ``core._block_gram`` (every ``frame_operator`` call goes
 through it) and the ``numpy.linalg`` entry points ``qr``, ``eigvalsh``,
 ``inv`` and ``svd``.  Every op that needs the frame bounds or ``S^{-1}``
-takes them from one QR of the analysis matrix ``T = Q R`` (one ``qr``, one
-values-only ``svd`` of ``R`` and at most one ``inv`` of ``R``); no op builds
-``S`` block by block or inverts it.  Per-block spectra and polar factors take
+takes them from one QR of the analysis matrix ``T = Q R`` (one ``qr``, at
+most one ``inv`` of ``R``, and one values-only ``svd`` of ``R`` the first
+time a system is factored, since the system caches that spectrum); no op
+builds ``S`` block by block or inverts it.  Per-block spectra and polar factors take
 one stacked ``svd`` per block height, not one per block.  Calls numpy makes internally (``norm(a, 2)``, ``solve``) are not
 counted.  A separate counter checks that ``error_report`` factors each
 system once, however many duals it scores against it.
@@ -59,18 +60,22 @@ def orbit_checks():
 
 
 def fresh(system):
-    """A copy without a cached block factor, so that counts do not depend on test order."""
+    """A copy without a cached block factor or spectrum, so that counts do not depend on
+    test order."""
     return gf.ReconstructionSystem(system.blocks)
 
 
 CASES = {
     # one analysis QR for the bound, S = R^* R and S^{-1} = R^{-1} R^{-*}; the survivors'
     # bounds and M_J's singular values
-    "truncate": (lambda: gf.truncate(GENERAL, [0, 3]),
+    "truncate": (lambda: gf.truncate(fresh(GENERAL), [0, 3]),
                  {"qr": 1, "eigvalsh": 1, "inv": 1, "svd": 2}),
     # no truncate: one analysis QR of the kept rows for their bound and their dual
-    "truncated_canonical_dual": (lambda: gf.truncated_canonical_dual(GENERAL, [0, 3]),
+    "truncated_canonical_dual": (lambda: gf.truncated_canonical_dual(fresh(GENERAL), [0, 3]),
                                  {"qr": 1, "inv": 1, "svd": 1}),
+    # one full analysis QR for the verdict and the dual, which seeds the cached spectrum
+    "canonical_dual": (lambda: gf.canonical_dual(fresh(GENERAL)),
+                       {"qr": 1, "inv": 1, "svd": 1}),
     # no S at all; one stacked SVD per block height (GENERAL has one)
     "nearest_projective": (lambda: gf.nearest_projective(GENERAL), {"svd": 1}),
     # one stacked product, no factorization
@@ -90,9 +95,9 @@ CASES = {
     # no S at all: the weights come from one values-only SVD per block height (two here)
     "commuting_projective_dual": (lambda: gf.commuting_projective_dual(COMMUTING),
                                   {"svd": 2}),
-    # one analysis QR for S = R^* R, the dual and S^{-1}; two SVDs of the dual base, then
+    # one analysis QR for S = R^* R, the dual and S^{-1}; one SVD of the dual base, then
     # nearest_projective's one stacked SVD
-    "group_rs_checks": (orbit_checks, {"qr": 1, "inv": 1, "svd": 1 + 2 + 1}),
+    "group_rs_checks": (orbit_checks, {"qr": 1, "inv": 1, "svd": 1 + 1 + 1}),
 }
 
 
@@ -101,6 +106,43 @@ def test_linear_algebra_counts(counts, name):
     op, expected = CASES[name]
     op()
     assert dict(counts) == expected
+
+
+def test_classify_reads_a_cached_spectrum(counts):
+    system = fresh(GENERAL)
+    gf.canonical_dual(system)
+    counts.clear()
+    gf.classify(system)
+    assert dict(counts) == {"svd": 1}  # the block spectra only; no factor of T
+
+
+def test_ops_on_one_system_take_one_spectrum(counts, monkeypatch):
+    spectra = Counter()
+    squared_spectrum = core._squared_spectrum
+
+    def counted(*args, **kwargs):
+        spectra["r"] += 1
+        return squared_spectrum(*args, **kwargs)
+
+    monkeypatch.setattr(core, "_squared_spectrum", counted)
+    system = fresh(GENERAL)
+    drop = [0, 3]
+    pipeline = [
+        # block spectra (one height), and the values-only QR and SVD of R the verdict needs
+        (lambda: gf.classify(system), {"qr": 1, "svd": 2}),
+        # the full QR the dual needs, and no SVD: the spectrum is cached
+        (lambda: gf.canonical_dual(system), {"qr": 1, "inv": 1}),
+        # R for S and S^{-1}; M_J's singular values and the survivors' bounds
+        (lambda: gf.truncate(system, drop), {"qr": 1, "inv": 1, "svd": 1, "eigvalsh": 1}),
+        # no factor at all: the dropped blocks' norms take one SVD per height
+        (lambda: gf.ck_sufficient_condition(system, drop), {"svd": 1}),
+        (lambda: gf.inverse_frame_operator(system), {"qr": 1, "inv": 1}),
+    ]
+    for op, expected in pipeline:
+        counts.clear()
+        op()
+        assert dict(counts) == expected
+    assert spectra["r"] == 1
 
 
 def test_error_report_factors_each_system_once(monkeypatch):

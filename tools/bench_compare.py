@@ -27,6 +27,11 @@ number of pairs the change won (ties count for neither side) and two verdicts:
   otherwise ``"yes"`` when the change's median is no worse than the parent's
   by more than the bound, else ``"no"``.
 
+The workload entry also records the calibration layer: per side, the spread
+of the runs' ``calibration_ms_p50`` (the gframes-free numpy kernel every
+timing is scaled by, from each ``# summary``), so a shift in machine speed
+between the sides shows next to the scaled metrics.
+
 Every run's ``# summary`` line is kept as printed, with the first run's
 ``# environment`` line.  The output file may hold several workloads: an
 existing file is read and only the entry of workload ``W`` is replaced.  A run
@@ -200,6 +205,9 @@ def main(argv=None) -> int:
         "seeds": [args.seed_base + pair for pair in range(args.pairs)],
         "metrics": metrics,
         "failed_frac": failed,
+        "calibration_ms_p50": {
+            side: spread(series(side, lambda r: r["summary"]["calibration_ms_p50"]))
+            for side in ("parent", "change")},
         "environment": runs[0].get("environment"),
         "runs": [{key: run[key] for key in ("pair", "seed", "side", "first", "summary")}
                  for run in runs],
@@ -210,6 +218,9 @@ def main(argv=None) -> int:
               f"[{entry['parent']['q1']:.6g}, {entry['parent']['q3']:.6g}] -> "
               f"{entry['change']['median']:.6g}, wins {entry['wins']}/{args.pairs}, "
               f"gain {entry['gain']}, within bound {entry['within_bound']}")
+    calibration = record["workloads"][args.workload]["calibration_ms_p50"]
+    print(f"{args.workload} calibration_ms_p50: {calibration['parent']['median']:.6g} -> "
+          f"{calibration['change']['median']:.6g}")
     return 0
 
 
