@@ -9,8 +9,9 @@ singular value, the trace of the positive factor divided by ``k``.  Applying
 this blockwise gives the projective system nearest to an injective one in
 the stacked-analysis Frobenius distance.
 
-``nearest_projective`` takes one stacked thin SVD ``B_i = L_i diag(sigma_i) R_i``
-per block height, a view of the analysis matrix when all heights agree, and
+``nearest_projective`` takes one thin SVD ``B_i = L_i diag(sigma_i) R_i`` of
+the zero-padded block stack (a view of the analysis matrix when all heights
+agree), keeps the ``k_i`` singular triplets of each block's own rows, and
 forms each ``U_i = L_i R_i`` without its positive factor.  Since ``B_i`` and
 ``alpha_i U_i`` share their singular vectors, the distance is
 
@@ -29,8 +30,9 @@ from ._linalg import dagger, hermitian_part, is_flat, singular_values, threshold
 from .core import (
     DEFAULT_TOLERANCE,
     ReconstructionSystem,
+    _block_stack,
     _from_analysis,
-    _group_stacks,
+    _layout,
 )
 from .errors import PreconditionError, StructuralError
 
@@ -91,19 +93,16 @@ def nearest_projective(system: ReconstructionSystem,
     """
     if not tolerance > 0.0:
         raise StructuralError("tolerance must be positive")
-    pieces = []
-    gap = 0.0
-    for _, rows, stack in _group_stacks(system):
-        left, sigma, right = np.linalg.svd(stack, full_matrices=False)
-        if stack.shape[1] > system.d or np.any(sigma[:, -1] <= threshold(tolerance, sigma[:, 0])):
-            raise PreconditionError("projective approximation needs an injective system")
-        alpha = np.mean(sigma, axis=1, keepdims=True)
-        gap += float(np.sum((sigma - alpha) ** 2))
-        pieces.append((rows, (alpha[..., None] * left) @ right))  # the alpha_i U_i
-    if len(pieces) == 1:
-        nearest = pieces[0][1].reshape(system.analysis.shape)
-    else:
-        nearest = np.empty_like(system.analysis)
-        for rows, weighted in pieces:
-            nearest[rows] = weighted.reshape(-1, system.d)
+    rows = _layout(system.k, system.d).rows
+    sizes = np.asarray(system.k)
+    left, sigma, right = np.linalg.svd(_block_stack(system), full_matrices=False)
+    if rows.shape[1] > system.d or np.any(
+            sigma[np.arange(system.m), sizes - 1] <= threshold(tolerance, sigma[:, 0])):
+        raise PreconditionError("projective approximation needs an injective system")
+    # keep each block's k_i singular triplets; the rest belong to its zero padding
+    sigma = np.where(rows, sigma, 0.0)
+    alpha = np.where(rows, sigma.sum(axis=1, keepdims=True) / sizes[:, None], 0.0)
+    gap = float(np.sum((sigma - alpha) ** 2))
+    nearest = (alpha[:, None, :] * left) @ right  # the alpha_i U_i
+    nearest = nearest.reshape(-1, system.d) if rows.all() else nearest[rows]  # no copy unpadded
     return _from_analysis(nearest, system.k), float(np.sqrt(gap))

@@ -11,6 +11,16 @@ eigenvalues of ``S`` are the frame bounds.  Stacking the blocks vertically
 gives the ``K x d`` analysis matrix ``T`` (``K = sum_i k_i``); its adjoint is
 the synthesis matrix, and ``S = T^* T`` is analysis followed by synthesis.
 
+Blocks of mixed heights are batched one way only: zero-padded with rows to
+the widest block, as the ``m x width x d`` stack of ``_block_stack``, with
+``_layout(...).rows`` marking the real rows.  Padding leaves each block's
+QR factor and nonzero singular values unchanged, so every per-block
+quantity (injectivity, projective weights, the dropped blocks' norms in
+truncation, the erasure errors) reads one stacked factor.  Padding costs
+``m width^2 d`` where grouping blocks by height would cost
+``sum_i k_i^2 d``; the two differ only on systems with a few tall blocks
+among many short ones.
+
 Systems are immutable, so each caches what every op would otherwise
 recompute: its block factor and the spectrum ``sigma(T)^2`` that every
 verdict reads (see ``ReconstructionSystem``).
@@ -26,7 +36,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -122,8 +132,9 @@ class ReconstructionSystem:
     (``_block_factor``, one stacked QR), and the eigenvalues of ``S`` as the
     squared singular values of ``T`` (``_spectrum``, ``d`` floats).  Systems
     never change after construction, so both stay valid for the system's
-    lifetime: ``error_report`` reuses the block factor on every call against
-    the same system, and every verdict (``is_rs``, the frame bounds,
+    lifetime: every per-block value (``classify``'s injectivity and weights,
+    truncation's dropped norms, ``error_report`` against any dual) comes
+    from the one block factor, and every verdict (``is_rs``, the frame bounds,
     ``is_protocol`` and the lower bound that truncation reads) comes from
     the one spectrum, whichever op computed it.  No ``Q``, ``R`` or
     ``R^{-1}`` of ``T`` is cached: they cost ``K d`` and ``d^2`` entries per
@@ -390,43 +401,12 @@ def blockwise_distance(a: ReconstructionSystem, b: ReconstructionSystem) -> floa
     return max(frobenius(x - y) for x, y in zip(a.blocks, b.blocks))
 
 
-@lru_cache(maxsize=256)
-def _size_groups(sizes: tuple[int, ...]) -> tuple[tuple[int, np.ndarray, np.ndarray | None], ...]:
-    """The blocks of a shape grouped by height: ``(height, block indices, analysis rows)``.
-
-    Groups come in order of first appearance; the rows are None when every
-    block has the same height, since the whole analysis matrix is then the stack.
-    """
-    heights = np.asarray(sizes)
-    starts = np.concatenate(([0], np.cumsum(heights)[:-1]))
-    groups = []
-    for ki in dict.fromkeys(sizes):
-        members = np.flatnonzero(heights == ki)
-        members.flags.writeable = False
-        rows = None
-        if members.size < len(sizes):
-            rows = (starts[members, None] + np.arange(ki)).ravel()
-            rows.flags.writeable = False
-        groups.append((ki, members, rows))
-    return tuple(groups)
-
-
-def _group_stacks(system: ReconstructionSystem
-                  ) -> Iterator[tuple[np.ndarray, np.ndarray | None, np.ndarray]]:
-    """Per block height: the block indices, their analysis rows (None for all rows) and the
-    ``n x k x d`` stack of those blocks, a view of ``analysis`` when all heights agree."""
-    for ki, members, rows in _size_groups(system.k):
-        source = system.analysis if rows is None else system.analysis[rows]
-        yield members, rows, source.reshape(members.size, ki, system.d)
-
-
 def _block_sigma(system: ReconstructionSystem) -> np.ndarray:
-    """``m x width`` table of each block's singular values, descending and zero-padded,
-    from one values-only SVD per block height."""
-    sigma = np.zeros(_layout(system.k, system.d).rows.shape)
-    for members, _, stack in _group_stacks(system):
-        values = np.linalg.svd(stack, compute_uv=False)
-        sigma[members, :values.shape[1]] = values
+    """``m x width`` table of each block's singular values, descending and zero-padded:
+    ``sigma(R_i) = sigma(V_i)`` from one values-only SVD of the cached block factor."""
+    factor = system._block_factor
+    sigma = np.zeros((factor.shape[0], factor.shape[2]))
+    sigma[:, :factor.shape[1]] = np.linalg.svd(factor, compute_uv=False)
     return sigma
 
 

@@ -10,8 +10,9 @@ maximum (``worst_case``).
 QR factorization ``V_j^* = Q_j R_j``, where ``Q_j`` has orthonormal columns,
 ``||W_j^* V_j|| = ||V_j^* W_j|| = ||R_j W_j||``.  The ``R_j`` of a system come
 from one stacked QR of its zero-padded blocks, computed on first use and
-cached on the (immutable) system, so scoring many duals against one system
-costs one batched ``R W`` product and one norm per block for each dual.  The
+cached on the (immutable) system, the same factor whose singular values
+``classify`` reads, so scoring many duals against one system costs one
+batched ``R W`` product and one norm per block for each dual.  The
 values agree with the direct products up to rounding.
 
 Both optima come from one weighted family of duals.  Write each block of an
@@ -38,6 +39,13 @@ gradient of ``tr(D_lam^{-1})`` in ``lam``.
   certificate; ``wce_condition`` detects the regime where the canonical dual
   is provably the unique optimum.
 
+The family takes every ``U_i = Q_i^*`` and ``R_i`` from one full QR of the
+same padded stack (numpy takes ``R`` from the same LAPACK call as the cached
+factor), inverts all ``R_i`` in one stacked ``inv`` and builds each dual as
+one padded product.  It re-checks no frame bound: the ``U_i`` are a
+block-row scaling of ``T``, so they span ``C^d`` whenever ``T`` passes
+``is_rs``.
+
 ``D_lam`` is never formed: with ``Y = diag(lam)^{-1/2} U`` (rows scaled
 blockwise), ``D_lam = Y^* Y`` and ``D_lam^{-1} Y^*`` is the pseudoinverse of
 ``Y``, taken from a QR factorization that stays accurate when some weights
@@ -58,7 +66,7 @@ from .core import (
     ReconstructionSystem,
     _analysis_factor,
     _block_stack,
-    _frame_bounds,
+    _from_analysis,
     _index_subset,
     _layout,
     classify,
@@ -162,15 +170,15 @@ class WorstCaseSolution:
 class _WeightedDuals:
     """The duals minimizing ``sum_i lam_i ||W_i^* V_i||^2``, one per weight vector ``lam``."""
 
-    def __init__(self, system: ReconstructionSystem, tolerance: float) -> None:
+    def __init__(self, system: ReconstructionSystem) -> None:
         # V_i^* = Q_i R_i for all blocks in one QR of the zero-padded stack; the
         # padding leaves each leading Q_i and R_i as the block's own QR gives them
         q, r = np.linalg.qr(dagger(_block_stack(system)))
-        self.bases = dagger(q)[_layout(system.k, system.d).rows]
-        # the row spaces span the domain when the stacked bases pass the frame-bound check
-        _frame_bounds(ReconstructionSystem((self.bases,)), tolerance)
-        # (V_i V_i^*)^{-1} V_i = R_i^{-1} U_i
-        self.coordinates = [np.linalg.inv(r[i, :ki, :ki]) for i, ki in enumerate(system.k)]
+        self.rows = _layout(system.k, system.d).rows
+        self.bases = dagger(q)[self.rows]
+        # (V_i V_i^*)^{-1} V_i = R_i^{-1} U_i; a unit diagonal on the padding keeps each
+        # padded R_i invertible, and its inverse carries R_i^{-1} in the leading block
+        self.coordinates = np.linalg.inv(r + ~self.rows[:, None, :] * np.eye(r.shape[-1]))
         self.sizes = np.asarray(system.k)
         self.starts = np.cumsum(self.sizes) - self.sizes
 
@@ -187,9 +195,11 @@ class _WeightedDuals:
         return float(energy.sum()), np.add.reduceat(energy, self.starts) / weights, pinv
 
     def dual(self, weights: np.ndarray, pinv: np.ndarray) -> ReconstructionSystem:
-        return ReconstructionSystem(tuple(
-            c @ dagger(pinv[:, start:start + size]) / np.sqrt(w)
-            for c, w, start, size in zip(self.coordinates, weights, self.starts, self.sizes)))
+        """``W_i = lam_i^{-1/2} R_i^{-1} (pinv(Y)_i)^*`` as one product of padded stacks."""
+        stack = np.zeros(self.rows.shape + pinv.shape[:1], dtype=np.complex128)
+        stack[self.rows] = dagger(pinv)
+        stack = self.coordinates @ stack / np.sqrt(weights)[:, None, None]
+        return _from_analysis(stack[self.rows], self.sizes)
 
 
 def optimal_dual_two_error(system: ReconstructionSystem,
@@ -200,7 +210,7 @@ def optimal_dual_two_error(system: ReconstructionSystem,
         raise PreconditionError("two-error optimization needs a projective system")
     if not shape.is_rs:
         raise NotReconstructionSystemError("system has no positive lower frame bound")
-    family = _WeightedDuals(system, tolerance)
+    family = _WeightedDuals(system)
     uniform = np.ones(system.m)
     return family.dual(uniform, family.solve(uniform)[2])
 
@@ -258,7 +268,7 @@ def wce_solve(system: ReconstructionSystem, iterations: int = 5000,
     if system.tr_k == system.d:
         return WorstCaseSolution(canonical, incumbent, incumbent, 0)
 
-    family = _WeightedDuals(system, tolerance)
+    family = _WeightedDuals(system)
     weights = np.ones(system.m)
     upper, lower, best = incumbent, 0.0, None
     for step in range(1, iterations + 1):

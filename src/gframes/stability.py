@@ -14,9 +14,10 @@ the analysis matrix, the lower bound from the spectrum the system caches
 (see ``core.ReconstructionSystem``: seeded by the first factor of ``T`` and
 valid for the system's lifetime, since systems are immutable), and the
 dropped Gram sum as one product of the dropped rows.
-``ck_sufficient_condition`` factors nothing once that spectrum is cached: it
-reads the lower bound from it and takes the dropped blocks' spectral norms
-from one values-only SVD per block height.  ``truncated_canonical_dual`` does
+``ck_sufficient_condition`` factors nothing once the system's spectrum and
+block factor are cached: it reads the lower bound from the one and the
+dropped blocks' spectral norms ``||R_i||_sp = ||V_i||_sp`` from one
+values-only SVD of the other.  ``truncated_canonical_dual`` does
 not run ``truncate``: it copies the kept rows once and judges them by the one
 ``is_rs`` rule of their own QR factor, so it returns exactly when
 ``canonical_dual`` of the kept blocks returns.  Its dual is certified by the
@@ -42,7 +43,6 @@ from .core import (
     DEFAULT_TOLERANCE,
     ReconstructionSystem,
     _analysis_factor,
-    _block_sigma,
     _frame_bounds,
     _from_analysis,
     _index_subset,
@@ -150,9 +150,8 @@ def ck_sufficient_condition(system: ReconstructionSystem, dropped: Iterable[int]
     drop = _index_subset(dropped, system.m, "dropped")
     lower, _ = _frame_bounds(system, tolerance)
     tops = []
-    if drop:
-        removed = _from_analysis(_rows(system, drop), [system.k[i] for i in drop])
-        tops = _block_sigma(removed)[:, 0].tolist()
+    if drop:  # ||V_i||_sp = ||R_i||_sp from the cached block factor
+        tops = np.linalg.svd(system._block_factor[list(drop)], compute_uv=False)[:, 0].tolist()
     total = sum(top ** 2 for top in tops)  # in block order, as a per-block loop adds them
     estimate = lower - total
     return total < lower, float(estimate)

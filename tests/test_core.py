@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import gframes as gf
-from gframes._linalg import dagger, eigen_bounds
+import gframes.core as core
+from gframes._linalg import complex_gaussian, dagger, eigen_bounds
 from gframes.errors import StructuralError
 from gframes.generate import partition_protocol, random_projective, random_system
 from helpers import draw_general, draw_nonuniform_projective, draw_uniform_projective
@@ -275,3 +276,22 @@ def test_random_projective_honors_requested_weights():
     info = gf.classify(system)
     assert info.is_projective
     assert np.allclose(info.weights, weights, atol=1e-10)
+
+
+def test_block_sigma_matches_a_per_block_svd():
+    # sigma(R_i) from the cached block factor against np.linalg.svd of each V_i: mixed
+    # heights, k_i > d, rank-deficient blocks and blocks scaled by 1e-8 and 1e8
+    rng = np.random.default_rng(131)
+    d = 5
+    blocks = [complex_gaussian(rng, (k, d)) for k in (1, 3, 7, 2, 5, 4, 6)]
+    blocks[1] = 1e-8 * blocks[1]
+    blocks[4] = 1e8 * blocks[4]
+    blocks[5] = np.outer(complex_gaussian(rng, (4,)), complex_gaussian(rng, (d,)))  # rank 1
+    blocks[6] = 1e8 * blocks[6] @ np.diag([1.0, 1.0, 1.0, 0.0, 0.0])  # rank 3 of 6 rows
+    system = gf.ReconstructionSystem(blocks)
+    table = core._block_sigma(system)
+    assert table.shape == (system.m, max(system.k))
+    for row, block in zip(table, blocks):
+        reference = np.linalg.svd(block, compute_uv=False)
+        assert np.all(row[reference.size:] == 0.0)
+        assert np.max(np.abs(row[:reference.size] - reference)) <= 1e-14 * reference[0]

@@ -5,7 +5,6 @@ import pytest
 
 import gframes as gf
 from gframes._linalg import dagger, frobenius
-from gframes.erasure import _WeightedDuals
 from gframes.errors import (
     NotReconstructionSystemError,
     PreconditionError,
@@ -306,4 +305,26 @@ def test_weighted_duals_reject_row_spaces_missing_a_direction():
     flat = gf.ReconstructionSystem([np.array([[1.0, 0.0, 0.0]]),
                                     np.array([[2.0, 0.0, 0.0]])])
     with pytest.raises(NotReconstructionSystemError):
-        _WeightedDuals(flat, 1e-9)
+        gf.wce_solve(flat)
+    with pytest.raises(NotReconstructionSystemError):
+        gf.optimal_dual_two_error(flat)
+
+
+def test_weighted_duals_of_an_ill_conditioned_system_that_passes_is_rs():
+    # lambda_min / lambda_max = 1.21e-9, just above the 1e-9 rule: the block bases
+    # U_i = R_i^{-*} V_i are a block-row scaling of T, more ill-conditioned than T
+    # itself, so no frame bound may be re-checked on them
+    angle = 2.2 * 10 ** -4.5
+    system = gf.ReconstructionSystem([np.array([[0.1, 0.0]])] * 100
+                                     + [np.array([[np.cos(angle), np.sin(angle)]])])
+    shape = gf.classify(system)
+    assert shape.is_rs and shape.is_projective
+    assert shape.lower_bound / shape.upper_bound == pytest.approx(1.21e-9, rel=1e-6)
+    solution = gf.wce_solve(system)
+    assert gf.verify_dual(solution.dual, system).dual_residual <= 1e-9
+    assert solution.achieved - solution.lower_bound <= 1e-9 * solution.achieved
+    two_error = gf.optimal_dual_two_error(system)
+    assert gf.verify_dual(two_error, system).dual_residual <= 1e-9
+    canonical = gf.canonical_dual(system)
+    assert (gf.error_report(system, two_error).two_error
+            <= gf.error_report(system, canonical).two_error * (1 + 1e-12))

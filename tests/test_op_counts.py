@@ -6,9 +6,13 @@ through it) and the ``numpy.linalg`` entry points ``qr``, ``eigvalsh``,
 takes them from one QR of the analysis matrix ``T = Q R`` (one ``qr``, at
 most one ``inv`` of ``R``, and one values-only ``svd`` of ``R`` the first
 time a system is factored, since the system caches that spectrum); no op
-builds ``S`` block by block or inverts it.  Per-block spectra and polar factors take
-one stacked ``svd`` per block height, not one per block.  Calls numpy makes internally (``norm(a, 2)``, ``solve``) are not
-counted.  A separate counter checks that ``error_report`` factors each
+builds ``S`` block by block or inverts it.  Every per-block value comes from
+the zero-padded block stack: the block spectra (injectivity, weights, the
+dropped norms in truncation) are one values-only ``svd`` of the block
+factor ``R_i``, which one ``qr`` of the stack computes once per system and
+``error_report`` shares; polar factors are one stacked ``svd`` of the
+stack itself.  Calls numpy makes internally (``norm(a, 2)``, ``solve``) are
+not counted.  A separate counter checks that ``error_report`` factors each
 system once, however many duals it scores against it.
 """
 
@@ -76,7 +80,7 @@ CASES = {
     # one full analysis QR for the verdict and the dual, which seeds the cached spectrum
     "canonical_dual": (lambda: gf.canonical_dual(fresh(GENERAL)),
                        {"qr": 1, "inv": 1, "svd": 1}),
-    # no S at all; one stacked SVD per block height (GENERAL has one)
+    # no S at all; one thin SVD of the padded block stack
     "nearest_projective": (lambda: gf.nearest_projective(GENERAL), {"svd": 1}),
     # one stacked product, no factorization
     "verify_dual": (lambda: gf.verify_dual(GENERAL, GENERAL), {}),
@@ -84,17 +88,17 @@ CASES = {
     # dual; error_report's block factor
     "wce_condition": (lambda: gf.wce_condition(fresh(PROJECTIVE)),
                       {"qr": 2, "inv": 1, "svd": 1 + 1}),
-    # plus the weighted family: one QR of the blocks, the frame-bound check of their stacked
-    # bases (one QR and one SVD), one R_i^{-1} per block, one QR per step
+    # plus the weighted family: one full QR of the padded blocks, one stacked inv of all
+    # R_i, one QR per step
     "wce_solve": (lambda: gf.wce_solve(fresh(PROJECTIVE), iterations=3),
-                  {"qr": 2 + 2 + 3, "inv": 1 + PROJECTIVE.m, "svd": 1 + 2}),
+                  {"qr": 2 + 1 + 3, "inv": 1 + 1, "svd": 1 + 1}),
     # one analysis QR for the system; per block a kernel SVD and a restriction SVD; the
-    # stacked block spectra of the system and of its dual, one SVD per height (three here)
+    # block spectra of the system and of its dual, each one block QR and one SVD of its R_i
     "riesz_projective_dual_check": (lambda: gf.riesz_projective_dual_check(RIESZ),
-                                    {"qr": 1, "inv": 1, "svd": 1 + 2 * RIESZ.m + 2 * 3}),
-    # no S at all: the weights come from one values-only SVD per block height (two here)
+                                    {"qr": 1 + 2, "inv": 1, "svd": 1 + 2 * RIESZ.m + 2}),
+    # no S at all: the weights come from one block QR and one values-only SVD of its R_i
     "commuting_projective_dual": (lambda: gf.commuting_projective_dual(COMMUTING),
-                                  {"svd": 2}),
+                                  {"qr": 1, "svd": 1}),
     # one analysis QR for S = R^* R, the dual and S^{-1}; one SVD of the dual base, then
     # nearest_projective's one stacked SVD
     "group_rs_checks": (orbit_checks, {"qr": 1, "inv": 1, "svd": 1 + 1 + 1}),
@@ -113,7 +117,7 @@ def test_classify_reads_a_cached_spectrum(counts):
     gf.canonical_dual(system)
     counts.clear()
     gf.classify(system)
-    assert dict(counts) == {"svd": 1}  # the block spectra only; no factor of T
+    assert dict(counts) == {"qr": 1, "svd": 1}  # the block factor and its spectra; no factor of T
 
 
 def test_ops_on_one_system_take_one_spectrum(counts, monkeypatch):
@@ -127,14 +131,18 @@ def test_ops_on_one_system_take_one_spectrum(counts, monkeypatch):
     monkeypatch.setattr(core, "_squared_spectrum", counted)
     system = fresh(GENERAL)
     drop = [0, 3]
+    duals = []
     pipeline = [
-        # block spectra (one height), and the values-only QR and SVD of R the verdict needs
-        (lambda: gf.classify(system), {"qr": 1, "svd": 2}),
+        # the block QR and the SVD of its R_i for the block spectra, and the values-only
+        # QR and SVD of R the verdict needs
+        (lambda: gf.classify(system), {"qr": 2, "svd": 2}),
         # the full QR the dual needs, and no SVD: the spectrum is cached
-        (lambda: gf.canonical_dual(system), {"qr": 1, "inv": 1}),
+        (lambda: duals.append(gf.canonical_dual(system)), {"qr": 1, "inv": 1}),
+        # no factor at all: the block factor is cached
+        (lambda: gf.error_report(system, duals[0]), {}),
         # R for S and S^{-1}; M_J's singular values and the survivors' bounds
         (lambda: gf.truncate(system, drop), {"qr": 1, "inv": 1, "svd": 1, "eigvalsh": 1}),
-        # no factor at all: the dropped blocks' norms take one SVD per height
+        # no factor at all: the dropped blocks' norms take one SVD of the cached R_i
         (lambda: gf.ck_sufficient_condition(system, drop), {"svd": 1}),
         (lambda: gf.inverse_frame_operator(system), {"qr": 1, "inv": 1}),
     ]

@@ -3,8 +3,11 @@
 A system caches the spectrum ``sigma(T)^2`` of its analysis matrix on first
 use, whether a verdict (``classify``, ``ck_sufficient_condition``) or a
 factor (``canonical_dual``, ``truncate``, ``inverse_frame_operator``) asks
-first.  Every op must return the same bits, or raise the same error with the
-same message, on a cold system as on one warmed by any other op.
+first, and its block factor ``R_i`` whenever a per-block value is first
+needed (``classify``, ``ck_sufficient_condition``, ``error_report``, the
+erasure-optimal duals).  Every op must return the same bits, or raise the
+same error with the same message, on a cold system as on one warmed by any
+other op.
 """
 
 from dataclasses import astuple
@@ -14,9 +17,20 @@ import pytest
 
 import gframes as gf
 from gframes._linalg import complex_gaussian
-from gframes.generate import random_system
+from gframes.generate import random_projective, random_system
 
 DROP = (0,)
+
+
+def nearest(system):
+    approximation, distance = gf.nearest_projective(system)
+    return approximation.analysis, distance
+
+
+def worst_case(system):
+    found = gf.wce_solve(system, iterations=20)
+    return found.dual.analysis, found.achieved, found.lower_bound, found.steps
+
 
 OPS = {
     "classify": lambda s: astuple(gf.classify(s)),
@@ -24,6 +38,10 @@ OPS = {
     "truncate": lambda s: astuple(gf.truncate(s, DROP)),
     "ck_sufficient_condition": lambda s: gf.ck_sufficient_condition(s, DROP),
     "inverse_frame_operator": gf.inverse_frame_operator,
+    "error_report": lambda s: astuple(gf.error_report(s, gf.canonical_dual(s))),
+    "nearest_projective": nearest,
+    "optimal_dual_two_error": lambda s: gf.optimal_dual_two_error(s).analysis,
+    "wce_solve": worst_case,
 }
 
 
@@ -41,6 +59,7 @@ def edge_systems():
             tuple(complex_gaussian(np.random.default_rng(3), (2, 2, 6)))),
         "rank_deficient": blocks_times(base, flat),
         "scaled_1e-8": blocks_times(base, 1e-8 * np.eye(6)),
+        "mixed_projective": random_projective(8, (1, 3, 4, 2, 4), 11),
     }
 
 
@@ -74,7 +93,8 @@ def test_outputs_do_not_depend_on_which_op_fills_the_cache(kind, first):
     cold = {op: outcome(op, fresh(system)) for op in OPS}
     warm = fresh(system)
     outcome(first, warm)
-    assert "_spectrum" in vars(warm)
+    if first != "nearest_projective":  # the one op that reads neither cache
+        assert "_spectrum" in vars(warm)
     for op in OPS:
         assert same(outcome(op, warm), cold[op]), op
 
@@ -83,6 +103,7 @@ def test_verdicts_of_the_edge_systems():
     cases = SYSTEMS
     assert gf.classify(cases["general"]).is_rs
     assert gf.classify(cases["scaled_1e-8"]).is_rs
+    assert gf.classify(cases["mixed_projective"]).is_projective
     for kind in ("fewer_rows_than_d", "rank_deficient"):
         assert not gf.classify(cases[kind]).is_rs
         kind_of, message = outcome("canonical_dual", fresh(cases[kind]))

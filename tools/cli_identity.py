@@ -6,11 +6,13 @@ Usage::
 
 ``OLD_SRC`` and ``NEW_SRC`` are directories that contain the ``gframes``
 package (for example ``src`` of two checkouts).  The script writes the five
-fixtures, a generated ``random_system(32, (4,)*16, 7)`` and a generated
-``random_projective(12, (3,)*6, 11)`` to a temporary directory with the old
-tree, then runs a fixed matrix of CLI calls on them, each in a fresh process
-under each tree, and reports every call whose stdout, stderr or exit code
-differs.  The matrix covers every subcommand and every ``dual --kind``
+fixtures and four generated systems to a temporary directory with the old
+tree: ``random_system(32, (4,)*16, 7)``, ``random_projective(12, (3,)*6, 11)``
+and, with mixed block heights so that the zero-padded block stack is
+exercised, ``random_system(12, (1, 3, 4, 2, 4), 7)`` and
+``random_projective(8, (1, 3, 4, 2, 4), 11)``.  It then runs a fixed matrix
+of 159 CLI calls on them, each in a fresh process under each tree, and
+reports every call whose stdout, stderr or exit code differs.  The matrix covers every subcommand and every ``dual --kind``
 (``wce`` also at ``--iterations 200``), ``erase`` with and without a mask and
 with and without ``--dual``, ``truncate`` dropping one and ``m - 1`` blocks,
 ``analyze``, ``truncate`` and ``dual --kind two_error`` at ``--tolerance``
@@ -57,7 +59,12 @@ from gframes import save_system
 from gframes.generate import random_projective, random_system
 save_system(random_system(32, (4,) * 16, 7), sys.argv[1])
 save_system(random_projective(12, (3,) * 6, 11), sys.argv[2])
+save_system(random_system(12, (1, 3, 4, 2, 4), 7), sys.argv[3])
+save_system(random_projective(8, (1, 3, 4, 2, 4), 11), sys.argv[4])
 """
+
+GENERATED = ("generated", "generated_projective", "generated_mixed",
+             "generated_mixed_projective")
 
 
 def run(python: str, src: Path, args: list[str], cwd: Path) -> tuple[int, str, str]:
@@ -194,10 +201,9 @@ def main(argv=None) -> int:
             if code:
                 print(f"could not write fixture {name}: {err.strip()}", file=sys.stderr)
                 return 2
-        paths["generated"] = work / "generated.json"
-        paths["generated_projective"] = work / "generated_projective.json"
-        code, _, err = run(args.python, old, ["-c", GENERATE, str(paths["generated"]),
-                                              str(paths["generated_projective"])], work)
+        paths.update((name, work / f"{name}.json") for name in GENERATED)
+        code, _, err = run(args.python, old,
+                           ["-c", GENERATE, *(str(paths[name]) for name in GENERATED)], work)
         if code:
             print(f"could not generate systems: {err.strip()}", file=sys.stderr)
             return 2
