@@ -303,6 +303,13 @@ def _is_rs(lower: float, upper: float, tolerance: float) -> bool:
     return lower > threshold(tolerance, upper)
 
 
+def _analysis_is_rs(analysis: np.ndarray, tolerance: float) -> np.ndarray:
+    """``_is_rs`` of an analysis matrix ``T`` or of each in a ``... x K x d`` stack, read from
+    one batched ``eigvalsh`` of ``T^* T`` formed as one product; it seeds no ``_spectrum``."""
+    spectra = np.linalg.eigvalsh(dagger(analysis) @ analysis)
+    return _is_rs(spectra[..., 0], spectra[..., -1], tolerance)
+
+
 def _frame_bounds(system: ReconstructionSystem,
                   tolerance: float | None = None) -> tuple[float, float]:
     """``(lambda_min, lambda_max)`` of ``S`` from the system's spectrum; given a
@@ -332,25 +339,17 @@ def _analysis_factor(system: ReconstructionSystem, tolerance: float | None = Non
     return _AnalysisFactor(q, r)
 
 
-def _block_gram(analysis: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
-    """Block Gram sum of an analysis matrix, or of a stack of them (``... x K x d``).
-
-    Adds ``V_i^* V_i`` over the row blocks ``V_i`` of heights ``sizes`` in
-    block order, then symmetrizes.  A stacked caller gets, for each matrix,
-    the bits ``frame_operator`` gives on its system alone.
-    """
-    total = np.zeros(analysis.shape[:-2] + analysis.shape[-1:] * 2, dtype=np.complex128)
-    start = 0
-    for ki in sizes:
-        rows = analysis[..., start:start + ki, :]
-        total += dagger(rows) @ rows
-        start += ki
+def _block_gram(system: ReconstructionSystem) -> np.ndarray:
+    """Block Gram sum: ``V_i^* V_i`` added over the blocks in order, then symmetrized."""
+    total = np.zeros((system.d, system.d), dtype=np.complex128)
+    for block in system.blocks:
+        total += dagger(block) @ block
     return hermitian_part(total)
 
 
 def frame_operator(system: ReconstructionSystem) -> np.ndarray:
     """Block Gram sum ``S = sum_i V_i^* V_i``, symmetrized on return."""
-    return _block_gram(system.analysis, system.k)
+    return _block_gram(system)
 
 
 def analysis_apply(system: ReconstructionSystem, x) -> list[np.ndarray]:

@@ -29,12 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import dagger, frobenius, threshold
+from ._linalg import dagger, frobenius
 from .core import (
     DEFAULT_TOLERANCE,
     ReconstructionSystem,
     _analysis_factor,
-    _block_gram,
+    _analysis_is_rs,
     _from_analysis,
     system_from_synthesis,
 )
@@ -137,9 +137,11 @@ def dual_manifold_sample(system: ReconstructionSystem, seed: int, count: int,
                          max_redraws: int = 100) -> list[ReconstructionSystem]:
     """Draw ``count`` duals with Gaussian chart parameters, deterministically in ``seed``.
 
-    Draws whose own block Gram sum is numerically singular are discarded and
-    redrawn (such duals exist but are useless downstream); each slot gets at
-    most ``max_redraws`` attempts before ``SamplingError``.
+    Parameters have entries of standard deviation ``scale / sigma_max(T)``, so
+    the samples of ``c V`` are those of ``V`` divided by ``c``.  A draw whose
+    analysis matrix fails ``core._is_rs`` at ``tolerance`` is redrawn (such duals
+    exist but are useless downstream); each slot gets at most ``max_redraws``
+    attempts before ``SamplingError``.
 
     Attempts are drawn and tested in batches, but each one takes the next
     ``complex_gaussian`` parameter from the generator, as drawing one attempt
@@ -150,6 +152,7 @@ def dual_manifold_sample(system: ReconstructionSystem, seed: int, count: int,
     if count < 1:
         raise StructuralError("count must be at least 1")
     manifold = dual_manifold(system, tolerance)
+    deviation = scale / np.sqrt(system._spectrum[0])  # dual_manifold cached the spectrum
     rng = np.random.default_rng(seed)
     batch = max(1, min(_SAMPLE_CHUNK, _BATCH_ENTRIES // (system.d * system.tr_k)))
     samples: list[ReconstructionSystem] = []
@@ -160,14 +163,11 @@ def dual_manifold_sample(system: ReconstructionSystem, seed: int, count: int,
         size = min(batch, count - len(samples), max_redraws - misses)
         # per attempt: the real parts, then the imaginary parts, as complex_gaussian draws them
         draws = rng.standard_normal((size, 2, system.d, system.tr_k))
-        parameters = scale * (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
+        parameters = deviation * (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
         syntheses = manifold.base_synthesis + parameters @ manifold.range_complement
         analyses = np.ascontiguousarray(dagger(syntheses))
-        spectra = np.linalg.eigvalsh(_block_gram(analyses, system.k))
-        for analysis, lower, upper in zip(analyses, spectra[:, 0].tolist(),
-                                          spectra[:, -1].tolist()):
-            # scale floored at 1: every seeded draw is tuned to lambda_min / max(1, lambda_max)
-            if lower > threshold(tolerance, max(1.0, upper)):
+        for analysis, accepted in zip(analyses, _analysis_is_rs(analyses, tolerance).tolist()):
+            if accepted:
                 samples.append(_from_analysis(analysis, system.k))
                 misses = 0
             else:

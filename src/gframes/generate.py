@@ -2,7 +2,10 @@
 
 All generators are deterministic in their ``seed`` argument (an int or an
 existing ``numpy.random.Generator``) and guard conditioning, so comparisons
-at the 1e-10 level stay meaningful downstream.
+at the 1e-10 level stay meaningful downstream: a draw is kept when its
+analysis matrix ``T`` passes the relative rule ``core._is_rs`` at ``conditioning``
+(``random_riesz`` on ``sigma(T)``, the others on ``sigma(T)^2``), so the same
+draw is kept at any scale.
 """
 
 from __future__ import annotations
@@ -12,9 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import (complex_gaussian, dagger, eigen_bounds, random_unitary, singular_values,
-                      threshold)
-from .core import ReconstructionSystem, _from_analysis, _layout, frame_operator
+from ._linalg import complex_gaussian, dagger, random_unitary, singular_values
+from .core import ReconstructionSystem, _analysis_is_rs, _from_analysis, _is_rs, _layout
 from .errors import SamplingError, StructuralError
 
 __all__ = [
@@ -37,21 +39,16 @@ def random_coisometry(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
     return dagger(q)
 
 
-def _well_conditioned(system: ReconstructionSystem, floor: float) -> bool:
-    lower, upper = eigen_bounds(frame_operator(system))
-    # scale floored at 1: every seeded draw is tuned to lambda_min / max(1, lambda_max)
-    return lower > threshold(floor, max(1.0, upper))
-
-
 def random_system(d: int, k: Sequence[int], seed, scale: float = 1.0,
                   conditioning: float = 1e-3) -> ReconstructionSystem:
-    """Gaussian blocks, redrawn until the lower frame bound is comfortable."""
+    """Gaussian blocks of entry scale ``scale``, redrawn until ``_is_rs`` at ``conditioning``;
+    which attempt is kept does not depend on ``scale``."""
     rng = np.random.default_rng(seed)
     sizes = tuple(int(ki) for ki in k)
     for _ in range(_ATTEMPTS):
         system = ReconstructionSystem(tuple(complex_gaussian(rng, (ki, d), scale)
                                             for ki in sizes))
-        if _well_conditioned(system, conditioning):
+        if _analysis_is_rs(system.analysis, conditioning):
             return system
     raise SamplingError(f"no well-conditioned system for d={d}, k={sizes}")
 
@@ -84,7 +81,8 @@ def random_projective(d: int, k: Sequence[int], seed,
     make block by block, gathers them into a zero-padded stack, and factors
     all blocks in one stacked QR.  Zero columns pad every block to the
     widest; they leave the leading columns of each Q factor unchanged, so the
-    blocks are those of the blockwise loop.
+    blocks are those of the blockwise loop.  The ``_is_rs`` acceptance at
+    ``conditioning`` is relative: weights ``c w`` give ``c`` times the draw of ``w``.
     """
     rng = np.random.default_rng(seed)
     sizes = tuple(int(ki) for ki in k)
@@ -105,9 +103,9 @@ def random_projective(d: int, k: Sequence[int], seed,
         gaussians = np.zeros(entries.shape, dtype=np.complex128)
         gaussians[entries] = (draws[real] + 1j * draws[imag]) / np.sqrt(2.0)
         q, _ = np.linalg.qr(gaussians)
-        system = _from_analysis(np.repeat(scales, sizes)[:, None] * dagger(q)[rows], sizes)
-        if _well_conditioned(system, conditioning):
-            return system
+        analysis = np.repeat(scales, sizes)[:, None] * dagger(q)[rows]
+        if _analysis_is_rs(analysis, conditioning):
+            return _from_analysis(analysis, sizes)
     raise SamplingError(f"no well-conditioned projective system for d={d}, k={sizes}")
 
 
@@ -135,7 +133,7 @@ def random_riesz(k: Sequence[int], seed, conditioning: float = 1e-2) -> Reconstr
     for _ in range(_ATTEMPTS):
         square = complex_gaussian(rng, (d, d))
         sigma = singular_values(square)
-        if float(sigma[-1]) > conditioning * float(sigma[0]):
+        if _is_rs(float(sigma[-1]), float(sigma[0]), conditioning):
             return _from_analysis(square, sizes)
     raise SamplingError(f"no well-conditioned square matrix for d={d}")
 

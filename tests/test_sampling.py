@@ -31,7 +31,7 @@ from gframes.generate import (
 MIXED_SIZES = [(3, 1, 4, 2), (1, 1, 1, 1, 1, 1, 1), (4, 4, 4), (2, 3), (1, 4, 1, 4, 2)]
 # Drawn over C^d with d = max(max(k), 5), each has blocks with k_i = d.
 FULL_WIDTH_SIZES = [(5, 5, 1), (6, 2, 6, 3)]
-# Conditioning floors near the median of lambda_min / max(1, lambda_max) over
+# Conditioning floors near the median of lambda_min / lambda_max over
 # each shape's projective draws, so that about half of the attempts are rejected.
 REJECTING_FLOORS = {(3, 1, 4, 2): 0.17, (1, 1, 1, 1, 1, 1, 1): 0.036, (4, 4, 4): 0.33,
                     (2, 3): 0.022, (1, 4, 1, 4, 2): 0.22, (5, 5, 1): 0.68, (6, 2, 6, 3): 0.5}
@@ -56,24 +56,25 @@ def projective_reference(d, k, seed, weights=None, conditioning=1e-3):
         system = gf.ReconstructionSystem(
             tuple(v * random_coisometry(rng, ki, d) for v, ki in zip(scales, k)))
         lower, upper = eigen_bounds(gram_loop(system))
-        if lower > conditioning * max(upper, 1.0):
+        if lower > conditioning * upper:
             return system, attempt
     raise AssertionError("reference found no well-conditioned system")
 
 
 def dual_sample_reference(system, seed, count, scale=1.0, tolerance=1e-9, max_redraws=100):
-    """``(samples, attempts)`` drawn one dual at a time."""
+    """``(samples, attempts)`` drawn one dual at a time, with chart parameters of
+    standard deviation ``scale / sigma_max(T)``."""
     manifold = gf.dual_manifold(system, tolerance)
+    deviation = scale / np.sqrt(gf.classify(system).upper_bound)
     rng = np.random.default_rng(seed)
     samples, attempts = [], 0
     for _ in range(count):
         for _ in range(max_redraws):
             attempts += 1
             candidate = manifold.system_at(
-                complex_gaussian(rng, (system.d, system.tr_k), scale))
+                complex_gaussian(rng, (system.d, system.tr_k), deviation))
             lower, upper = eigen_bounds(gram_loop(candidate))
-            # scale floored at 1, as the sampler does: its seeded draws are tuned to it
-            if lower > threshold(tolerance, max(1.0, upper)):
+            if lower > threshold(tolerance, upper):
                 samples.append(candidate)
                 break
         else:

@@ -63,6 +63,38 @@ def test_scaled_random_system_has_a_canonical_dual():
     assert gf.verify_dual(gf.canonical_dual(system), system).is_dual
 
 
+def assert_scaled(first, second, c, rtol):
+    """``first`` is ``c`` times ``second``, block for block, to ``rtol`` relative."""
+    assert first.k == second.k
+    target = c * second.analysis
+    assert np.linalg.norm(first.analysis - target) <= rtol * np.linalg.norm(target)
+
+
+def test_random_system_keeps_the_same_attempt_at_every_scale():
+    unit = random_system(6, (2, 3, 4, 2), 1)
+    for c in SCALES:
+        assert_scaled(random_system(6, (2, 3, 4, 2), 1, scale=c), unit, c, 1e-15)
+
+
+def test_random_projective_keeps_the_same_attempt_at_every_weight_scale():
+    weights = np.array([0.6, 0.9, 1.2, 1.5])
+    for seed in range(3):
+        unit = random_projective(6, (2, 3, 4, 2), seed, weights=weights)
+        for c in SCALES:
+            assert_scaled(random_projective(6, (2, 3, 4, 2), seed, weights=c * weights),
+                          unit, c, 1e-15)
+
+
+def test_dual_samples_of_a_scaled_system_are_the_samples_divided_by_c():
+    system = random_system(6, (2, 3, 4, 2), 1)
+    unit = gf.dual_manifold_sample(system, 7, 20)
+    for c in SCALES:
+        samples = gf.dual_manifold_sample(scaled(system, c), 7, 20)
+        assert len(samples) == len(unit)
+        for sample, reference in zip(samples, unit):
+            assert_scaled(sample, reference, 1.0 / c, 1e-13)
+
+
 def test_canonical_dual_at_kappa_1e4():
     system = conditioned(1e4, 0)
     assert np.isclose(np.linalg.cond(system.analysis), 1e4)

@@ -16,7 +16,11 @@ For each end-to-end metric named in the change's ``BENCHMARK.json`` the record
 holds, per side, the values of every run, their median and quartiles
 (``statistics.quantiles``, inclusive method), and for the timing metrics the
 same for the unscaled values from the ``# summary`` line.  It also holds the
-number of pairs the change won (ties count for neither side) and two verdicts:
+number of pairs the change won (ties count for neither side); under
+``paired``, each pair's relative difference ``(change - parent) / parent`` in
+pair order, with their median and largest magnitude (``max_abs``), which
+show whether a metric that spreads with the seed moved within pairs; and
+two verdicts, which the paired differences do not enter:
 
 - ``gain``: ``"too few pairs"`` below ten pairs; otherwise ``"yes"`` when the
   change won at least nine tenths of the pairs and its median beats the
@@ -110,7 +114,8 @@ def spread(values: list[float]) -> dict:
 
 
 def compare(parent: list[float], change: list[float], better: str, bound: float) -> dict:
-    """Per-side spreads, the change's wins and the gain and bound verdicts."""
+    """Per-side spreads, the change's wins, the paired differences and the gain and bound
+    verdicts."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     before, after = spread(parent), spread(change)
@@ -127,9 +132,12 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
         within = "unresolved"
     else:
         within = "yes" if -improvement <= allowed else "no"
+    paired = [(c - p) / p for p, c in zip(parent, change)]
     return {
         "parent": before,
         "change": after,
+        "paired": {"values": paired, "median": statistics.median(paired),
+                   "max_abs": max(map(abs, paired))},
         "wins": wins,
         "ties": sum(p == c for p, c in zip(parent, change)),
         "gain": gain,
@@ -217,6 +225,7 @@ def main(argv=None) -> int:
         print(f"{args.workload} {name}: {entry['parent']['median']:.6g} "
               f"[{entry['parent']['q1']:.6g}, {entry['parent']['q3']:.6g}] -> "
               f"{entry['change']['median']:.6g}, wins {entry['wins']}/{args.pairs}, "
+              f"paired {entry['paired']['median']:+.2e} (max {entry['paired']['max_abs']:.2e}), "
               f"gain {entry['gain']}, within bound {entry['within_bound']}")
     calibration = record["workloads"][args.workload]["calibration_ms_p50"]
     print(f"{args.workload} calibration_ms_p50: {calibration['parent']['median']:.6g} -> "
