@@ -299,7 +299,10 @@ def _squared_spectrum(r: np.ndarray, d: int) -> np.ndarray:
 
 
 def _is_rs(lower: float, upper: float, tolerance: float) -> bool:
-    """The one rule for a positive lower frame bound: ``sigma_min^2 > tol sigma_max^2``."""
+    """The one rule for a positive lower frame bound: ``sigma_min^2 > tol sigma_max^2``;
+    a ``tolerance`` that is not positive (NaN included) is a ``StructuralError``."""
+    if not tolerance > 0.0:
+        raise StructuralError("tolerance must be positive")
     return lower > threshold(tolerance, upper)
 
 

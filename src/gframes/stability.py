@@ -2,26 +2,24 @@
 
 Dropping the blocks in ``J`` multiplies the block Gram sum on the left by
 
-    M_J = I - sum_{i in J} V_i^* V_i S^{-1}
+    M_J = S_J S^{-1} = I - sum_{i in J} V_i^* V_i S^{-1}
 
-so the survivors form a usable system exactly when this factor is
-invertible.  A cheap sufficient condition for invertibility is that the
-dropped spectral energy ``sum_{i in J} ||V_i||_sp^2`` stays below the lower
-frame bound.  Indices are 0-based.
+(``S_J`` is the survivors' Gram sum), so the survivors form a usable system
+exactly when this factor is invertible.  A cheap sufficient condition for
+invertibility is that the dropped spectral energy ``sum_{i in J} ||V_i||_sp^2``
+stays below the lower frame bound.  Indices are 0-based.
 
-``truncate`` takes ``S^{-1} = R^{-1} R^{-*}`` from the checked QR factor of
-the analysis matrix, the lower bound from the spectrum the system caches
-(see ``core.ReconstructionSystem``: seeded by the first factor of ``T`` and
-valid for the system's lifetime, since systems are immutable), and the
-dropped Gram sum as one product of the dropped rows.
+Both truncation functions copy the kept rows once into a system of their own
+and judge it by the one ``is_rs`` rule on its own QR factor ``R_J``, so
+``truncate``'s verdict and bounds, ``classify`` of the kept blocks and
+``truncated_canonical_dual`` (which does not run ``truncate``) agree, however
+large the dropped blocks are.  ``truncate`` forms ``S_J = R_J^* R_J``, and
+``S^{-1} = R^{-1} R^{-*}`` from the checked QR factor of ``T``.
 ``ck_sufficient_condition`` factors nothing once the system's spectrum and
-block factor are cached: it reads the lower bound from the one and the
-dropped blocks' spectral norms ``||R_i||_sp = ||V_i||_sp`` from one
-values-only SVD of the other.  ``truncated_canonical_dual`` does
-not run ``truncate``: it copies the kept rows once and judges them by the one
-``is_rs`` rule of their own QR factor, so it returns exactly when
-``canonical_dual`` of the kept blocks returns.  Its dual is certified by the
-residual ``||sum_kept W_i^* V_i - I||``.
+block factor are cached (see ``core.ReconstructionSystem``): it reads the
+lower bound from the one and the dropped blocks' spectral norms
+``||R_i||_sp = ||V_i||_sp`` from one values-only SVD of the other.  The
+truncated dual is certified by its residual ``||sum_kept W_i^* V_i - I||``.
 """
 
 from __future__ import annotations
@@ -31,14 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import (
-    dagger,
-    eigen_bounds,
-    frobenius,
-    hermitian_part,
-    singular_values,
-    threshold,
-)
+from ._linalg import dagger, frobenius, hermitian_part, singular_values
 from .core import (
     DEFAULT_TOLERANCE,
     ReconstructionSystem,
@@ -46,6 +37,7 @@ from .core import (
     _frame_bounds,
     _from_analysis,
     _index_subset,
+    _is_rs,
 )
 from .errors import GFramesError, NotReconstructionSystemError, StructuralError
 
@@ -63,10 +55,11 @@ class TruncationReport:
 
     ``truncation_factor`` is the matrix ``M_J`` above; multiplying it into
     the original Gram sum reproduces ``truncated_frame_operator``, which is
-    formed as ``S - sum_{i in J} V_i^* V_i``, not from the surviving blocks.
-    ``lower_bound_estimate`` is the guaranteed lower frame bound
-    ``A / ||M_J^{-1}||_sp``; ``bounds_after`` holds the actual extreme
-    eigenvalues of the truncated Gram sum when the survivors form a system.
+    formed from the surviving blocks as ``R_J^* R_J``.  ``lower_bound_estimate``
+    is the guaranteed lower frame bound ``A / ||M_J^{-1}||_sp``;
+    ``bounds_after`` holds the extreme eigenvalues of the truncated Gram sum,
+    read from the survivors' own spectrum, when ``is_rs_after`` says that the
+    survivors pass the ``is_rs`` rule.
     """
 
     dropped: tuple[int, ...]
@@ -85,33 +78,36 @@ def _rows(system: ReconstructionSystem, blocks: Sequence[int]) -> np.ndarray:
     return system.analysis[np.repeat(chosen, system.k)]
 
 
-def truncate(system: ReconstructionSystem, dropped: Iterable[int],
-             tolerance: float = DEFAULT_TOLERANCE) -> TruncationReport:
-    """Drop the blocks in ``dropped`` (a proper subset) and report stability."""
+def _survivors(system: ReconstructionSystem, dropped: Iterable[int]
+               ) -> tuple[tuple[int, ...], tuple[int, ...], ReconstructionSystem]:
+    """The checked dropped and kept indices, and the kept blocks as a system of their own."""
     drop = _index_subset(dropped, system.m, "dropped")
     if len(drop) == system.m:
         raise StructuralError("cannot drop every block")
-    factor = _analysis_factor(system, tolerance, basis=False)
+    kept = tuple(i for i in range(system.m) if i not in drop)
+    return drop, kept, _from_analysis(_rows(system, kept), [system.k[i] for i in kept])
+
+
+def truncate(system: ReconstructionSystem, dropped: Iterable[int],
+             tolerance: float = DEFAULT_TOLERANCE) -> TruncationReport:
+    """Drop the blocks in ``dropped`` (a proper subset) and report stability; raises
+    ``NotReconstructionSystemError`` unless the whole system is RS, as ``M_J`` needs ``S^{-1}``."""
+    drop, kept, survivors = _survivors(system, dropped)
+    inverse = _analysis_factor(system, tolerance, basis=False).inverse()
     lower, _ = _frame_bounds(system)
-
-    rows = _rows(system, drop)
-    removed = dagger(rows) @ rows
-    del rows  # the copy need not outlive the product
-    truncation_factor = np.eye(system.d) - removed @ factor.inverse()
-
-    sigma = singular_values(truncation_factor)
-    smallest = float(sigma[-1])
-    is_rs_after = smallest > threshold(tolerance, float(sigma[0]))
-    survivor_gram = hermitian_part(dagger(factor.r) @ factor.r - removed)
-
+    r = _analysis_factor(survivors, basis=False).r
+    survivor_gram = hermitian_part(dagger(r) @ r)
+    truncation_factor = survivor_gram @ inverse
+    bounds = _frame_bounds(survivors)
+    is_rs_after = _is_rs(*bounds, tolerance)
     return TruncationReport(
         dropped=drop,
-        kept=tuple(i for i in range(system.m) if i not in drop),
+        kept=kept,
         truncation_factor=truncation_factor,
         is_rs_after=is_rs_after,
         truncated_frame_operator=survivor_gram,
-        lower_bound_estimate=lower * smallest,
-        bounds_after=eigen_bounds(survivor_gram) if is_rs_after else None,
+        lower_bound_estimate=lower * float(singular_values(truncation_factor)[-1]),
+        bounds_after=bounds if is_rs_after else None,
     )
 
 
@@ -123,11 +119,7 @@ def truncated_canonical_dual(system: ReconstructionSystem, dropped: Iterable[int
     rule, exactly when ``canonical_dual`` of the kept blocks raises, and
     ``GFramesError`` when ``||sum_kept W_i^* V_i - I|| > tolerance``.
     """
-    drop = _index_subset(dropped, system.m, "dropped")
-    if len(drop) == system.m:
-        raise StructuralError("cannot drop every block")
-    kept = [i for i in range(system.m) if i not in drop]
-    survivors = _from_analysis(_rows(system, kept), [system.k[i] for i in kept])
+    _, _, survivors = _survivors(system, dropped)
     try:
         dual = _analysis_factor(survivors, tolerance).dual(survivors.k)
     except NotReconstructionSystemError:

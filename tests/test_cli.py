@@ -211,3 +211,36 @@ def test_reports_have_the_common_envelope(capsys, planes_path):
                  ["truncate", planes_path, "--drop", ""], ["approx", planes_path]):
         report = run_json(capsys, *argv)
         assert set(report) == {"command", "inputs", "outputs", "tolerances"}
+
+
+# every subcommand that reads a system file, with the arguments that follow the file
+ON_A_FILE = {
+    "analyze": ["analyze"],
+    "dual_canonical": ["dual", "--kind", "canonical"],
+    "dual_two_error": ["dual", "--kind", "two_error"],
+    "dual_wce": ["dual", "--kind", "wce"],
+    "truncate": ["truncate", "--drop", "1"],
+    "approx": ["approx"],
+    "erase": ["erase", "--signal", "[1, 2, 3]"],
+}
+
+
+@pytest.mark.parametrize("tolerance", ["0", "-1", "nan"])
+@pytest.mark.parametrize("name", list(ON_A_FILE))
+def test_a_tolerance_that_is_not_positive_is_a_usage_error(capsys, planes_path, name,
+                                                            tolerance):
+    command, *rest = ON_A_FILE[name]
+    code, out, err = run(capsys, "--tolerance", tolerance, command, planes_path, *rest)
+    assert (code, out, err) == (2, "", "error: tolerance must be positive\n")
+
+
+def test_truncate_judges_the_survivors_of_a_dominant_drop(capsys, tmp_path):
+    system = random_system(4, (2, 2, 2, 2), 1)
+    path = tmp_path / "dominant.json"
+    gf.save_system(gf.ReconstructionSystem((1e4 * system.blocks[0],) + system.blocks[1:]), path)
+    outputs = run_json(capsys, "truncate", str(path), "--drop", "0")["outputs"]
+    assert outputs["is_rs_after"] is True
+    assert outputs["bounds_after"] is not None
+    dual = gf.system_from_dict(outputs["truncated_dual"])
+    expected = gf.canonical_dual(gf.ReconstructionSystem(system.blocks[1:]))
+    assert gf.blockwise_distance(dual, expected) <= 1e-12

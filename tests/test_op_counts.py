@@ -6,12 +6,13 @@ through it) and the ``numpy.linalg`` entry points ``qr``, ``eigvalsh``,
 takes them from one QR of the analysis matrix ``T = Q R`` (one ``qr``, at
 most one ``inv`` of ``R``, and one values-only ``svd`` of ``R`` the first
 time a system is factored, since the system caches that spectrum); no op
-builds ``S`` block by block or inverts it.  Every per-block value comes from
-the zero-padded block stack: the block spectra (injectivity, weights, the
-dropped norms in truncation) are one values-only ``svd`` of the block
-factor ``R_i``, which one ``qr`` of the stack computes once per system and
-``error_report`` shares; polar factors are one stacked ``svd`` of the
-stack itself.  Calls numpy makes internally (``norm(a, 2)``, ``solve``) are
+builds ``S`` block by block or inverts it.  The survivors of a truncation
+are a system of their own, factored and judged the same way.  Every
+per-block value comes from the zero-padded block stack: the block spectra
+(injectivity, weights, the dropped norms in truncation) are one values-only
+``svd`` of the block factor ``R_i``, which one ``qr`` of the stack computes
+once per system and ``error_report`` shares; polar factors are one stacked
+``svd`` of the stack itself.  Calls numpy makes internally (``norm(a, 2)``, ``solve``) are
 not counted.  A separate counter checks that ``error_report`` factors each
 system once, however many duals it scores against it.
 """
@@ -23,6 +24,7 @@ import pytest
 
 import gframes as gf
 import gframes.core as core
+import gframes.stability as stability
 from gframes.generate import (
     commuting_projective,
     random_projective,
@@ -70,10 +72,11 @@ def fresh(system):
 
 
 CASES = {
-    # one analysis QR for the bound, S = R^* R and S^{-1} = R^{-1} R^{-*}; the survivors'
-    # bounds and M_J's singular values
+    # one analysis QR and its spectrum for the bound and S^{-1} = R^{-1} R^{-*}; one QR of the
+    # kept rows and its spectrum for the survivors' verdict, bounds and S_J = R_J^* R_J;
+    # M_J's singular values
     "truncate": (lambda: gf.truncate(fresh(GENERAL), [0, 3]),
-                 {"qr": 1, "eigvalsh": 1, "inv": 1, "svd": 2}),
+                 {"qr": 2, "inv": 1, "svd": 3}),
     # no truncate: one analysis QR of the kept rows for their bound and their dual
     "truncated_canonical_dual": (lambda: gf.truncated_canonical_dual(fresh(GENERAL), [0, 3]),
                                  {"qr": 1, "inv": 1, "svd": 1}),
@@ -121,14 +124,22 @@ def test_classify_reads_a_cached_spectrum(counts):
 
 
 def test_ops_on_one_system_take_one_spectrum(counts, monkeypatch):
-    spectra = Counter()
+    spectra = []
     squared_spectrum = core._squared_spectrum
 
     def counted(*args, **kwargs):
-        spectra["r"] += 1
-        return squared_spectrum(*args, **kwargs)
+        spectra.append(squared_spectrum(*args, **kwargs))
+        return spectra[-1]
+
+    survivors = []
+    from_analysis = stability._from_analysis
+
+    def kept(*args, **kwargs):
+        survivors.append(from_analysis(*args, **kwargs))
+        return survivors[-1]
 
     monkeypatch.setattr(core, "_squared_spectrum", counted)
+    monkeypatch.setattr(stability, "_from_analysis", kept)
     system = fresh(GENERAL)
     drop = [0, 3]
     duals = []
@@ -140,8 +151,8 @@ def test_ops_on_one_system_take_one_spectrum(counts, monkeypatch):
         (lambda: duals.append(gf.canonical_dual(system)), {"qr": 1, "inv": 1}),
         # no factor at all: the block factor is cached
         (lambda: gf.error_report(system, duals[0]), {}),
-        # R for S and S^{-1}; M_J's singular values and the survivors' bounds
-        (lambda: gf.truncate(system, drop), {"qr": 1, "inv": 1, "svd": 1, "eigvalsh": 1}),
+        # R for S^{-1}; the kept rows' R_J and its spectrum; M_J's singular values
+        (lambda: gf.truncate(system, drop), {"qr": 2, "inv": 1, "svd": 2}),
         # no factor at all: the dropped blocks' norms take one SVD of the cached R_i
         (lambda: gf.ck_sufficient_condition(system, drop), {"svd": 1}),
         (lambda: gf.inverse_frame_operator(system), {"qr": 1, "inv": 1}),
@@ -150,7 +161,11 @@ def test_ops_on_one_system_take_one_spectrum(counts, monkeypatch):
         counts.clear()
         op()
         assert dict(counts) == expected
-    assert spectra["r"] == 1
+    assert len(survivors) == 1  # truncate's kept blocks
+    # one spectrum per system: each system's cached spectrum is the only one taken for it
+    cached = [vars(owner)["_spectrum"] for owner in (system, survivors[0])]
+    assert [sum(taken is spectrum for taken in spectra) for spectrum in cached] == [1, 1]
+    assert len(spectra) == 2
 
 
 def test_error_report_factors_each_system_once(monkeypatch):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gframes as gf
@@ -214,3 +214,48 @@ def test_truncated_dual_of_a_system_that_is_not_rs():
     dual = gf.truncated_canonical_dual(dominated, [0])
     expected = gf.canonical_dual(gf.ReconstructionSystem(system.blocks[1:]))
     assert frobenius(dual.analysis - expected.analysis) <= 1e-12 * frobenius(expected.analysis)
+
+
+def _dominant_drop(c):
+    """``random_system(4, (2, 2, 2, 2), 1)`` with block 0 scaled by ``c``."""
+    system = random_system(4, (2, 2, 2, 2), 1)
+    return gf.ReconstructionSystem((c * system.blocks[0],) + system.blocks[1:])
+
+
+@st.composite
+def scaled_drops(draw):
+    """An RS-drawn Gaussian system of uniform or mixed block heights whose dropped blocks
+    are scaled by one factor from 1e-8 to 1e8, and its (non-empty, proper) drop set."""
+    m = draw(st.integers(min_value=2, max_value=6))
+    height = st.integers(min_value=1, max_value=4)
+    k = draw(st.one_of(height.map(lambda ki: (ki,) * m), st.tuples(*[height] * m)))
+    d = draw(st.integers(min_value=1, max_value=min(8, sum(k))))
+    system = random_system(d, k, draw(st.integers(min_value=0, max_value=2**31)))
+    drop = draw(st.lists(st.integers(min_value=0, max_value=m - 1), unique=True,
+                         min_size=1, max_size=m - 1))
+    c = 10.0 ** draw(st.floats(min_value=-8.0, max_value=8.0))
+    return gf.ReconstructionSystem([c * b if i in drop else b
+                                    for i, b in enumerate(system.blocks)]), drop
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaled_drops())
+@example((_dominant_drop(1e4), [0]))
+def test_truncate_judges_the_survivors_as_classify_and_the_truncated_dual_do(case):
+    system, drop = case
+    if not gf.classify(system).is_rs:  # M_J needs S^{-1}
+        with pytest.raises(NotReconstructionSystemError, match="^block Gram sum is singular"):
+            gf.truncate(system, drop)
+        return
+    report = gf.truncate(system, drop)
+    shape = gf.classify(gf.ReconstructionSystem([system.blocks[i] for i in report.kept]))
+    try:
+        gf.truncated_canonical_dual(system, drop)
+        returns = True
+    except NotReconstructionSystemError:
+        returns = False
+    assert report.is_rs_after == shape.is_rs == returns
+    if report.is_rs_after:
+        assert report.bounds_after == (shape.lower_bound, shape.upper_bound)
+    else:
+        assert report.bounds_after is None

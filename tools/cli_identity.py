@@ -10,13 +10,18 @@ fixtures and four generated systems to a temporary directory with the old
 tree: ``random_system(32, (4,)*16, 7)``, ``random_projective(12, (3,)*6, 11)``
 and, with mixed block heights so that the zero-padded block stack is
 exercised, ``random_system(12, (1, 3, 4, 2, 4), 7)`` and
-``random_projective(8, (1, 3, 4, 2, 4), 11)``.  It then runs a fixed matrix
-of 159 CLI calls on them, each in a fresh process under each tree, and
-reports every call whose stdout, stderr or exit code differs.  The matrix covers every subcommand and every ``dual --kind``
+``random_projective(8, (1, 3, 4, 2, 4), 11)``.  Beside them it writes
+``random_system(4, (2, 2, 2, 2), 1)`` with block 0 scaled by 1e4: the whole
+system passes the ``is_rs`` rule only narrowly, its other blocks easily.  It
+then runs a fixed matrix of 160 CLI calls on them, each in a fresh process
+under each tree, and reports every call whose stdout, stderr or exit code
+differs.  The matrix covers every subcommand and every ``dual --kind``
 (``wce`` also at ``--iterations 200``), ``erase`` with and without a mask and
 with and without ``--dual``, ``truncate`` dropping one and ``m - 1`` blocks,
 ``analyze``, ``truncate`` and ``dual --kind two_error`` at ``--tolerance``
-1e-6 and 1e-12, and the fixture listing.  Exit status: 0 when every call matched, 1 otherwise.
+1e-6 and 1e-12, and the fixture listing, on the fixtures and the four
+systems; the scaled system gets one call, ``truncate`` dropping block 0.
+Exit status: 0 when every call matched, 1 otherwise.
 
 ``--numeric`` compares stdout as JSON instead of as bytes: keys, strings,
 integers, booleans and nulls must be equal, as must stderr and the exit
@@ -55,16 +60,19 @@ FIXTURES = (
 
 GENERATE = """
 import sys
-from gframes import save_system
+from gframes import ReconstructionSystem, save_system
 from gframes.generate import random_projective, random_system
 save_system(random_system(32, (4,) * 16, 7), sys.argv[1])
 save_system(random_projective(12, (3,) * 6, 11), sys.argv[2])
 save_system(random_system(12, (1, 3, 4, 2, 4), 7), sys.argv[3])
 save_system(random_projective(8, (1, 3, 4, 2, 4), 11), sys.argv[4])
+base = random_system(4, (2, 2, 2, 2), 1)
+save_system(ReconstructionSystem((1e4 * base.blocks[0],) + base.blocks[1:]), sys.argv[5])
 """
 
 GENERATED = ("generated", "generated_projective", "generated_mixed",
              "generated_mixed_projective")
+DOMINANT = "generated_dominant"  # only truncated, dropping the dominant block
 
 
 def run(python: str, src: Path, args: list[str], cwd: Path) -> tuple[int, str, str]:
@@ -80,7 +88,7 @@ def signal(d: int) -> str:
     return json.dumps(entries)
 
 
-def matrix(paths: dict[str, Path]) -> list[list[str]]:
+def matrix(paths: dict[str, Path], dominant: Path) -> list[list[str]]:
     """CLI argument lists, one per call."""
     calls = [["fixtures"]] + [["fixtures", "--name", name] for name in FIXTURES]
     for name, path in paths.items():
@@ -102,6 +110,7 @@ def matrix(paths: dict[str, Path]) -> list[list[str]]:
             calls.append(["--tolerance", tolerance, "analyze", file])
             calls.append(["--tolerance", tolerance, "truncate", file, "--drop", "0"])
             calls.append(["--tolerance", tolerance, "dual", file, "--kind", "two_error"])
+    calls.append(["truncate", str(dominant), "--drop", "0"])
     return calls
 
 
@@ -202,13 +211,15 @@ def main(argv=None) -> int:
                 print(f"could not write fixture {name}: {err.strip()}", file=sys.stderr)
                 return 2
         paths.update((name, work / f"{name}.json") for name in GENERATED)
+        dominant = work / f"{DOMINANT}.json"
         code, _, err = run(args.python, old,
-                           ["-c", GENERATE, *(str(paths[name]) for name in GENERATED)], work)
+                           ["-c", GENERATE, *(str(paths[name]) for name in GENERATED),
+                            str(dominant)], work)
         if code:
             print(f"could not generate systems: {err.strip()}", file=sys.stderr)
             return 2
 
-        calls = matrix(paths)
+        calls = matrix(paths, dominant)
         differing = inexact = 0
         largest = 0.0
         codes: dict[int, int] = {}
