@@ -3,13 +3,15 @@
 Everything in this package runs on small dense complex matrices, so these are
 thin wrappers over ``numpy.linalg`` fixing the conventions once: Frobenius is
 the default matrix norm, Hermitian spectra are taken after explicit
-symmetrization, and comparison thresholds scale with the largest magnitude
-involved.
+symmetrization, and every rank or flatness verdict compares the extremes of a
+PSD spectrum (``sigma(A)^2`` for a matrix ``A``) by ``nonsingular`` or ``flat``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import StructuralError
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -40,22 +42,31 @@ def eigen_bounds(h: np.ndarray) -> tuple[float, float]:
     return float(spectrum[0]), float(spectrum[-1])
 
 
-def threshold(tolerance: float, scale: float) -> float:
-    """Comparison threshold relative to the largest magnitude involved (no absolute floor)."""
-    return tolerance * scale
+def check_tolerance(tolerance: float) -> None:
+    """Raise ``StructuralError`` unless ``tolerance`` is positive (not NaN) and finite."""
+    if not tolerance > 0.0:
+        raise StructuralError("tolerance must be positive")
+    if tolerance == np.inf:
+        raise StructuralError("tolerance must be finite")
 
 
-def is_flat(sigma: np.ndarray, tolerance: float) -> bool:
-    """Whether descending singular values are positive and all equal, at ``tolerance``."""
-    top, bottom = float(sigma[0]), float(sigma[-1])
-    return bottom > threshold(tolerance, top) and (top - bottom) <= threshold(tolerance, top)
+def nonsingular(lower, upper, tolerance: float):
+    """``lower > tolerance * upper`` for the extremes of PSD spectra, elementwise."""
+    check_tolerance(tolerance)
+    return lower > tolerance * upper
+
+
+def flat(lower, upper, tolerance: float):
+    """``nonsingular`` and ``upper - lower <= tolerance * upper``: a function of ``lower / upper``
+    alone, so unchanged under ``lambda -> c lambda`` and ``lambda -> 1 / lambda``."""
+    return nonsingular(lower, upper, tolerance) & (upper - lower <= tolerance * upper)
 
 
 def null_space(a: np.ndarray, tolerance: float) -> np.ndarray:
-    """Orthonormal basis (as columns) of the kernel of ``a``."""
+    """Orthonormal basis (as columns) of the kernel of ``a``; rank by ``nonsingular`` sigma^2."""
     _, s, vh = np.linalg.svd(a)
     top = float(s[0]) if s.size else 0.0
-    rank = int(np.count_nonzero(s > threshold(tolerance, top)))
+    rank = int(np.count_nonzero(nonsingular(s * s, top * top, tolerance)))
     return dagger(vh[rank:])
 
 

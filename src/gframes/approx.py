@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import dagger, hermitian_part, is_flat, singular_values, threshold
+from ._linalg import dagger, flat, hermitian_part, nonsingular, singular_values
 from .core import (
     DEFAULT_TOLERANCE,
     ReconstructionSystem,
@@ -34,7 +34,7 @@ from .core import (
     _from_analysis,
     _layout,
 )
-from .errors import PreconditionError, StructuralError
+from .errors import PreconditionError
 
 __all__ = [
     "PolarFactorization",
@@ -54,7 +54,7 @@ class PolarFactorization:
 
 def polar_coisometry(block: np.ndarray,
                      tolerance: float = DEFAULT_TOLERANCE) -> PolarFactorization:
-    """Polar factorization ``block = U P`` of a full-row-rank block."""
+    """Polar factorization ``block = U P`` of a block whose ``sigma^2`` is ``nonsingular``."""
     b = np.asarray(block, dtype=np.complex128)
     if b.ndim != 2:
         raise PreconditionError("block must be a 2-d matrix")
@@ -63,7 +63,7 @@ def polar_coisometry(block: np.ndarray,
         raise PreconditionError(
             f"a {rows} x {cols} block cannot have full row rank")
     left, sigma, right = np.linalg.svd(b, full_matrices=False)
-    if float(sigma[-1]) <= threshold(tolerance, float(sigma[0])):
+    if not nonsingular(sigma[-1] ** 2, sigma[0] ** 2, tolerance):
         raise PreconditionError(
             f"block is rank deficient (sigma_min={float(sigma[-1]):.3e})")
     coisometry = left @ right
@@ -73,11 +73,13 @@ def polar_coisometry(block: np.ndarray,
 
 def is_weighted_coisometry(block: np.ndarray,
                            tolerance: float = DEFAULT_TOLERANCE) -> bool:
-    """Whether the block is a positive multiple of a coisometry."""
+    """Whether the block is a positive multiple of a coisometry: its ``sigma^2`` is ``flat``,
+    the rule by which ``classify`` judges each block projective."""
     b = np.asarray(block, dtype=np.complex128)
     if b.ndim != 2 or b.shape[0] > b.shape[1]:
         return False
-    return is_flat(singular_values(b), tolerance)
+    sigma = singular_values(b)
+    return bool(flat(sigma[-1] ** 2, sigma[0] ** 2, tolerance))
 
 
 def nearest_projective(system: ReconstructionSystem,
@@ -91,13 +93,12 @@ def nearest_projective(system: ReconstructionSystem,
     because each block problem is a strictly convex projection onto the ray
     through its coisometry.
     """
-    if not tolerance > 0.0:
-        raise StructuralError("tolerance must be positive")
     rows = _layout(system.k, system.d).rows
     sizes = np.asarray(system.k)
     left, sigma, right = np.linalg.svd(_block_stack(system), full_matrices=False)
-    if rows.shape[1] > system.d or np.any(
-            sigma[np.arange(system.m), sizes - 1] <= threshold(tolerance, sigma[:, 0])):
+    bottom = sigma[np.arange(system.m), np.minimum(sizes, system.d) - 1]
+    injective = nonsingular(bottom ** 2, sigma[:, 0] ** 2, tolerance) & (sizes <= system.d)
+    if not injective.all():
         raise PreconditionError("projective approximation needs an injective system")
     # keep each block's k_i singular triplets; the rest belong to its zero padding
     sigma = np.where(rows, sigma, 0.0)

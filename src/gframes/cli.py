@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success (including in-band "not a reconstruction system"
 findings), 2 for usage or parse problems, 3 when a numerical precondition
-fails.  Block indices on ``--mask``/``--drop`` are 0-based.
+fails.  ``--tolerance`` and ``--iterations`` are checked before any subcommand
+runs, whether or not it reads them.  Block indices on ``--mask``/``--drop`` are 0-based.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from ._linalg import check_tolerance
 from .approx import nearest_projective
 from .constructions import fixtures
 from .core import (
@@ -266,6 +268,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        check_tolerance(args.tolerance)
+        if args.iterations < 1:
+            raise StructuralError("iterations must be at least 1")
         report = args.handler(args)
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",

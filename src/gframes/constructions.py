@@ -30,18 +30,19 @@ import numpy as np
 
 from ._linalg import (
     dagger,
+    flat,
     frobenius,
     hermitian_part,
-    is_flat,
+    nonsingular,
     null_space,
     singular_values,
-    threshold,
 )
 from .core import (
     DEFAULT_TOLERANCE,
     ReconstructionSystem,
     _analysis_factor,
     _block_spectra,
+    _layout,
     blockwise_distance,
     classify,
 )
@@ -197,7 +198,7 @@ def group_rs_checks(rep: UnitaryRepresentation, base: np.ndarray,
     # one SVD of the dual base serves the rank test, the weight and the polar coisometry
     left, sigma, right = np.linalg.svd(dual_base, full_matrices=False)
     approx_deviation = None
-    if float(sigma[-1]) > threshold(tolerance, float(sigma[0])):
+    if nonsingular(sigma[-1] ** 2, sigma[0] ** 2, tolerance):
         weight = float(np.sum(sigma)) / dual_base.shape[0]
         approximation, _ = nearest_projective(dual, tolerance)
         approx_deviation = blockwise_distance(
@@ -303,7 +304,9 @@ class RieszDualCheck:
     ``has_projective_dual`` is the restriction criterion (every block a
     multiple of an isometry on its complementary kernel);
     ``canonical_dual_projective`` is the direct check on the unique dual.
-    The two agree in exact arithmetic.
+    Both judge ``sigma^2`` by ``flat``; ``W_i`` has the reciprocal singular values
+    of ``V_i`` on that kernel and ``flat`` reads only the extreme ratio, so the two
+    agree by construction, to rounding.
     """
 
     has_projective_dual: bool
@@ -323,15 +326,10 @@ def riesz_projective_dual_check(system: ReconstructionSystem,
         raise NotReconstructionSystemError("system has no positive lower frame bound")
 
     checks = []
-    for i in range(system.m):
-        others = [system.blocks[j] for j in range(system.m) if j != i]
-        if others:
-            kernel = null_space(np.vstack(others), tolerance)
-        else:
-            kernel = np.eye(system.d, dtype=np.complex128)
-        restricted = system.blocks[i] @ kernel
-        sigma = singular_values(restricted)
-        scaled = sigma.size > 0 and is_flat(sigma, tolerance)
+    for i, rows in enumerate(_layout(system.k, system.d).slices):
+        kernel = null_space(np.delete(system.analysis, rows, axis=0), tolerance)  # I if m = 1
+        sigma = singular_values(system.blocks[i] @ kernel)
+        scaled = sigma.size > 0 and bool(flat(sigma[-1] ** 2, sigma[0] ** 2, tolerance))
         checks.append(RieszIndexCheck(index=i,
                                       singular_values=tuple(float(s) for s in sigma),
                                       is_scaled_isometry=scaled))

@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import dagger, frobenius, hermitian_part, threshold
+from ._linalg import dagger, flat, frobenius, hermitian_part, nonsingular
 from .errors import NotReconstructionSystemError, StructuralError
 
 DEFAULT_TOLERANCE = 1e-9
@@ -298,28 +298,20 @@ def _squared_spectrum(r: np.ndarray, d: int) -> np.ndarray:
     return spectrum
 
 
-def _is_rs(lower: float, upper: float, tolerance: float) -> bool:
-    """The one rule for a positive lower frame bound: ``sigma_min^2 > tol sigma_max^2``;
-    a ``tolerance`` that is not positive (NaN included) is a ``StructuralError``."""
-    if not tolerance > 0.0:
-        raise StructuralError("tolerance must be positive")
-    return lower > threshold(tolerance, upper)
-
-
 def _analysis_is_rs(analysis: np.ndarray, tolerance: float) -> np.ndarray:
-    """``_is_rs`` of an analysis matrix ``T`` or of each in a ``... x K x d`` stack, read from
+    """``nonsingular`` of ``sigma(T)^2`` for ``T`` or each in a ``... x K x d`` stack, read from
     one batched ``eigvalsh`` of ``T^* T`` formed as one product; it seeds no ``_spectrum``."""
     spectra = np.linalg.eigvalsh(dagger(analysis) @ analysis)
-    return _is_rs(spectra[..., 0], spectra[..., -1], tolerance)
+    return nonsingular(spectra[..., 0], spectra[..., -1], tolerance)
 
 
 def _frame_bounds(system: ReconstructionSystem,
                   tolerance: float | None = None) -> tuple[float, float]:
     """``(lambda_min, lambda_max)`` of ``S`` from the system's spectrum; given a
-    ``tolerance``, raise ``NotReconstructionSystemError`` unless ``_is_rs``."""
+    ``tolerance``, raise ``NotReconstructionSystemError`` unless ``nonsingular``."""
     spectrum = system._spectrum
     lower, upper = float(spectrum[-1]), float(spectrum[0])
-    if tolerance is not None and not _is_rs(lower, upper, tolerance):
+    if tolerance is not None and not nonsingular(lower, upper, tolerance):
         raise NotReconstructionSystemError("block Gram sum is singular (lambda_min="
                                            f"{lower:.3e}, lambda_max={upper:.3e})")
     return lower, upper
@@ -328,7 +320,7 @@ def _frame_bounds(system: ReconstructionSystem,
 def _analysis_factor(system: ReconstructionSystem, tolerance: float | None = None,
                      basis: bool = True) -> _AnalysisFactor:
     """Factor ``system.analysis`` (``Q`` only if ``basis``); given a ``tolerance``, raise
-    ``NotReconstructionSystemError`` unless the system passes ``_is_rs``.
+    ``NotReconstructionSystemError`` unless its spectrum is ``nonsingular``.
 
     The first call on a system seeds its ``_spectrum`` from this ``R``, so no op
     factors ``T`` twice.  numpy takes ``R`` from the same LAPACK ``geqrf`` call
@@ -417,23 +409,15 @@ def _block_spectra(system: ReconstructionSystem, tolerance: float
     """Whether every block has full row rank, and the weights ``||V_i||_sp`` if every
     ``V_i V_i^*`` is a positive multiple of I (else None).
 
-    The squared ``_block_sigma`` table holds the ``k_i`` eigenvalues of each
-    ``V_i V_i^*`` (``k_i - d`` of them zero when ``k_i > d``); padded with
-    ``sigma_1^2``, ``||V_i V_i^* - sigma_1^2 I||`` is the row norm of
-    ``table - sigma_1^2``.
+    Each block is judged on the extremes ``sigma_1^2`` and ``sigma_{k_i}^2`` of its
+    ``_block_sigma`` row (``sigma_{k_i} = 0`` when ``k_i > d``): ``nonsingular`` for
+    the rank, ``flat`` for the multiple; the squared weights must be ``nonsingular``.
     """
-    if not tolerance > 0.0:
-        raise StructuralError("tolerance must be positive")
-    rows = _layout(system.k, system.d).rows
     sigma = _block_sigma(system)
-    top = sigma[:, 0]
-    bottom = sigma[np.arange(system.m), np.asarray(system.k) - 1]  # 0 when k_i > d
-    injective = bool(np.all(bottom > threshold(tolerance, top)))
-    peak = top * top
-    table = np.where(rows, sigma * sigma, peak[:, None])
-    deviation = np.sqrt(np.sum((table - peak[:, None]) ** 2, axis=1))
-    projective = bool(np.all(top > threshold(tolerance, float(top.max())))
-                      and np.all(deviation <= threshold(tolerance, peak)))
+    top, bottom = sigma[:, 0], sigma[np.arange(system.m), np.asarray(system.k) - 1]
+    peak, low = top * top, bottom * bottom
+    injective = bool(np.all(nonsingular(low, peak, tolerance)))
+    projective = np.all(flat(low, peak, tolerance) & nonsingular(peak, peak.max(), tolerance))
     return injective, tuple(top.tolist()) if projective else None
 
 
@@ -441,16 +425,17 @@ def classify(system: ReconstructionSystem,
              tolerance: float = DEFAULT_TOLERANCE) -> SystemClassification:
     """Classify a system at the given tolerance.
 
-    Flags, with thresholds ``tolerance`` times the largest magnitude involved
-    (no absolute floor, so no flag but ``is_protocol`` depends on units):
+    Rank and flatness flags read the extremes of a PSD spectrum ``lambda``:
+    ``nonsingular`` is ``lambda_min > tolerance * lambda_max`` and ``flat`` adds
+    ``lambda_max - lambda_min <= tolerance * lambda_max`` (no flag but
+    ``is_protocol`` depends on units).
 
-    - ``is_rs``: ``sigma_min(T)^2 > tolerance * sigma_max(T)^2`` for the
-      analysis matrix ``T``; ``canonical_dual`` returns exactly when it holds.
-    - ``is_injective``: every block has full row rank (each ``V_i V_i^*``
-      invertible).
-    - ``is_projective``: every ``V_i V_i^*`` is a positive multiple of the
-      identity; the multiples' square roots are the ``weights``.
-    - ``is_uniform``: projective with all weights equal.
+    - ``is_rs``: ``sigma(T)^2`` is nonsingular for the analysis matrix ``T``;
+      ``canonical_dual`` returns exactly when it holds.
+    - ``is_injective``: every ``sigma(V_i)^2`` is nonsingular (full row rank).
+    - ``is_projective``: every ``sigma(V_i)^2`` is flat (``V_i V_i^*`` is a
+      multiple of I) and the squared weights ``||V_i||_sp^2`` are nonsingular.
+    - ``is_uniform``: projective with flat weights.
     - ``is_protocol``: the block Gram sum is the identity.
     - ``is_riesz``: total block dimension equals the domain dimension
       (purely combinatorial).
@@ -461,12 +446,11 @@ def classify(system: ReconstructionSystem,
     """
     injective, weights = _block_spectra(system, tolerance)
     lower, upper = _frame_bounds(system)
-    uniform = (weights is not None
-               and (max(weights) - min(weights)) <= threshold(tolerance, max(weights)))
+    uniform = weights is not None and flat(min(weights), max(weights), tolerance)
     # ||S - I|| from the eigenvalues of the Hermitian S
-    protocol = frobenius(system._spectrum - 1.0) <= threshold(tolerance, upper)
+    protocol = frobenius(system._spectrum - 1.0) <= tolerance * upper
     return SystemClassification(
-        is_rs=_is_rs(lower, upper, tolerance),
+        is_rs=nonsingular(lower, upper, tolerance),
         is_injective=injective,
         is_projective=weights is not None,
         weights=weights,

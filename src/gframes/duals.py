@@ -139,7 +139,7 @@ def dual_manifold_sample(system: ReconstructionSystem, seed: int, count: int,
 
     Parameters have entries of standard deviation ``scale / sigma_max(T)``, so
     the samples of ``c V`` are those of ``V`` divided by ``c``.  A draw whose
-    analysis matrix fails ``core._is_rs`` at ``tolerance`` is redrawn (such duals
+    analysis matrix fails ``_linalg.nonsingular`` at ``tolerance`` is redrawn (such duals
     exist but are useless downstream); each slot gets at most ``max_redraws``
     attempts before ``SamplingError``.
 

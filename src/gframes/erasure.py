@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import dagger, threshold
+from ._linalg import dagger, flat
 from .core import (
     DEFAULT_TOLERANCE,
     ReconstructionSystem,
@@ -230,8 +230,7 @@ def wce_condition(system: ReconstructionSystem,
     if not shape.is_rs:
         raise NotReconstructionSystemError("system has no positive lower frame bound")
     norms = error_report(system, factor.dual(system.k)).per_index
-    top = max(norms)
-    if top - min(norms) <= threshold(tolerance, top):
+    if flat(min(norms), max(norms), tolerance):
         return float(np.mean(norms))
     return None
 
@@ -286,7 +285,7 @@ def wce_solve(system: ReconstructionSystem, iterations: int = 5000,
     if best is not None:
         candidate = family.dual(*best)
         measured = error_report(system, candidate).worst_case
-        if incumbent - measured > threshold(tolerance, incumbent):
+        if incumbent - measured > tolerance * incumbent:
             return WorstCaseSolution(candidate, measured, lower, step)
     return WorstCaseSolution(canonical, incumbent, lower, step)
 

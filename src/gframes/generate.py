@@ -3,7 +3,7 @@
 All generators are deterministic in their ``seed`` argument (an int or an
 existing ``numpy.random.Generator``) and guard conditioning, so comparisons
 at the 1e-10 level stay meaningful downstream: a draw is kept when its
-analysis matrix ``T`` passes the relative rule ``core._is_rs`` at ``conditioning``
+analysis matrix ``T`` passes the relative rule ``_linalg.nonsingular`` at ``conditioning``
 (``random_riesz`` on ``sigma(T)``, the others on ``sigma(T)^2``), so the same
 draw is kept at any scale.
 """
@@ -15,8 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import complex_gaussian, dagger, random_unitary, singular_values
-from .core import ReconstructionSystem, _analysis_is_rs, _from_analysis, _is_rs, _layout
+from ._linalg import complex_gaussian, dagger, nonsingular, random_unitary, singular_values
+from .core import ReconstructionSystem, _analysis_is_rs, _from_analysis, _layout
 from .errors import SamplingError, StructuralError
 
 __all__ = [
@@ -41,7 +41,7 @@ def random_coisometry(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
 
 def random_system(d: int, k: Sequence[int], seed, scale: float = 1.0,
                   conditioning: float = 1e-3) -> ReconstructionSystem:
-    """Gaussian blocks of entry scale ``scale``, redrawn until ``_is_rs`` at ``conditioning``;
+    """Gaussian blocks of entry scale ``scale``, redrawn until ``nonsingular`` at ``conditioning``;
     which attempt is kept does not depend on ``scale``."""
     rng = np.random.default_rng(seed)
     sizes = tuple(int(ki) for ki in k)
@@ -81,7 +81,7 @@ def random_projective(d: int, k: Sequence[int], seed,
     make block by block, gathers them into a zero-padded stack, and factors
     all blocks in one stacked QR.  Zero columns pad every block to the
     widest; they leave the leading columns of each Q factor unchanged, so the
-    blocks are those of the blockwise loop.  The ``_is_rs`` acceptance at
+    blocks are those of the blockwise loop.  The ``nonsingular`` acceptance at
     ``conditioning`` is relative: weights ``c w`` give ``c`` times the draw of ``w``.
     """
     rng = np.random.default_rng(seed)
@@ -133,7 +133,7 @@ def random_riesz(k: Sequence[int], seed, conditioning: float = 1e-2) -> Reconstr
     for _ in range(_ATTEMPTS):
         square = complex_gaussian(rng, (d, d))
         sigma = singular_values(square)
-        if _is_rs(float(sigma[-1]), float(sigma[0]), conditioning):
+        if nonsingular(float(sigma[-1]), float(sigma[0]), conditioning):
             return _from_analysis(square, sizes)
     raise SamplingError(f"no well-conditioned square matrix for d={d}")
 

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import dagger, frobenius, hermitian_part, singular_values
+from ._linalg import dagger, frobenius, hermitian_part, nonsingular, singular_values
 from .core import (
     DEFAULT_TOLERANCE,
     ReconstructionSystem,
@@ -37,7 +37,6 @@ from .core import (
     _frame_bounds,
     _from_analysis,
     _index_subset,
-    _is_rs,
 )
 from .errors import GFramesError, NotReconstructionSystemError, StructuralError
 
@@ -99,7 +98,7 @@ def truncate(system: ReconstructionSystem, dropped: Iterable[int],
     survivor_gram = hermitian_part(dagger(r) @ r)
     truncation_factor = survivor_gram @ inverse
     bounds = _frame_bounds(survivors)
-    is_rs_after = _is_rs(*bounds, tolerance)
+    is_rs_after = nonsingular(*bounds, tolerance)
     return TruncationReport(
         dropped=drop,
         kept=kept,

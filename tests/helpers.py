@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from gframes import ReconstructionSystem, classify
+from gframes._linalg import random_unitary
 from gframes.generate import (
     commuting_projective,
     partition_protocol,
@@ -114,3 +117,24 @@ def draw_commuting(rng, multiplicity: int | None = None
     system = commuting_projective(d, [tuple(sorted(mask)) for mask in masks],
                                   rng, weights=weights)
     return system, counts
+
+
+# The flatness ladder: tolerances t and spread factors f, with the dual block spread
+# by f t; sigma^2 then spreads by about 2 f t, so the block is flat exactly when f < 1/2.
+LADDER_TOLERANCES = (1e-9, 1e-6, 1e-4)
+LADDER_FACTORS = (0.1, 0.25, 0.4, 0.45, 0.55, 0.6, 0.75, 0.9, 1.1, 1.5, 2.0)
+
+
+def riesz_pair(k: int, spread: float, seed: int) -> tuple[np.ndarray, ReconstructionSystem]:
+    """``(W_0, V)``: a Riesz system ``V = W^{-*}`` on C^{2k} built from its unique dual ``W``.
+
+    ``W_0 = diag(1 + spread, [1 + spread / 2,] 1) U`` (the middle entry for ``k = 3``)
+    and ``W_1 = 1.3 U'``, where ``U`` and ``U'`` are ``k`` rows of two Haar unitaries.
+    """
+    rng = np.random.default_rng(seed)
+    d = 2 * k
+    diagonal = np.linspace(1.0 + spread, 1.0, k)
+    first = diagonal[:, None] * random_unitary(rng, d)[:k]
+    second = 1.3 * random_unitary(rng, d)[:k]
+    analysis = np.linalg.inv(np.vstack((first, second))).conj().T
+    return first, ReconstructionSystem((analysis[:k], analysis[k:]))

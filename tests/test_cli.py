@@ -213,25 +213,38 @@ def test_reports_have_the_common_envelope(capsys, planes_path):
         assert set(report) == {"command", "inputs", "outputs", "tolerances"}
 
 
-# every subcommand that reads a system file, with the arguments that follow the file
-ON_A_FILE = {
-    "analyze": ["analyze"],
-    "dual_canonical": ["dual", "--kind", "canonical"],
-    "dual_two_error": ["dual", "--kind", "two_error"],
-    "dual_wce": ["dual", "--kind", "wce"],
-    "truncate": ["truncate", "--drop", "1"],
-    "approx": ["approx"],
-    "erase": ["erase", "--signal", "[1, 2, 3]"],
+# every subcommand with the arguments it needs; "FILE" stands for a system file
+COMMANDS = {
+    "analyze": ["analyze", "FILE"],
+    "dual_canonical": ["dual", "FILE", "--kind", "canonical"],
+    "dual_two_error": ["dual", "FILE", "--kind", "two_error"],
+    "dual_wce": ["dual", "FILE", "--kind", "wce"],
+    "truncate": ["truncate", "FILE", "--drop", "1"],
+    "approx": ["approx", "FILE"],
+    "erase": ["erase", "FILE", "--signal", "[1, 2, 3]"],
+    # these read no tolerance, and only dual --kind wce reads --iterations
+    "erase_dual": ["erase", "FILE", "--dual", "FILE", "--signal", "[1, 2, 3]"],
+    "fixture_listing": ["fixtures"],
+    "fixture": ["fixtures", "--name", "overlapping_planes"],
 }
 
 
-@pytest.mark.parametrize("tolerance", ["0", "-1", "nan"])
-@pytest.mark.parametrize("name", list(ON_A_FILE))
+@pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("name", list(COMMANDS))
 def test_a_tolerance_that_is_not_positive_is_a_usage_error(capsys, planes_path, name,
                                                             tolerance):
-    command, *rest = ON_A_FILE[name]
-    code, out, err = run(capsys, "--tolerance", tolerance, command, planes_path, *rest)
-    assert (code, out, err) == (2, "", "error: tolerance must be positive\n")
+    argv = [planes_path if arg == "FILE" else arg for arg in COMMANDS[name]]
+    code, out, err = run(capsys, "--tolerance", tolerance, *argv)
+    problem = "finite" if tolerance == "inf" else "positive"
+    assert (code, out, err) == (2, "", f"error: tolerance must be {problem}\n")
+
+
+@pytest.mark.parametrize("iterations", ["0", "-3"])
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_an_iteration_budget_below_one_is_a_usage_error(capsys, planes_path, name, iterations):
+    argv = [planes_path if arg == "FILE" else arg for arg in COMMANDS[name]]
+    code, out, err = run(capsys, "--iterations", iterations, *argv)
+    assert (code, out, err) == (2, "", "error: iterations must be at least 1\n")
 
 
 def test_truncate_judges_the_survivors_of_a_dominant_drop(capsys, tmp_path):

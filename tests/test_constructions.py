@@ -18,7 +18,7 @@ from gframes.generate import (
     random_projective,
     random_system,
 )
-from helpers import draw_commuting, draw_riesz
+from helpers import LADDER_FACTORS, LADDER_TOLERANCES, draw_commuting, draw_riesz, riesz_pair
 
 
 def test_cyclic_representation_structure():
@@ -287,6 +287,21 @@ def test_riesz_criteria_agree_on_random_draws():
         system = draw_riesz(rng)
         check = gf.riesz_projective_dual_check(system)
         assert check.has_projective_dual == check.canonical_dual_projective
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_flatness_verdicts_agree_on_the_riesz_ladder(k):
+    # The restriction criterion, the check on the unique dual W, the coisometry test
+    # on W_0 and classify of W_0 alone all judge sigma(W_0)^2 flat exactly when f < 1/2.
+    for tolerance in LADDER_TOLERANCES:
+        for factor in LADDER_FACTORS:
+            for seed in range(3):
+                first, system = riesz_pair(k, factor * tolerance, seed)
+                check = gf.riesz_projective_dual_check(system, tolerance)
+                alone = gf.classify(gf.ReconstructionSystem((first,)), tolerance)
+                verdicts = (check.has_projective_dual, check.canonical_dual_projective,
+                            gf.is_weighted_coisometry(first, tolerance), alone.is_projective)
+                assert verdicts == (factor < 0.5,) * 4, (tolerance, factor, seed)
 
 
 def test_riesz_check_preconditions():

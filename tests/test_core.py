@@ -5,8 +5,8 @@ import pytest
 
 import gframes as gf
 import gframes.core as core
-from gframes._linalg import complex_gaussian, dagger, eigen_bounds
-from gframes.errors import StructuralError
+from gframes._linalg import complex_gaussian, dagger, eigen_bounds, random_unitary
+from gframes.errors import NotReconstructionSystemError, PreconditionError, StructuralError
 from gframes.generate import partition_protocol, random_projective, random_system
 from helpers import draw_general, draw_nonuniform_projective, draw_uniform_projective
 
@@ -276,6 +276,41 @@ def test_random_projective_honors_requested_weights():
     info = gf.classify(system)
     assert info.is_projective
     assert np.allclose(info.weights, weights, atol=1e-10)
+
+
+@pytest.mark.parametrize("tolerance, problem", [(0.0, "positive"), (-1.0, "positive"),
+                                                (np.nan, "positive"), (np.inf, "finite")])
+def test_every_verdict_checks_its_tolerance(tolerance, problem):
+    system = gf.fixtures()["riesz_with_projective_dual"]
+    for judge in (gf.classify, gf.nearest_projective, gf.riesz_projective_dual_check,
+                  lambda s, t: gf.is_weighted_coisometry(s.blocks[0], t),
+                  lambda s, t: gf.polar_coisometry(s.blocks[0], t)):
+        with pytest.raises(StructuralError, match=f"^tolerance must be {problem}$"):
+            judge(system, tolerance)
+
+
+@pytest.mark.parametrize("exponent", [2.0, 3.2, 4.4, 5.6, 6.8, 8.0])
+def test_one_square_block_is_injective_exactly_when_it_is_rs(exponent):
+    # U diag(1, 1/2, 1/kappa) U': both verdicts hold exactly when kappa^-2 > 1e-9, and
+    # nearest_projective accepts the block exactly when canonical_dual does
+    kappa = 10.0 ** exponent
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        block = (random_unitary(rng, 3) * [1.0, 0.5, 1.0 / kappa]) @ random_unitary(rng, 3)
+        system = gf.ReconstructionSystem((block,))
+        shape = gf.classify(system)
+        assert shape.is_injective == shape.is_rs == (kappa ** -2 > 1e-9)
+        try:
+            gf.nearest_projective(system)
+            accepted = True
+        except PreconditionError:
+            accepted = False
+        try:
+            gf.canonical_dual(system)
+            returned = True
+        except NotReconstructionSystemError:
+            returned = False
+        assert accepted == returned == shape.is_rs
 
 
 def test_block_sigma_matches_a_per_block_svd():

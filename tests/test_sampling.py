@@ -17,7 +17,6 @@ from gframes._linalg import (
     hermitian_part,
     random_unitary,
     singular_values,
-    threshold,
 )
 from gframes.errors import SamplingError
 from gframes.generate import (
@@ -74,7 +73,7 @@ def dual_sample_reference(system, seed, count, scale=1.0, tolerance=1e-9, max_re
             candidate = manifold.system_at(
                 complex_gaussian(rng, (system.d, system.tr_k), deviation))
             lower, upper = eigen_bounds(gram_loop(candidate))
-            if lower > threshold(tolerance, upper):
+            if lower > tolerance * upper:
                 samples.append(candidate)
                 break
         else:

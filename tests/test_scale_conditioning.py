@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 
 import gframes as gf
 from gframes._linalg import random_unitary
-from gframes.errors import NotReconstructionSystemError
+from gframes.errors import NotReconstructionSystemError, PreconditionError
 from gframes.generate import partition_protocol, random_projective, random_system
+from helpers import riesz_pair
 
 EPS = np.finfo(float).eps
 SCALES = [10.0 ** j for j in range(-8, 9)]
@@ -162,3 +163,40 @@ def test_many_blocks(c):
     survivors = gf.truncated_canonical_dual(system, drop)
     kept = gf.ReconstructionSystem(system.blocks[40:])
     assert gf.blockwise_distance(survivors, gf.canonical_dual(kept)) <= 1e-12 / c
+
+
+def test_block_rank_and_flatness_verdicts_do_not_depend_on_units():
+    # bases whose second row leans on the first by eps, and Riesz pairs spread on either
+    # side of the flatness boundary: every verdict at c = 10^j is the one at c = 1
+    rng = np.random.default_rng(1313)
+    rep = gf.cyclic_shift_representation(5)
+    row, other = random_unitary(rng, 5)[:2]
+    bases = [np.vstack((row, row + 10.0 ** -j * other)) for j in np.arange(3.0, 7.0, 0.5)]
+    pairs = [riesz_pair(k, factor * 1e-9, seed) for k in (2, 3) for factor in (0.45, 0.55)
+             for seed in range(2)]
+
+    def refused(block):
+        try:
+            gf.polar_coisometry(block)
+        except PreconditionError:
+            return True
+        return False
+
+    def judged(c):
+        blocks = [c * block for block in bases + [first for first, _ in pairs]]
+        checks = [gf.riesz_projective_dual_check(scaled(system, c)) for _, system in pairs]
+        return ([gf.is_weighted_coisometry(block) for block in blocks],
+                [refused(block) for block in blocks],
+                [(check.has_projective_dual, check.canonical_dual_projective)
+                 + tuple(index.is_scaled_isometry for index in check.per_index)
+                 for check in checks],
+                [gf.group_rs_checks(rep, c * base).projective_approximation_deviation is None
+                 for base in bases])
+
+    expected = judged(1.0)
+    coisometry, refusals, riesz, deficient = expected
+    # each family holds verdicts of both kinds, so the ladder crosses its boundary
+    assert all(True in family and False in family
+               for family in (coisometry, refusals, deficient, [r[0] for r in riesz]))
+    for c in SCALES:
+        assert judged(c) == expected, c

@@ -12,15 +12,20 @@ and, with mixed block heights so that the zero-padded block stack is
 exercised, ``random_system(12, (1, 3, 4, 2, 4), 7)`` and
 ``random_projective(8, (1, 3, 4, 2, 4), 11)``.  Beside them it writes
 ``random_system(4, (2, 2, 2, 2), 1)`` with block 0 scaled by 1e4: the whole
-system passes the ``is_rs`` rule only narrowly, its other blocks easily.  It
-then runs a fixed matrix of 160 CLI calls on them, each in a fresh process
+system passes the ``is_rs`` rule only narrowly, its other blocks easily.  Two
+more sit near the rank and flatness boundaries at the default tolerance 1e-9:
+the Riesz pair ``V = W^{-*}`` on C^4 whose dual block ``W_0`` is
+``diag(1 + 7.5e-10, 1) U`` (``W_1 = 1.3 U'``, ``U`` and ``U'`` rows of Haar
+unitaries), and the square block ``U diag(1, 0.5, 1e-5) U'``.  It then runs a
+fixed matrix of 164 CLI calls on them, each in a fresh process
 under each tree, and reports every call whose stdout, stderr or exit code
 differs.  The matrix covers every subcommand and every ``dual --kind``
 (``wce`` also at ``--iterations 200``), ``erase`` with and without a mask and
 with and without ``--dual``, ``truncate`` dropping one and ``m - 1`` blocks,
 ``analyze``, ``truncate`` and ``dual --kind two_error`` at ``--tolerance``
 1e-6 and 1e-12, and the fixture listing, on the fixtures and the four
-systems; the scaled system gets one call, ``truncate`` dropping block 0.
+systems; the scaled system gets one call, ``truncate`` dropping block 0, and
+the two boundary systems get ``analyze`` and ``approx``.
 Exit status: 0 when every call matched, 1 otherwise.
 
 ``--numeric`` compares stdout as JSON instead of as bytes: keys, strings,
@@ -60,7 +65,9 @@ FIXTURES = (
 
 GENERATE = """
 import sys
+import numpy as np
 from gframes import ReconstructionSystem, save_system
+from gframes._linalg import random_unitary
 from gframes.generate import random_projective, random_system
 save_system(random_system(32, (4,) * 16, 7), sys.argv[1])
 save_system(random_projective(12, (3,) * 6, 11), sys.argv[2])
@@ -68,11 +75,20 @@ save_system(random_system(12, (1, 3, 4, 2, 4), 7), sys.argv[3])
 save_system(random_projective(8, (1, 3, 4, 2, 4), 11), sys.argv[4])
 base = random_system(4, (2, 2, 2, 2), 1)
 save_system(ReconstructionSystem((1e4 * base.blocks[0],) + base.blocks[1:]), sys.argv[5])
+rng = np.random.default_rng(0)
+dual = np.vstack(([[1 + 7.5e-10], [1.0]] * random_unitary(rng, 4)[:2],
+                  1.3 * random_unitary(rng, 4)[:2]))
+riesz = np.linalg.inv(dual).conj().T
+save_system(ReconstructionSystem((riesz[:2], riesz[2:])), sys.argv[6])
+rng = np.random.default_rng(0)
+square = (random_unitary(rng, 3) * [1.0, 0.5, 1e-5]) @ random_unitary(rng, 3)
+save_system(ReconstructionSystem((square,)), sys.argv[7])
 """
 
 GENERATED = ("generated", "generated_projective", "generated_mixed",
              "generated_mixed_projective")
 DOMINANT = "generated_dominant"  # only truncated, dropping the dominant block
+BOUNDARY = ("boundary_riesz", "boundary_square")  # only analyzed and approximated
 
 
 def run(python: str, src: Path, args: list[str], cwd: Path) -> tuple[int, str, str]:
@@ -88,7 +104,7 @@ def signal(d: int) -> str:
     return json.dumps(entries)
 
 
-def matrix(paths: dict[str, Path], dominant: Path) -> list[list[str]]:
+def matrix(paths: dict[str, Path], dominant: Path, boundary: list[Path]) -> list[list[str]]:
     """CLI argument lists, one per call."""
     calls = [["fixtures"]] + [["fixtures", "--name", name] for name in FIXTURES]
     for name, path in paths.items():
@@ -111,6 +127,7 @@ def matrix(paths: dict[str, Path], dominant: Path) -> list[list[str]]:
             calls.append(["--tolerance", tolerance, "truncate", file, "--drop", "0"])
             calls.append(["--tolerance", tolerance, "dual", file, "--kind", "two_error"])
     calls.append(["truncate", str(dominant), "--drop", "0"])
+    calls.extend([command, str(path)] for path in boundary for command in ("analyze", "approx"))
     return calls
 
 
@@ -212,14 +229,15 @@ def main(argv=None) -> int:
                 return 2
         paths.update((name, work / f"{name}.json") for name in GENERATED)
         dominant = work / f"{DOMINANT}.json"
+        boundary = [work / f"{name}.json" for name in BOUNDARY]
         code, _, err = run(args.python, old,
                            ["-c", GENERATE, *(str(paths[name]) for name in GENERATED),
-                            str(dominant)], work)
+                            str(dominant), *map(str, boundary)], work)
         if code:
             print(f"could not generate systems: {err.strip()}", file=sys.stderr)
             return 2
 
-        calls = matrix(paths, dominant)
+        calls = matrix(paths, dominant, boundary)
         differing = inexact = 0
         largest = 0.0
         codes: dict[int, int] = {}
