@@ -4,6 +4,9 @@ Exit codes: 0 on success (including in-band "not a reconstruction system"
 findings), 2 for usage or parse problems, 3 when a numerical precondition
 fails.  ``--tolerance`` and ``--iterations`` are checked before any subcommand
 runs, whether or not it reads them.  Block indices on ``--mask``/``--drop`` are 0-based.
+
+A one-shot call is dominated by start-up, so each subcommand imports the
+library modules it runs inside its handler and a call loads no others.
 """
 
 from __future__ import annotations
@@ -16,22 +19,6 @@ from dataclasses import asdict
 import numpy as np
 
 from ._linalg import check_tolerance
-from .approx import nearest_projective
-from .constructions import fixtures
-from .core import (
-    analysis_apply,
-    classify,
-    frame_operator,
-)
-from .duals import canonical_dual, verify_dual
-from .erasure import (
-    ErasureMask,
-    blind_reconstruct,
-    error_report,
-    optimal_dual_two_error,
-    wce_condition,
-    wce_solve,
-)
 from .errors import GFramesError, StructuralError
 from .serialize import (
     dumps_canonical,
@@ -40,14 +27,13 @@ from .serialize import (
     save_system,
     system_to_dict,
 )
-from .stability import ck_sufficient_condition, truncate, truncated_canonical_dual
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 
 # Names of the built-in fixtures, sorted; listed here so that building the
-# parser does not build every fixture system.
+# parser neither imports ``constructions`` nor builds every fixture system.
 FIXTURE_NAMES = (
     "overlapping_planes",
     "overlapping_planes_dual",
@@ -97,6 +83,9 @@ def _report(args: argparse.Namespace, inputs: dict, outputs: dict) -> dict:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> dict:
+    from .core import classify, frame_operator
+    from .erasure import wce_condition
+
     system = load_system(args.path)
     shape = classify(system, args.tolerance)
     criterion = None
@@ -112,6 +101,9 @@ def _cmd_analyze(args: argparse.Namespace) -> dict:
 
 
 def _cmd_dual(args: argparse.Namespace) -> dict:
+    from .duals import canonical_dual, verify_dual
+    from .erasure import error_report, optimal_dual_two_error, wce_solve
+
     system = load_system(args.path)
     outputs: dict = {}
     if args.kind == "canonical":
@@ -133,6 +125,10 @@ def _cmd_dual(args: argparse.Namespace) -> dict:
 
 
 def _cmd_erase(args: argparse.Namespace) -> dict:
+    from .core import analysis_apply
+    from .duals import canonical_dual
+    from .erasure import ErasureMask, blind_reconstruct, error_report
+
     system = load_system(args.path)
     dual = load_system(args.dual) if args.dual else canonical_dual(system, args.tolerance)
     mask = ErasureMask(_indices(args.mask), system.m)
@@ -150,6 +146,8 @@ def _cmd_erase(args: argparse.Namespace) -> dict:
 
 
 def _cmd_truncate(args: argparse.Namespace) -> dict:
+    from .stability import ck_sufficient_condition, truncate, truncated_canonical_dual
+
     system = load_system(args.path)
     drop = _indices(args.drop)
     report = truncate(system, drop, args.tolerance)
@@ -172,6 +170,9 @@ def _cmd_truncate(args: argparse.Namespace) -> dict:
 
 
 def _cmd_approx(args: argparse.Namespace) -> dict:
+    from .approx import nearest_projective
+    from .core import classify
+
     system = load_system(args.path)
     projective, distance = nearest_projective(system, args.tolerance)
     shape = classify(projective, args.tolerance)
@@ -184,6 +185,9 @@ def _cmd_approx(args: argparse.Namespace) -> dict:
 
 
 def _cmd_fixtures(args: argparse.Namespace) -> dict:
+    from .constructions import fixtures
+    from .core import classify
+
     catalog = fixtures()
     if args.name is None:
         outputs = {

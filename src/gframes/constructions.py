@@ -46,7 +46,6 @@ from .core import (
     blockwise_distance,
     classify,
 )
-from .approx import nearest_projective
 from .errors import (
     NotReconstructionSystemError,
     PreconditionError,
@@ -186,6 +185,9 @@ class GroupSystemReport:
 def group_rs_checks(rep: UnitaryRepresentation, base: np.ndarray,
                     tolerance: float = DEFAULT_TOLERANCE) -> GroupSystemReport:
     """Verify the orbit-structure claims for one representation and base."""
+    # imported here so that loading the fixtures does not load ``approx``
+    from .approx import nearest_projective
+
     system = group_rs(rep, base)
     factor = _analysis_factor(system, tolerance)
     gram = dagger(factor.r) @ factor.r

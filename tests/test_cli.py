@@ -1,6 +1,10 @@
 """End-to-end command-line behavior: reports, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,3 +261,78 @@ def test_truncate_judges_the_survivors_of_a_dominant_drop(capsys, tmp_path):
     dual = gf.system_from_dict(outputs["truncated_dual"])
     expected = gf.canonical_dual(gf.ReconstructionSystem(system.blocks[1:]))
     assert gf.blockwise_distance(dual, expected) <= 1e-12
+
+
+# The gframes modules every CLI call loads: the parser, ``main`` and the serializer.
+CLI_BASE = {"cli", "core", "serialize", "_linalg", "errors"}
+# What each subcommand loads on top of CLI_BASE.
+SUBCOMMAND_MODULES = {
+    "analyze": {"erasure"},
+    "dual": {"duals", "erasure"},
+    "erase": {"duals", "erasure"},
+    "truncate": {"stability"},
+    "approx": {"approx"},
+    "fixtures": {"constructions"},
+}
+# Prints the loaded gframes submodules, without the package prefix.
+LOADED = "print(*sorted(m[8:] for m in sys.modules if m.startswith('gframes.')))"
+
+
+def fresh_python(code: str, *args: str) -> str:
+    """Stdout of ``code`` run in a new interpreter on this gframes; the test process has
+    imported every module already."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gf.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=False)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_import_gframes_loads_no_submodule():
+    assert fresh_python("import sys, gframes\n" + LOADED).split() == []
+
+
+def test_import_cli_loads_only_what_main_and_the_parser_need():
+    assert set(fresh_python("import sys, gframes.cli\n" + LOADED).split()) == CLI_BASE
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_each_subcommand_loads_only_its_modules(planes_path, name):
+    argv = [planes_path if arg == "FILE" else arg for arg in COMMANDS[name]]
+    code = ("import contextlib, io, sys\n"
+            "from gframes.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = main(sys.argv[1:])\n"
+            "print(status)\n" + LOADED)
+    status, loaded = fresh_python(code, *argv).splitlines()
+    assert status == "0"
+    assert set(loaded.split()) == CLI_BASE | SUBCOMMAND_MODULES[argv[0]]
+
+
+def test_star_import_binds_each_public_name_to_its_home_modules_object():
+    code = ("from importlib import import_module\n"
+            "from gframes import *\n"
+            "import gframes\n"
+            "for name in gframes.__all__:\n"
+            "    home = import_module(f'gframes.{gframes._HOME[name]}')\n"
+            "    value = globals()[name]\n"
+            "    assert value is getattr(home, name), name\n"
+            "    assert not callable(value) or value.__module__ == home.__name__, name\n")
+    fresh_python(code)
+
+
+def test_submodules_resolve_after_a_plain_import():
+    code = ("import gframes\n"
+            "print(gframes.stability.truncate is gframes.truncate,\n"
+            "      gframes.core.classify is gframes.classify,\n"
+            "      set(gframes.__all__) <= set(dir(gframes)))")
+    assert fresh_python(code) == "True True True\n"
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    code = ("import gframes\n"
+            "try:\n"
+            "    gframes.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n")
+    assert fresh_python(code) == "module 'gframes' has no attribute 'no_such_name'\n"

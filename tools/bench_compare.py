@@ -37,9 +37,14 @@ timing is scaled by, from each ``# summary``), so a shift in machine speed
 between the sides shows next to the scaled metrics.
 
 Every run's ``# summary`` line is kept as printed, with the first run's
-``# environment`` line.  The output file may hold several workloads: an
-existing file is read and only the entry of workload ``W`` is replaced.  A run
-that exits non-zero or prints no result stops the script with exit status 2.
+``# environment`` line.  Under ``bytecode`` the entry records
+``PYTHONDONTWRITEBYTECODE`` from the environment (null when unset) and this
+interpreter's ``sys.flags.dont_write_bytecode``.  The benchmark's processes
+inherit the environment, so when the variable is set no ``__pycache__`` is
+written and every ``cli`` process compiles the gframes modules it imports
+from source.  The output file may hold several workloads: an existing file is
+read and only the entry of workload ``W`` is replaced.  A run that exits
+non-zero or prints no result stops the script with exit status 2.
 
 Before the pairs, the test-suite layer is measured once per side: the tier-1
 suite (``python -m pytest -q --continue-on-collection-errors -p no:cacheprovider
@@ -217,6 +222,8 @@ def main(argv=None) -> int:
             side: spread(series(side, lambda r: r["summary"]["calibration_ms_p50"]))
             for side in ("parent", "change")},
         "environment": runs[0].get("environment"),
+        "bytecode": {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+                     "dont_write_bytecode": sys.flags.dont_write_bytecode},
         "runs": [{key: run[key] for key in ("pair", "seed", "side", "first", "summary")}
                  for run in runs],
     }

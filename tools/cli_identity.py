@@ -17,7 +17,7 @@ more sit near the rank and flatness boundaries at the default tolerance 1e-9:
 the Riesz pair ``V = W^{-*}`` on C^4 whose dual block ``W_0`` is
 ``diag(1 + 7.5e-10, 1) U`` (``W_1 = 1.3 U'``, ``U`` and ``U'`` rows of Haar
 unitaries), and the square block ``U diag(1, 0.5, 1e-5) U'``.  It then runs a
-fixed matrix of 164 CLI calls on them, each in a fresh process
+fixed matrix of 174 CLI calls on them, each in a fresh process
 under each tree, and reports every call whose stdout, stderr or exit code
 differs.  The matrix covers every subcommand and every ``dual --kind``
 (``wce`` also at ``--iterations 200``), ``erase`` with and without a mask and
@@ -25,7 +25,11 @@ with and without ``--dual``, ``truncate`` dropping one and ``m - 1`` blocks,
 ``analyze``, ``truncate`` and ``dual --kind two_error`` at ``--tolerance``
 1e-6 and 1e-12, and the fixture listing, on the fixtures and the four
 systems; the scaled system gets one call, ``truncate`` dropping block 0, and
-the two boundary systems get ``analyze`` and ``approx``.
+the two boundary systems get ``analyze`` and ``approx``.  Ten calls end in
+a usage error or print help, on the ``overlapping_planes`` fixture: a
+missing file, a file of invalid JSON, ``--tolerance 0``, ``--iterations 0``,
+an out-of-range ``--mask`` and ``--drop``, a malformed ``--signal``,
+``--help``, ``dual --help`` and no subcommand.
 Exit status: 0 when every call matched, 1 otherwise.
 
 ``--numeric`` compares stdout as JSON instead of as bytes: keys, strings,
@@ -104,8 +108,25 @@ def signal(d: int) -> str:
     return json.dumps(entries)
 
 
+def usage_errors(planes: Path, broken: Path) -> list[list[str]]:
+    """Calls that end in a usage or parse error (exit 2), or print help."""
+    file = str(planes)  # two blocks on C^3, so index 2 is out of range
+    return [
+        ["analyze", str(planes.with_name("missing.json"))],
+        ["analyze", str(broken)],
+        ["--tolerance", "0", "analyze", file],
+        ["--iterations", "0", "dual", file, "--kind", "wce"],
+        ["erase", file, "--mask", "2", "--signal", "[1, 2, 3]"],
+        ["truncate", file, "--drop", "2"],
+        ["erase", file, "--signal", "[1, 2"],
+        ["--help"],
+        ["dual", "--help"],
+        [],
+    ]
+
+
 def matrix(paths: dict[str, Path], dominant: Path, boundary: list[Path]) -> list[list[str]]:
-    """CLI argument lists, one per call."""
+    """CLI argument lists, one per call, before the usage errors."""
     calls = [["fixtures"]] + [["fixtures", "--name", name] for name in FIXTURES]
     for name, path in paths.items():
         payload = json.loads(path.read_text(encoding="utf-8"))
@@ -237,7 +258,10 @@ def main(argv=None) -> int:
             print(f"could not generate systems: {err.strip()}", file=sys.stderr)
             return 2
 
-        calls = matrix(paths, dominant, boundary)
+        broken = work / "broken.json"
+        broken.write_text("{not json", encoding="utf-8")
+        calls = matrix(paths, dominant, boundary) + usage_errors(
+            paths["overlapping_planes"], broken)
         differing = inexact = 0
         largest = 0.0
         codes: dict[int, int] = {}
