@@ -34,7 +34,8 @@ gradient of ``tr(D_lam^{-1})`` in ``lam``.
 
 - For ``lam`` in the simplex, ``sqrt(tr(D_lam^{-1}))`` is a lower bound on the
   worst case of every dual, and the maximizing ``lam`` gives the worst-case
-  optimum (minimax).  ``wce_solve`` climbs to it by multiplicative weights and
+  optimum (minimax).  ``wce_solve`` climbs to it by multiplicative weights,
+  then by Newton steps on the face of the simplex where the optimum lies, and
   returns the best dual found with the best lower bound, a duality
   certificate; ``wce_condition`` detects the regime where the canonical dual
   is provably the unique optimum.
@@ -49,7 +50,8 @@ block-row scaling of ``T``, so they span ``C^d`` whenever ``T`` passes
 ``D_lam`` is never formed: with ``Y = diag(lam)^{-1/2} U`` (rows scaled
 blockwise), ``D_lam = Y^* Y`` and ``D_lam^{-1} Y^*`` is the pseudoinverse of
 ``Y``, taken from a QR factorization that stays accurate when some weights
-tend to zero.
+tend to zero.  The Hessian of ``tr(D_lam^{-1})`` that a Newton step needs
+comes from the same pseudoinverse, so a step factors nothing else.
 
 Block indices are 0-based throughout.
 """
@@ -60,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import dagger, flat
+from ._linalg import check_tolerance, dagger, flat
 from .core import (
     DEFAULT_TOLERANCE,
     ReconstructionSystem,
@@ -87,6 +89,11 @@ __all__ = [
 
 # Smallest weight relative to the largest: keeps 1/lam finite in the ascent.
 _WEIGHT_FLOOR = np.finfo(float).eps ** 2
+# Relative gap below which the ascent proposes Newton steps on the free face.
+_NEWTON_GAP = 1e-1
+# Smallest weight, relative to the largest, that a Newton step moves: below it the
+# Hessian's diagonal is a difference of terms of size 1/lam_i and cancels.
+_FACE_FLOOR = np.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -194,6 +201,48 @@ class _WeightedDuals:
         energy = np.sum(np.abs(pinv) ** 2, axis=0)
         return float(energy.sum()), np.add.reduceat(energy, self.starts) / weights, pinv
 
+    def hessian(self, weights: np.ndarray, errors: np.ndarray, pinv: np.ndarray) -> np.ndarray:
+        """Hessian of ``tr(D_lam^{-1})`` in ``lam``, from ``solve``'s errors and ``pinv(Y)``.
+
+        ``H_ij = 2 lam_i^-2 lam_j^-2 Re sum_{a in i, b in j} conj(A_ab) B_ab
+        - delta_ij 2 g_i / lam_i`` with ``A = U D^{-1} U^*`` and ``B = U D^{-2} U^*``,
+        both from ``G = pinv(Y) diag(lam^{1/2}) = D^{-1} U^*``: ``A = U G``, ``B = G^* G``.
+        The row of a weight below ``_FACE_FLOOR`` cancels badly and is not to be used.
+        """
+        g = pinv * np.repeat(np.sqrt(weights), self.sizes)
+        cross = np.real(np.conj(self.bases @ g) * (dagger(g) @ g))
+        blocks = np.add.reduceat(np.add.reduceat(cross, self.starts, axis=0), self.starts, axis=1)
+        inverse = weights ** -2.0
+        return 2.0 * (inverse[:, None] * blocks * inverse - np.diag(errors / weights))
+
+    def newton(self, weights: np.ndarray, bound: float, errors: np.ndarray,
+               pinv: np.ndarray) -> np.ndarray | None:
+        """Newton point of ``tr(D_lam^{-1})`` on the free face of the simplex at ``weights``.
+
+        ``weights`` has largest entry 1 and ``bound = tr(D_lam^{-1}) / sum(lam)``.  The
+        face holds the weights from ``_FACE_FLOOR`` up; a smaller weight goes to the
+        floor when its gradient ``g_i`` is below ``bound`` and to ``_FACE_FLOOR``
+        otherwise, so it can rise.  The step is cut short where a weight on the face
+        would turn negative; that weight lands on the floor.  ``None`` when the
+        equality-constrained system is singular.
+        """
+        free = weights >= _FACE_FLOOR
+        size = np.count_nonzero(free)
+        kkt = np.ones((size + 1, size + 1))
+        kkt[:size, :size] = self.hessian(weights, errors, pinv)[np.ix_(free, free)]
+        kkt[size, size] = 0.0
+        try:
+            direction = np.linalg.solve(kkt, np.append(-errors[free], 0.0))[:size]
+        except np.linalg.LinAlgError:
+            return None
+        falling = direction < 0
+        reach = np.min(weights[free][falling] / -direction[falling], initial=1.0)
+        moved = weights.copy()
+        moved[free] += reach * direction
+        moved = np.maximum(moved / moved.max(), _WEIGHT_FLOOR)
+        moved[~free] = np.where(errors[~free] < bound, _WEIGHT_FLOOR, _FACE_FLOOR)
+        return moved
+
     def dual(self, weights: np.ndarray, pinv: np.ndarray) -> ReconstructionSystem:
         """``W_i = lam_i^{-1/2} R_i^{-1} (pinv(Y)_i)^*`` as one product of padded stacks."""
         stack = np.zeros(self.rows.shape + pinv.shape[:1], dtype=np.complex128)
@@ -239,28 +288,50 @@ def wce_solve(system: ReconstructionSystem, iterations: int = 5000,
               tolerance: float = DEFAULT_TOLERANCE) -> WorstCaseSolution:
     """Minimize the worst-case erasure error over all duals, with a certificate.
 
-    Multiplicative-weights ascent on ``lam``: each step evaluates the weighted
-    dual, with per-block errors ``e_i``, and moves ``lam_i <- lam_i * e_i``
-    (then rescales), which shifts weight to the blocks whose squared error is
-    above the weighted average ``tr(D_lam^{-1})``.  The full multiplicative
-    step ``lam_i * e_i^2`` can fall into a two-cycle when many blocks overlap;
-    its square root did not in any tested system.  The ascent stops once the
-    best dual's worst case is within ``tolerance`` (relative) of the best
-    lower bound, or after ``iterations`` steps.
+    An ascent on the weights ``lam`` of ``f(lam) = tr(D_lam^{-1})`` over the
+    simplex.  Each step evaluates one weighted dual, with squared per-block
+    errors ``g_i`` (the gradient of ``f``), and proposes the next weights in
+    one of two ways:
+
+    - the multiplicative step ``lam_i <- lam_i * sqrt(g_i)`` (then rescaled),
+      the Silvey-Titterington-Torsney algorithm with exponent 1/2, which shifts
+      weight to the blocks whose squared error is above the weighted average
+      ``f(lam) / sum(lam)``.  The full exponent can fall into a two-cycle when
+      many blocks overlap; the square root did not in any tested system.  That
+      is an observation, not a theorem: Yu (2010) proves the multiplicative
+      algorithm monotone for criteria of an information matrix linear in the
+      weights, and ``D_lam`` is linear in ``1/lam``;
+    - once the certified gap is below ``_NEWTON_GAP`` (relative), a Newton
+      step on the free face: the weights from ``_FACE_FLOOR`` up.  A smaller
+      weight whose ``g_i`` reaches ``f / sum(lam)`` is lifted to
+      ``_FACE_FLOOR`` so it joins the face; the rest stay on the floor (see
+      ``_WeightedDuals.newton``).  The step solves the equality-constrained
+      system ``[H_FF 1; 1^T 0]`` with the Hessian of ``f`` and is cut short so
+      that no weight turns negative; a weight the cut stops lands on the floor.
+
+    The safeguard keeps the ascent monotone from the first Newton step on: a
+    Newton point is kept only if it raises ``f / sum(lam)``; otherwise the
+    next step is the multiplicative one from the point it left.  ``steps``
+    counts the weight vectors evaluated, Newton points that were turned down
+    included, and ``iterations`` caps it.  Every evaluated point certifies:
+    its dual's worst case bounds the optimum above and ``sqrt(f / sum(lam))``
+    below.  The ascent stops once the best dual's worst case is within
+    ``tolerance`` (relative) of the best lower bound.
 
     The canonical dual is the starting incumbent and is kept unless a weighted
     dual beats it by more than the tolerance, so ``achieved`` never exceeds
     the canonical dual's worst case.  Minimal-redundancy systems have a unique
     dual, returned with zero gap.
     """
+    check_tolerance(tolerance)
+    if iterations < 1:
+        raise StructuralError("iterations must be at least 1")
     factor = _analysis_factor(system)  # seeds the spectrum that classify reads
     shape = classify(system, tolerance)
     if not shape.is_injective:
         raise PreconditionError("worst-case optimization needs an injective system")
     if not shape.is_rs:
         raise NotReconstructionSystemError("system has no positive lower frame bound")
-    if iterations < 1:
-        raise StructuralError("iterations must be at least 1")
 
     canonical = factor.dual(system.k)
     incumbent = error_report(system, canonical).worst_case
@@ -268,18 +339,26 @@ def wce_solve(system: ReconstructionSystem, iterations: int = 5000,
         return WorstCaseSolution(canonical, incumbent, incumbent, 0)
 
     family = _WeightedDuals(system)
-    weights = np.ones(system.m)
+    weights, left = np.ones(system.m), None
     upper, lower, best = incumbent, 0.0, None
     for step in range(1, iterations + 1):
         value, errors, pinv = family.solve(weights)
         # tr(D_lam^{-1}) is homogeneous of degree 1 in lam: normalize to the simplex
-        lower = max(lower, float(np.sqrt(value / weights.sum())))
+        bound = value / weights.sum()
+        lower = max(lower, float(np.sqrt(bound)))
         worst = float(np.sqrt(errors.max()))
         if worst < upper:
             upper, best = worst, (weights, pinv)
         if upper - lower <= tolerance * upper:
             break
-        weights = weights * np.sqrt(errors)
+        newton = None
+        if left is not None and bound <= left[1]:
+            # a Newton point must raise the bound: step from the point it left instead
+            weights, _, errors = left
+        elif upper - lower <= _NEWTON_GAP * upper:
+            newton = family.newton(weights, bound, errors, pinv)
+        left = None if newton is None else (weights, bound, errors)
+        weights = weights * np.sqrt(errors) if newton is None else newton
         weights = np.maximum(weights / weights.max(), _WEIGHT_FLOOR)
 
     if best is not None:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gframes as gf
+import gframes.erasure as erasure
 from gframes._linalg import dagger, frobenius
 from gframes.errors import (
     NotReconstructionSystemError,
@@ -291,6 +292,48 @@ def test_wce_solve_certifies_its_gap_against_sampled_duals():
         samples = gf.dual_manifold_sample(system, seed=4130 + seed, count=1000)
         lowest = min(gf.error_report(system, s).worst_case for s in samples)
         assert lowest >= solution.lower_bound - 1e-9
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_wce_solve_closes_slow_ascents_in_few_steps(seed):
+    # the multiplicative step alone took 79 to 389 steps on these; seeds 1 and 2 have
+    # their optimum on the boundary of the simplex (one weight tends to zero)
+    system = random_system(5, (2, 2, 3, 1), seed=seed)
+    solution = gf.wce_solve(system)
+    canonical = gf.error_report(system, gf.canonical_dual(system)).worst_case
+    assert solution.steps <= 60
+    assert solution.achieved - solution.lower_bound <= 1e-9 * solution.achieved
+    assert gf.verify_dual(solution.dual, system).dual_residual <= 1e-9
+    assert solution.achieved <= canonical
+
+
+@pytest.mark.parametrize("floored", [False, True])
+def test_weighted_family_hessian_matches_central_differences(floored):
+    # mixed block heights; a weight at the floor stays fixed, so only the Hessian's
+    # entries on the other weights are compared
+    system = random_system(5, (2, 2, 3, 1), seed=1)
+    family = erasure._WeightedDuals(system)
+    weights = np.array([0.6, 1.0, 0.45, 0.3])
+    if floored:
+        weights[3] = erasure._WEIGHT_FLOOR
+    _, errors, pinv = family.solve(weights)
+    free = np.flatnonzero(weights >= erasure._FACE_FLOOR)
+    assert free.size == system.m - floored
+    hessian = family.hessian(weights, errors, pinv)[np.ix_(free, free)]
+    scale = np.max(np.abs(hessian))
+    assert np.max(np.abs(hessian - hessian.T)) <= 1e-12 * scale
+
+    def f(shift):
+        return family.solve(weights + shift)[0]
+
+    h = 1e-4
+    steps = h * np.eye(system.m)
+    for a, i in enumerate(free):
+        assert abs((f(steps[i]) - f(-steps[i])) / (2 * h) - errors[i]) <= 1e-7 * errors[i]
+        for b, j in enumerate(free):
+            central = (f(steps[i] + steps[j]) - f(steps[i] - steps[j])
+                       - f(steps[j] - steps[i]) + f(-steps[i] - steps[j])) / (4 * h * h)
+            assert abs(central - hessian[a, b]) <= 1e-6 * scale
 
 
 def test_wce_solve_unique_dual_has_zero_gap():

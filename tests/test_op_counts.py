@@ -25,6 +25,7 @@ import pytest
 import gframes as gf
 import gframes.core as core
 import gframes.stability as stability
+from gframes.errors import StructuralError
 from gframes.generate import (
     commuting_projective,
     random_projective,
@@ -113,6 +114,15 @@ def test_linear_algebra_counts(counts, name):
     op, expected = CASES[name]
     op()
     assert dict(counts) == expected
+
+
+def test_wce_solve_checks_its_arguments_before_factoring(counts):
+    # the order of cli.main: the tolerance, then the iteration budget, then the system
+    with pytest.raises(StructuralError, match="^tolerance must be positive$"):
+        gf.wce_solve(fresh(PROJECTIVE), iterations=0, tolerance=0.0)
+    with pytest.raises(StructuralError, match="^iterations must be at least 1$"):
+        gf.wce_solve(fresh(PROJECTIVE), iterations=0)
+    assert dict(counts) == {}
 
 
 def test_classify_reads_a_cached_spectrum(counts):

@@ -34,7 +34,12 @@ two verdicts, which the paired differences do not enter:
 The workload entry also records the calibration layer: per side, the spread
 of the runs' ``calibration_ms_p50`` (the gframes-free numpy kernel every
 timing is scaled by, from each ``# summary``), so a shift in machine speed
-between the sides shows next to the scaled metrics.
+between the sides shows next to the scaled metrics.  For a workload whose
+op has parts (``dense``: the pipeline, then the worst-case solve), the entry
+records under ``parts`` the same per-side spread of each part's unscaled
+median from each ``# summary`` (``dense_pipeline_ms_p50``,
+``dense_wce_ms_p50``), so a change of ``op_ms_p50`` shows in the part that
+moved.
 
 Every run's ``# summary`` line is kept as printed, with the first run's
 ``# environment`` line.  Under ``bytecode`` the entry records
@@ -71,6 +76,8 @@ from pathlib import Path
 # Unscaled counterparts of the scaled timing metrics, as named in ``# summary``.
 RAW_NAMES = {"setup_s": "setup_s_raw", "op_ms_p50": "op_ms_p50_raw",
              "ops_per_s": "ops_per_s_raw"}
+# Unscaled per-part medians of an op, as named in ``# summary`` (dense only).
+PART_NAMES = ("dense_pipeline_ms_p50", "dense_wce_ms_p50")
 # Fewest pairs on which a gain may be claimed.
 MIN_PAIRS = 10
 # The tier-1 suite, timed once per side with the three slowest tests named.
@@ -207,6 +214,9 @@ def main(argv=None) -> int:
                 for side in ("parent", "change")}
     failed = {side: series(side, lambda r: r["result"]["failed"] / r["result"]["attempted"])
               for side in ("parent", "change")}
+    parts = {name: {side: spread(series(side, lambda r: r["summary"][name]))
+                    for side in ("parent", "change")}
+             for name in PART_NAMES if all(name in r.get("summary", {}) for r in runs)}
 
     record = json.loads(args.out.read_text(encoding="utf-8")) if args.out.is_file() else {}
     record["tier1"] = {"command": "python " + " ".join(TIER1),
@@ -221,6 +231,7 @@ def main(argv=None) -> int:
         "calibration_ms_p50": {
             side: spread(series(side, lambda r: r["summary"]["calibration_ms_p50"]))
             for side in ("parent", "change")},
+        "parts": parts,
         "environment": runs[0].get("environment"),
         "bytecode": {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
                      "dont_write_bytecode": sys.flags.dont_write_bytecode},
@@ -235,8 +246,10 @@ def main(argv=None) -> int:
               f"paired {entry['paired']['median']:+.2e} (max {entry['paired']['max_abs']:.2e}), "
               f"gain {entry['gain']}, within bound {entry['within_bound']}")
     calibration = record["workloads"][args.workload]["calibration_ms_p50"]
-    print(f"{args.workload} calibration_ms_p50: {calibration['parent']['median']:.6g} -> "
-          f"{calibration['change']['median']:.6g}")
+    for name, sides in {"calibration_ms_p50": calibration, **parts}.items():
+        print(f"{args.workload} {name}: "
+              + " -> ".join(f"{sides[side]['median']:.6g} [{sides[side]['q1']:.6g}, "
+                            f"{sides[side]['q3']:.6g}]" for side in ("parent", "change")))
     return 0
 
 
