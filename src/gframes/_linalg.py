@@ -27,19 +27,9 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def spectral_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a, 2))
-
-
 def singular_values(a: np.ndarray) -> np.ndarray:
     """Singular values, descending."""
     return np.linalg.svd(a, compute_uv=False)
-
-
-def eigen_bounds(h: np.ndarray) -> tuple[float, float]:
-    """(smallest, largest) eigenvalue of a Hermitian matrix."""
-    spectrum = np.linalg.eigvalsh(hermitian_part(h))
-    return float(spectrum[0]), float(spectrum[-1])
 
 
 def check_tolerance(tolerance: float) -> None:

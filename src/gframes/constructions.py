@@ -42,6 +42,7 @@ from .core import (
     ReconstructionSystem,
     _analysis_factor,
     _block_spectra,
+    _inverse_gram,
     _layout,
     blockwise_distance,
     classify,
@@ -194,7 +195,7 @@ def group_rs_checks(rep: UnitaryRepresentation, base: np.ndarray,
     commutation = max(frobenius(gram @ u - u @ gram) for u in rep.unitaries)
 
     dual = factor.dual(system.k)
-    dual_base = np.asarray(base, dtype=np.complex128) @ factor.inverse()
+    dual_base = np.asarray(base, dtype=np.complex128) @ _inverse_gram(system, tolerance)
     dual_deviation = blockwise_distance(dual, group_rs(rep, dual_base))
 
     # one SVD of the dual base serves the rank test, the weight and the polar coisometry

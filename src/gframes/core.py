@@ -127,18 +127,21 @@ class ReconstructionSystem:
     fixed at construction; systems of one shape share their signature and
     row slices through a bounded cache.
 
-    A system also caches two things on first use, each as a read-only
+    A system also caches three things on first use, each as a read-only
     array: the triangular factors ``R_i`` of ``V_i^* = Q_i R_i``
-    (``_block_factor``, one stacked QR), and the eigenvalues of ``S`` as the
-    squared singular values of ``T`` (``_spectrum``, ``d`` floats).  Systems
-    never change after construction, so both stay valid for the system's
-    lifetime: every per-block value (``classify``'s injectivity and weights,
-    truncation's dropped norms, ``error_report`` against any dual) comes
-    from the one block factor, and every verdict (``is_rs``, the frame bounds,
-    ``is_protocol`` and the lower bound that truncation reads) comes from
-    the one spectrum, whichever op computed it.  No ``Q``, ``R`` or
-    ``R^{-1}`` of ``T`` is cached: they cost ``K d`` and ``d^2`` entries per
-    system, and each op that needs them refactors ``T``.
+    (``_block_factor``, one stacked QR), the eigenvalues of ``S`` as the
+    squared singular values of ``T`` (``_spectrum``, ``d`` floats), and
+    ``R^{-1}`` of ``T = Q R`` (``_r_inverse``, ``d x d``, from the first
+    ``_AnalysisFactor.r_inverse``).  Systems never change after
+    construction, so all three stay valid for the system's lifetime: every
+    per-block value (``classify``'s injectivity and weights, truncation's
+    dropped norms, ``error_report`` against any dual) comes from the one
+    block factor, every verdict (``is_rs``, the frame bounds, ``is_protocol``
+    and the lower bound that truncation reads) from the one spectrum, and
+    every ``S^{-1} = R^{-1} R^{-*}`` and canonical dual from the one
+    ``R^{-1}``, whichever op computed it.  ``Q`` and ``R`` of ``T`` are not
+    cached (``K d`` entries); an op that needs ``Q`` refactors ``T``.
+    Truncation memoizes the survivors' spectrum per system (``stability``).
 
     Parameters
     ----------
@@ -272,18 +275,21 @@ class SystemClassification:
 
 @dataclass(frozen=True, eq=False)
 class _AnalysisFactor:
-    """Thin QR ``T = Q R`` of an analysis matrix (``q`` is None unless asked for)."""
+    """Thin QR ``T = Q R`` of a system's analysis matrix (``q`` is None unless asked for)."""
 
+    system: ReconstructionSystem
     q: np.ndarray | None
     r: np.ndarray
 
-    @cached_property
+    @property
     def r_inverse(self) -> np.ndarray:
-        return np.linalg.inv(self.r)
-
-    def inverse(self) -> np.ndarray:
-        """``S^{-1} = R^{-1} R^{-*}``."""
-        return self.r_inverse @ dagger(self.r_inverse)
+        """``R^{-1}``, cached read-only on the system by the first call on any factor of it."""
+        cache = vars(self.system)  # where cached_property keeps its values
+        if "_r_inverse" not in cache:
+            r_inverse = np.linalg.inv(self.r)
+            r_inverse.flags.writeable = False
+            cache["_r_inverse"] = r_inverse
+        return cache["_r_inverse"]
 
     def dual(self, sizes: Sequence[int]) -> ReconstructionSystem:
         """The canonical dual, analysis matrix ``Q R^{-*} = T S^{-1}``, in blocks of ``sizes``."""
@@ -324,14 +330,26 @@ def _analysis_factor(system: ReconstructionSystem, tolerance: float | None = Non
 
     The first call on a system seeds its ``_spectrum`` from this ``R``, so no op
     factors ``T`` twice.  numpy takes ``R`` from the same LAPACK ``geqrf`` call
-    with or without ``Q``, so the spectrum does not depend on which op seeds it.
+    with or without ``Q``, so neither the spectrum nor ``R^{-1}`` depends on
+    which op computes it.
     """
     q, r = np.linalg.qr(system.analysis) if basis else (None, np.linalg.qr(system.analysis, "r"))
     cache = vars(system)  # where cached_property keeps its value
     if "_spectrum" not in cache:
         cache["_spectrum"] = _squared_spectrum(r, system.d)
     _frame_bounds(system, tolerance)
-    return _AnalysisFactor(q, r)
+    return _AnalysisFactor(system, q, r)
+
+
+def _inverse_gram(system: ReconstructionSystem, tolerance: float) -> np.ndarray:
+    """``S^{-1} = R^{-1} R^{-*}`` from the cached ``R^{-1}`` (first taken by one values-only QR);
+    raises ``NotReconstructionSystemError`` unless the spectrum is ``nonsingular``."""
+    r_inverse = vars(system).get("_r_inverse")
+    if r_inverse is None:
+        r_inverse = _analysis_factor(system, tolerance, basis=False).r_inverse
+    else:
+        _frame_bounds(system, tolerance)
+    return r_inverse @ dagger(r_inverse)
 
 
 def _block_gram(system: ReconstructionSystem) -> np.ndarray:

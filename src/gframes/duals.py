@@ -18,9 +18,11 @@ analysis matrix (``core._analysis_factor``), which raises
 ``NotReconstructionSystemError`` exactly when ``classify(...).is_rs`` fails:
 both read the one spectrum ``sigma(T)^2`` that the system caches, seeded by
 the first factor of ``T`` and valid for the system's lifetime, since systems
-are immutable.  ``Q`` and ``R`` are not cached; each call refactors ``T``,
-but takes no second SVD.  ``S`` is never formed, so accuracy follows
-``kappa(T)``, not ``kappa(T)^2``.
+are immutable.  The system also caches ``R^{-1}`` from the first inversion,
+so ``inverse_frame_operator`` on a factored system takes no QR and no
+``inv``.  ``Q`` and ``R`` are not cached; ``canonical_dual`` and
+``dual_manifold`` refactor ``T``, but take no second SVD or ``inv``.  ``S``
+is never formed, so accuracy follows ``kappa(T)``, not ``kappa(T)^2``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .core import (
     _analysis_factor,
     _analysis_is_rs,
     _from_analysis,
+    _inverse_gram,
     system_from_synthesis,
 )
 from .errors import SamplingError, StructuralError
@@ -74,7 +77,7 @@ class DualCandidate:
 def inverse_frame_operator(system: ReconstructionSystem,
                            tolerance: float = DEFAULT_TOLERANCE) -> np.ndarray:
     """Inverse of the block Gram sum, ``R^{-1} R^{-*}``; raises when it is numerically singular."""
-    return _analysis_factor(system, tolerance, basis=False).inverse()
+    return _inverse_gram(system, tolerance)
 
 
 def canonical_dual(system: ReconstructionSystem,

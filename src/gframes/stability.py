@@ -14,12 +14,15 @@ and judge it by the one ``is_rs`` rule on its own QR factor ``R_J``, so
 ``truncate``'s verdict and bounds, ``classify`` of the kept blocks and
 ``truncated_canonical_dual`` (which does not run ``truncate``) agree, however
 large the dropped blocks are.  ``truncate`` forms ``S_J = R_J^* R_J``, and
-``S^{-1} = R^{-1} R^{-*}`` from the checked QR factor of ``T``.
+``S^{-1} = R^{-1} R^{-*}`` from the ``R^{-1}`` the system caches (see
+``core.ReconstructionSystem``).  Each system memoizes the survivors' spectrum
+``sigma(R_J)^2`` for the last drop set either function factored, so the
+other one, called with that drop set, takes no SVD of ``R_J``.
 ``ck_sufficient_condition`` factors nothing once the system's spectrum and
-block factor are cached (see ``core.ReconstructionSystem``): it reads the
-lower bound from the one and the dropped blocks' spectral norms
-``||R_i||_sp = ||V_i||_sp`` from one values-only SVD of the other.  The
-truncated dual is certified by its residual ``||sum_kept W_i^* V_i - I||``.
+block factor are cached: it reads the lower bound from the one and the
+dropped blocks' spectral norms ``||R_i||_sp = ||V_i||_sp`` from one
+values-only SVD of the other.  The truncated dual is certified by its
+residual ``||sum_kept W_i^* V_i - I||``.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .core import (
     _frame_bounds,
     _from_analysis,
     _index_subset,
+    _inverse_gram,
 )
 from .errors import GFramesError, NotReconstructionSystemError, StructuralError
 
@@ -79,12 +83,17 @@ def _rows(system: ReconstructionSystem, blocks: Sequence[int]) -> np.ndarray:
 
 def _survivors(system: ReconstructionSystem, dropped: Iterable[int]
                ) -> tuple[tuple[int, ...], tuple[int, ...], ReconstructionSystem]:
-    """The checked dropped and kept indices, and the kept blocks as a system of their own."""
+    """The checked dropped and kept indices, and the kept blocks as a system of their own,
+    its spectrum seeded from ``system``'s memo when that holds this drop set."""
     drop = _index_subset(dropped, system.m, "dropped")
     if len(drop) == system.m:
         raise StructuralError("cannot drop every block")
     kept = tuple(i for i in range(system.m) if i not in drop)
-    return drop, kept, _from_analysis(_rows(system, kept), [system.k[i] for i in kept])
+    survivors = _from_analysis(_rows(system, kept), [system.k[i] for i in kept])
+    memo = vars(system).get("_kept_spectrum")
+    if memo is not None and memo[0] == drop:
+        vars(survivors)["_spectrum"] = memo[1]
+    return drop, kept, survivors
 
 
 def truncate(system: ReconstructionSystem, dropped: Iterable[int],
@@ -92,9 +101,10 @@ def truncate(system: ReconstructionSystem, dropped: Iterable[int],
     """Drop the blocks in ``dropped`` (a proper subset) and report stability; raises
     ``NotReconstructionSystemError`` unless the whole system is RS, as ``M_J`` needs ``S^{-1}``."""
     drop, kept, survivors = _survivors(system, dropped)
-    inverse = _analysis_factor(system, tolerance, basis=False).inverse()
+    inverse = _inverse_gram(system, tolerance)
     lower, _ = _frame_bounds(system)
     r = _analysis_factor(survivors, basis=False).r
+    vars(system)["_kept_spectrum"] = drop, survivors._spectrum  # the memo _survivors reads
     survivor_gram = hermitian_part(dagger(r) @ r)
     truncation_factor = survivor_gram @ inverse
     bounds = _frame_bounds(survivors)
@@ -118,12 +128,15 @@ def truncated_canonical_dual(system: ReconstructionSystem, dropped: Iterable[int
     rule, exactly when ``canonical_dual`` of the kept blocks raises, and
     ``GFramesError`` when ``||sum_kept W_i^* V_i - I|| > tolerance``.
     """
-    _, _, survivors = _survivors(system, dropped)
+    drop, _, survivors = _survivors(system, dropped)
+    factor = _analysis_factor(survivors)
+    vars(system)["_kept_spectrum"] = drop, survivors._spectrum
     try:
-        dual = _analysis_factor(survivors, tolerance).dual(survivors.k)
+        _frame_bounds(survivors, tolerance)
     except NotReconstructionSystemError:
         raise NotReconstructionSystemError(
             "surviving blocks have no positive lower frame bound") from None
+    dual = factor.dual(survivors.k)
     residual = frobenius(dagger(dual.analysis) @ survivors.analysis - np.eye(system.d))
     if residual > tolerance:
         raise GFramesError(f"truncated canonical dual misses the identity by {residual:.3e}")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from gframes import ReconstructionSystem, classify
-from gframes._linalg import random_unitary
+from gframes._linalg import hermitian_part, random_unitary
 from gframes.generate import (
     commuting_projective,
     partition_protocol,
@@ -13,6 +13,16 @@ from gframes.generate import (
     random_riesz,
     random_system,
 )
+
+
+def spectral_norm(a: np.ndarray) -> float:
+    return float(np.linalg.norm(a, 2))
+
+
+def eigen_bounds(h: np.ndarray) -> tuple[float, float]:
+    """(smallest, largest) eigenvalue of a Hermitian matrix."""
+    spectrum = np.linalg.eigvalsh(hermitian_part(h))
+    return float(spectrum[0]), float(spectrum[-1])
 
 
 def draw_shape(rng, d_max: int = 12, m_max: int = 6, k_max: int = 4,

@@ -8,7 +8,7 @@ behavior change, not a test fix.
 import numpy as np
 
 import gframes as gf
-from gframes._linalg import complex_gaussian, eigen_bounds, frobenius, spectral_norm
+from gframes._linalg import complex_gaussian, frobenius
 from gframes.generate import random_projective, random_system
 from helpers import (
     draw_commuting,
@@ -17,6 +17,8 @@ from helpers import (
     draw_protocol,
     draw_riesz,
     draw_shape,
+    eigen_bounds,
+    spectral_norm,
 )
 
 

@@ -5,10 +5,15 @@ import pytest
 
 import gframes as gf
 import gframes.core as core
-from gframes._linalg import complex_gaussian, dagger, eigen_bounds, random_unitary
+from gframes._linalg import complex_gaussian, dagger, random_unitary
 from gframes.errors import NotReconstructionSystemError, PreconditionError, StructuralError
 from gframes.generate import partition_protocol, random_projective, random_system
-from helpers import draw_general, draw_nonuniform_projective, draw_uniform_projective
+from helpers import (
+    draw_general,
+    draw_nonuniform_projective,
+    draw_uniform_projective,
+    eigen_bounds,
+)
 
 
 def frame_operator_oracle(system):

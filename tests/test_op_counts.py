@@ -6,8 +6,11 @@ through it) and the ``numpy.linalg`` entry points ``qr``, ``eigvalsh``,
 takes them from one QR of the analysis matrix ``T = Q R`` (one ``qr``, at
 most one ``inv`` of ``R``, and one values-only ``svd`` of ``R`` the first
 time a system is factored, since the system caches that spectrum); no op
-builds ``S`` block by block or inverts it.  The survivors of a truncation
-are a system of their own, factored and judged the same way.  Every
+builds ``S`` block by block or inverts it.  The system also caches ``R^{-1}``,
+so ``S^{-1}`` on a system that some op has inverted takes no ``qr`` and no
+``inv``.  The survivors of a truncation are a system of their own, factored
+and judged the same way; their spectrum is memoized on the system per drop
+set, so the second truncation op on one drop set takes no ``svd`` of ``R_J``.  Every
 per-block value comes from the zero-padded block stack: the block spectra
 (injectivity, weights, the dropped norms in truncation) are one values-only
 ``svd`` of the block factor ``R_i``, which one ``qr`` of the stack computes
@@ -161,20 +164,25 @@ def test_ops_on_one_system_take_one_spectrum(counts, monkeypatch):
         (lambda: duals.append(gf.canonical_dual(system)), {"qr": 1, "inv": 1}),
         # no factor at all: the block factor is cached
         (lambda: gf.error_report(system, duals[0]), {}),
-        # R for S^{-1}; the kept rows' R_J and its spectrum; M_J's singular values
-        (lambda: gf.truncate(system, drop), {"qr": 2, "inv": 1, "svd": 2}),
+        # S^{-1} from the cached R^{-1}; the kept rows' R_J and its spectrum; M_J's singular
+        # values
+        (lambda: gf.truncate(system, drop), {"qr": 1, "svd": 2}),
+        # the kept rows' full QR and R_J^{-1} for their dual; their spectrum is memoized
+        (lambda: gf.truncated_canonical_dual(system, drop), {"qr": 1, "inv": 1}),
         # no factor at all: the dropped blocks' norms take one SVD of the cached R_i
         (lambda: gf.ck_sufficient_condition(system, drop), {"svd": 1}),
-        (lambda: gf.inverse_frame_operator(system), {"qr": 1, "inv": 1}),
+        # no factor at all: R^{-1} is cached
+        (lambda: gf.inverse_frame_operator(system), {}),
     ]
     for op, expected in pipeline:
         counts.clear()
         op()
         assert dict(counts) == expected
-    assert len(survivors) == 1  # truncate's kept blocks
-    # one spectrum per system: each system's cached spectrum is the only one taken for it
-    cached = [vars(owner)["_spectrum"] for owner in (system, survivors[0])]
-    assert [sum(taken is spectrum for taken in spectra) for spectrum in cached] == [1, 1]
+    assert len(survivors) == 2  # the kept blocks of truncate and of truncated_canonical_dual
+    # one spectrum per system and drop set: the survivors of both truncation ops share one
+    cached = [vars(owner)["_spectrum"] for owner in (system, *survivors)]
+    assert cached[1] is cached[2]
+    assert [sum(taken is spectrum for taken in spectra) for spectrum in cached[:2]] == [1, 1]
     assert len(spectra) == 2
 
 

@@ -13,7 +13,6 @@ import gframes as gf
 from gframes._linalg import (
     complex_gaussian,
     dagger,
-    eigen_bounds,
     hermitian_part,
     random_unitary,
     singular_values,
@@ -26,6 +25,7 @@ from gframes.generate import (
     random_riesz,
     random_system,
 )
+from helpers import eigen_bounds
 
 MIXED_SIZES = [(3, 1, 4, 2), (1, 1, 1, 1, 1, 1, 1), (4, 4, 4), (2, 3), (1, 4, 1, 4, 2)]
 # Drawn over C^d with d = max(max(k), 5), each has blocks with k_i = d.

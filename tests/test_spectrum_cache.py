@@ -3,11 +3,16 @@
 A system caches the spectrum ``sigma(T)^2`` of its analysis matrix on first
 use, whether a verdict (``classify``, ``ck_sufficient_condition``) or a
 factor (``canonical_dual``, ``truncate``, ``inverse_frame_operator``) asks
-first, and its block factor ``R_i`` whenever a per-block value is first
+first; its block factor ``R_i`` whenever a per-block value is first
 needed (``classify``, ``ck_sufficient_condition``, ``error_report``, the
-erasure-optimal duals).  Every op must return the same bits, or raise the
-same error with the same message, on a cold system as on one warmed by any
-other op.
+erasure-optimal duals); ``R^{-1}`` of ``T = Q R`` whenever an op first
+inverts ``R`` (``canonical_dual``, ``dual_manifold``, ``truncate``,
+``inverse_frame_operator``, the erasure-optimal duals); and, as a memo for
+the last drop set, the survivors' spectrum whenever ``truncate`` or
+``truncated_canonical_dual`` factors the kept rows.  Every op must return
+the same bits, or raise the same error with the same message, on a cold
+system as on one warmed by any other op, and every cache must hold the bits
+that its own values-only QR gives.
 """
 
 from dataclasses import astuple
@@ -16,10 +21,13 @@ import numpy as np
 import pytest
 
 import gframes as gf
+import gframes.core as core
+import gframes.stability as stability
 from gframes._linalg import complex_gaussian
 from gframes.generate import random_projective, random_system
 
 DROP = (0,)
+SECOND_DROP = (1,)
 
 
 def nearest(system):
@@ -36,6 +44,9 @@ OPS = {
     "classify": lambda s: astuple(gf.classify(s)),
     "canonical_dual": lambda s: gf.canonical_dual(s).analysis,
     "truncate": lambda s: astuple(gf.truncate(s, DROP)),
+    "truncate_second_drop": lambda s: astuple(gf.truncate(s, SECOND_DROP)),
+    "truncated_canonical_dual": lambda s: gf.truncated_canonical_dual(s, DROP).analysis,
+    "dual_manifold": lambda s: gf.dual_manifold(s).base_synthesis,
     "ck_sufficient_condition": lambda s: gf.ck_sufficient_condition(s, DROP),
     "inverse_frame_operator": gf.inverse_frame_operator,
     "error_report": lambda s: astuple(gf.error_report(s, gf.canonical_dual(s))),
@@ -83,6 +94,22 @@ def fresh(system):
     return gf.ReconstructionSystem(system.blocks)
 
 
+def kept_rows(system, drop):
+    return np.concatenate([block for i, block in enumerate(system.blocks) if i not in drop])
+
+
+def check_caches(system):
+    """A cached ``R^{-1}`` and survivors' memo hold the bits of their own values-only QR."""
+    cache = vars(system)
+    if "_r_inverse" in cache:
+        expected = np.linalg.inv(np.linalg.qr(system.analysis, mode="r"))
+        assert np.array_equal(cache["_r_inverse"], expected)
+    if "_kept_spectrum" in cache:
+        drop, spectrum = cache["_kept_spectrum"]
+        r = np.linalg.qr(kept_rows(system, drop), mode="r")
+        assert np.array_equal(spectrum, core._squared_spectrum(r, system.d))
+
+
 SYSTEMS = edge_systems()
 
 
@@ -93,10 +120,15 @@ def test_outputs_do_not_depend_on_which_op_fills_the_cache(kind, first):
     cold = {op: outcome(op, fresh(system)) for op in OPS}
     warm = fresh(system)
     outcome(first, warm)
-    if first != "nearest_projective":  # the one op that reads neither cache
+    if first == "truncated_canonical_dual":  # factors the kept rows only
+        assert "_kept_spectrum" in vars(warm)
+    elif first != "nearest_projective":  # the one op that reads no cache
         assert "_spectrum" in vars(warm)
+    check_caches(warm)
     for op in OPS:
         assert same(outcome(op, warm), cold[op]), op
+    check_caches(warm)
+    assert ("_r_inverse" in vars(warm)) == gf.classify(system).is_rs
 
 
 def test_verdicts_of_the_edge_systems():
@@ -120,3 +152,67 @@ def test_cached_spectrum_is_read_only(first):
     with pytest.raises(ValueError):
         spectrum[0] = 0.0
     assert spectrum.shape == (system.d,)
+
+
+def test_a_drop_set_memo_is_read_for_that_drop_set_only(monkeypatch):
+    survivors = []
+    from_analysis = stability._from_analysis
+
+    def kept(*args, **kwargs):
+        survivors.append(from_analysis(*args, **kwargs))
+        return survivors[-1]
+
+    monkeypatch.setattr(stability, "_from_analysis", kept)
+    base = SYSTEMS["general"]
+    system = fresh(base)
+    for other in ([0], [3], [0, 3, 5], [1, 2]):
+        gf.truncate(system, [0, 3])
+        _, memo = vars(system)["_kept_spectrum"]
+        survivors.clear()
+        dual = gf.truncated_canonical_dual(system, other)
+        assert vars(survivors[0])["_spectrum"] is not memo
+        assert vars(system)["_kept_spectrum"][0] == tuple(other)
+        cold = gf.truncated_canonical_dual(fresh(base), other)
+        assert np.array_equal(dual.analysis, cold.analysis)
+        report = gf.truncate(system, [0, 3])
+        assert same(astuple(report), astuple(gf.truncate(fresh(base), [0, 3])))
+    # the same drop set, listed in another order, reads the memo
+    _, memo = vars(system)["_kept_spectrum"]
+    survivors.clear()
+    gf.truncated_canonical_dual(system, [3, 0])
+    assert vars(survivors[0])["_spectrum"] is memo
+
+
+@pytest.mark.parametrize("first", ["canonical_dual", "dual_manifold", "truncate",
+                                   "inverse_frame_operator"])
+def test_cached_r_inverse_and_memo_are_read_only(first):
+    system = fresh(SYSTEMS["general"])
+    outcome(first, system)
+    r_inverse = vars(system)["_r_inverse"]
+    assert not r_inverse.flags.writeable
+    with pytest.raises(ValueError):
+        r_inverse[0, 0] = 0.0
+    assert r_inverse.shape == (system.d, system.d)
+    gf.truncated_canonical_dual(system, DROP)
+    _, spectrum = vars(system)["_kept_spectrum"]
+    assert not spectrum.flags.writeable
+    assert spectrum.shape == (system.d,)
+
+
+def test_a_cached_r_inverse_keeps_every_tolerance_check():
+    system = blocks_times(random_system(6, (2, 3, 4, 2), 1), np.diag([1.0] * 5 + [1e-5]))
+    assert gf.classify(system, 1e-12).is_rs and not gf.classify(system, 1e-9).is_rs
+    strict = {"inverse_frame_operator": lambda s: gf.inverse_frame_operator(s, 1e-9),
+              "truncate": lambda s: gf.truncate(s, DROP, 1e-9),
+              "canonical_dual": lambda s: gf.canonical_dual(s, 1e-9)}
+    for name, op in strict.items():
+        warm = fresh(system)
+        loose = gf.inverse_frame_operator(warm, 1e-12)  # caches R^{-1}
+        assert "_r_inverse" in vars(warm)
+        errors = []
+        for target in (fresh(system), warm):
+            with pytest.raises(gf.NotReconstructionSystemError) as raised:
+                op(target)
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1], name
+        assert np.array_equal(gf.inverse_frame_operator(warm, 1e-12), loose)

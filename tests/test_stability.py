@@ -6,10 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gframes as gf
-from gframes._linalg import complex_gaussian, dagger, eigen_bounds, frobenius, spectral_norm
+from gframes._linalg import complex_gaussian, dagger, frobenius
 from gframes.errors import NotReconstructionSystemError, StructuralError
 from gframes.generate import partition_protocol, random_system
-from helpers import draw_general
+from helpers import draw_general, eigen_bounds, spectral_norm
 
 
 def test_dropping_nothing_changes_nothing():

@@ -41,9 +41,11 @@ by ``max(|a|, |b|)``, so that an exact zero against a rounding-level value
 counts at the scale of the report.  A float printed with 17 significant
 digits can look like an integer (``1.0`` prints as ``1``), so a number
 parsed as an integer on one side and as a float on the other is compared as
-a float.  The largest normwise deviation is printed per differing call, with
-where in the report it sits, and for the whole run.  A stdout that is not
-JSON is compared as bytes.
+a float.  The whole report is walked: every difference that is not a float
+is listed, and the floats that both sides hold are still compared, so a call
+that differs in an integer reports its float deviations too.  The largest
+normwise deviation is printed per call, with where in the report it sits,
+and for the whole run.  A stdout that is not JSON is compared as bytes.
 
 Standard library only; the trees themselves need numpy.
 """
@@ -155,53 +157,53 @@ def matrix(paths: dict[str, Path], dominant: Path, boundary: list[Path]) -> list
 NUMERIC_TOLERANCE = 1e-12
 
 
-class Mismatch(Exception):
-    """Two JSON reports differ in something other than float digits."""
-
-
-def float_deviation(a, b, where: str = "$") -> tuple[float, str, float]:
+def float_deviation(a, b, mismatches: list[str], where: str = "$"
+                    ) -> tuple[float, str, float]:
     """Largest absolute float difference between two parsed JSON values, where it is, and
     the largest float magnitude on either side.
 
-    Raises ``Mismatch`` on any difference in keys, lengths, strings, integers,
-    booleans or nulls.
+    Every difference in keys, lengths, types, strings, integers, booleans or
+    nulls is appended to ``mismatches``, and the walk goes on over the keys and
+    positions that both sides hold.
     """
     numbers = (int, float)
     if (isinstance(a, numbers) and isinstance(b, numbers) and not isinstance(a, bool)
             and not isinstance(b, bool) and float in (type(a), type(b))):
         a, b = float(a), float(b)
-        if not (math.isfinite(a) and math.isfinite(b)):
-            if a == b:
-                return 0.0, where, 0.0
-            raise Mismatch(f"{where}: {a!r} vs {b!r}")
-        return abs(a - b), where, max(abs(a), abs(b))
+        if math.isfinite(a) and math.isfinite(b):
+            return abs(a - b), where, max(abs(a), abs(b))
+        if a != b:
+            mismatches.append(f"{where}: {a!r} vs {b!r}")
+        return 0.0, where, 0.0
+    parts = []
     if type(a) is not type(b):
-        raise Mismatch(f"{where}: {type(a).__name__} vs {type(b).__name__}")
-    if isinstance(a, dict):
+        mismatches.append(f"{where}: {type(a).__name__} vs {type(b).__name__}")
+    elif isinstance(a, dict):
         if list(a) != list(b):
-            raise Mismatch(f"{where}: keys {sorted(a)} vs {sorted(b)}")
-        parts = [float_deviation(a[key], b[key], f"{where}.{key}") for key in a]
+            mismatches.append(f"{where}: keys {sorted(a)} vs {sorted(b)}")
+        parts = [float_deviation(a[key], b[key], mismatches, f"{where}.{key}")
+                 for key in a if key in b]
     elif isinstance(a, list):
         if len(a) != len(b):
-            raise Mismatch(f"{where}: lengths {len(a)} vs {len(b)}")
-        parts = [float_deviation(x, y, f"{where}[{i}]") for i, (x, y) in enumerate(zip(a, b))]
-    else:
-        if a != b:
-            raise Mismatch(f"{where}: {a!r} vs {b!r}")
-        parts = []
+            mismatches.append(f"{where}: lengths {len(a)} vs {len(b)}")
+        parts = [float_deviation(x, y, mismatches, f"{where}[{i}]")
+                 for i, (x, y) in enumerate(zip(a, b))]
+    elif a != b:
+        mismatches.append(f"{where}: {a!r} vs {b!r}")
     deviation, place, _ = max(parts, default=(0.0, where, 0.0), key=lambda part: part[0])
     return deviation, place, max((part[2] for part in parts), default=0.0)
 
 
-def normwise_deviation(a, b) -> tuple[float, str]:
+def normwise_deviation(a, b) -> tuple[float, str, list[str]]:
     """Largest float difference between two parsed reports over the largest float magnitude
-    in their ``outputs`` (or in the whole reports), and where it is."""
-    deviation, where, _ = float_deviation(a, b)
+    in their ``outputs`` (or in the whole reports), where it is, and every other difference."""
+    mismatches: list[str] = []
+    deviation, where, _ = float_deviation(a, b, mismatches)
     if deviation == 0.0:
-        return 0.0, where
+        return 0.0, where, mismatches
     scale = float_deviation(*(r["outputs"] if isinstance(r, dict) and "outputs" in r else r
-                               for r in (a, b)))[2]
-    return (deviation / scale if scale else math.inf), where
+                               for r in (a, b)), [])[2]
+    return (deviation / scale if scale else math.inf), where, mismatches
 
 
 def compare(before: tuple[int, str, str], after: tuple[int, str, str],
@@ -216,10 +218,9 @@ def compare(before: tuple[int, str, str], after: tuple[int, str, str],
     except json.JSONDecodeError:
         return differing, 0.0, ""
     differing.remove("stdout")
-    try:
-        deviation, where = normwise_deviation(*reports)
-    except Mismatch as exc:
-        return differing + [f"stdout ({exc})"], 0.0, ""
+    deviation, where, mismatches = normwise_deviation(*reports)
+    if mismatches:
+        differing.append(f"stdout ({'; '.join(mismatches)})")
     if deviation > NUMERIC_TOLERANCE:
         differing.append(f"stdout floats beyond {NUMERIC_TOLERANCE:g}")
     return differing, deviation, where
