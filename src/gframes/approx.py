@@ -9,15 +9,20 @@ singular value, the trace of the positive factor divided by ``k``.  Applying
 this blockwise gives the projective system nearest to an injective one in
 the stacked-analysis Frobenius distance.
 
-``nearest_projective`` takes one thin SVD ``B_i = L_i diag(sigma_i) R_i`` of
-the zero-padded block stack (a view of the analysis matrix when all heights
-agree), keeps the ``k_i`` singular triplets of each block's own rows, and
-forms each ``U_i = L_i R_i`` without its positive factor.  Since ``B_i`` and
-``alpha_i U_i`` share their singular vectors, the distance is
+The polar coisometry of an injective block is ``U_i = (V_i V_i^*)^{-1/2} V_i``,
+so it depends on the block only through the ``k_i x k_i`` Gram
+``V_i V_i^* = R_i^* R_i`` of the block factor ``V_i^* = Q_i R_i`` that every
+system caches.  ``nearest_projective`` takes one small SVD
+``R_i = P_i diag(sigma_i) B_i^*`` of that factor (``m x width x width``) and
+forms every ``alpha_i U_i`` as the stacked product
+``(B_i diag(alpha_i / sigma_i) B_i^*) V_i``, with no SVD of the blocks
+themselves.  Since ``V_i`` and ``alpha_i U_i`` share their singular vectors,
+the distance is
 
     ||T - T_hat|| = sqrt(sum_i sum_j (sigma_ij - alpha_i)^2),
 
-read from the same singular values without forming the difference.
+read from the same singular values without forming the difference.  The
+injectivity verdict is the one ``classify`` reads (``core._block_spectra``).
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from ._linalg import dagger, flat, hermitian_part, nonsingular, singular_values
 from .core import (
     DEFAULT_TOLERANCE,
     ReconstructionSystem,
+    _block_spectra,
     _block_stack,
     _from_analysis,
     _layout,
@@ -91,19 +97,22 @@ def nearest_projective(system: ReconstructionSystem,
     coisometry and ``alpha_i`` the mean singular value; the distance is the
     Frobenius norm of the stacked difference.  The minimizer is unique
     because each block problem is a strictly convex projection onto the ray
-    through its coisometry.
+    through its coisometry.  Raises ``PreconditionError`` exactly when
+    ``classify(system, tolerance).is_injective`` is false.  ``U_i`` is formed
+    from the block factor, so ``U_i U_i^*`` misses I by about ``kappa(V_i) eps``.
     """
+    if not _block_spectra(system, tolerance)[0]:
+        raise PreconditionError("projective approximation needs an injective system")
     rows = _layout(system.k, system.d).rows
     sizes = np.asarray(system.k)
-    left, sigma, right = np.linalg.svd(_block_stack(system), full_matrices=False)
-    bottom = sigma[np.arange(system.m), np.minimum(sizes, system.d) - 1]
-    injective = nonsingular(bottom ** 2, sigma[:, 0] ** 2, tolerance) & (sizes <= system.d)
-    if not injective.all():
-        raise PreconditionError("projective approximation needs an injective system")
-    # keep each block's k_i singular triplets; the rest belong to its zero padding
+    # every k_i <= d, so the factor is each R_i zero-padded to width x width; right = B_i^*
+    _, sigma, right = np.linalg.svd(system._block_factor)
+    # keep each block's k_i singular values; the rest belong to its zero padding
     sigma = np.where(rows, sigma, 0.0)
     alpha = np.where(rows, sigma.sum(axis=1, keepdims=True) / sizes[:, None], 0.0)
     gap = float(np.sum((sigma - alpha) ** 2))
-    nearest = (alpha[:, None, :] * left) @ right  # the alpha_i U_i
+    scale = alpha / np.where(rows, sigma, 1.0)  # alpha_i / sigma_ij, zero on the padding
+    # the alpha_i U_i = alpha_i (V_i V_i^*)^{-1/2} V_i, with the padding rows
+    nearest = ((dagger(right) * scale[:, None, :]) @ right) @ _block_stack(system)
     nearest = nearest.reshape(-1, system.d) if rows.all() else nearest[rows]  # no copy unpadded
     return _from_analysis(nearest, system.k), float(np.sqrt(gap))

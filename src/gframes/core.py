@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import dagger, flat, frobenius, hermitian_part, nonsingular
+from ._linalg import dagger, flat, frobenius, hermitian_part, nonsingular, triangular_inverse
 from .errors import NotReconstructionSystemError, StructuralError
 
 DEFAULT_TOLERANCE = 1e-9
@@ -132,12 +132,14 @@ class ReconstructionSystem:
     (``_block_factor``, one stacked QR), the eigenvalues of ``S`` as the
     squared singular values of ``T`` (``_spectrum``, ``d`` floats), and
     ``R^{-1}`` of ``T = Q R`` (``_r_inverse``, ``d x d``, from the first
-    ``_AnalysisFactor.r_inverse``).  Systems never change after
+    ``_AnalysisFactor.r_inverse``, which inverts the triangular ``R`` by
+    blocks with ``_linalg.triangular_inverse``).  Systems never change after
     construction, so all three stay valid for the system's lifetime: every
     per-block value (``classify``'s injectivity and weights, truncation's
-    dropped norms, ``error_report`` against any dual) comes from the one
-    block factor, every verdict (``is_rs``, the frame bounds, ``is_protocol``
-    and the lower bound that truncation reads) from the one spectrum, and
+    dropped norms, ``error_report`` against any dual, the polar factors of
+    ``nearest_projective``) comes from the one block factor, every verdict
+    (``is_rs``, the frame bounds, ``is_protocol`` and the lower bound that
+    truncation reads) from the one spectrum, and
     every ``S^{-1} = R^{-1} R^{-*}`` and canonical dual from the one
     ``R^{-1}``, whichever op computed it.  ``Q`` and ``R`` of ``T`` are not
     cached (``K d`` entries); an op that needs ``Q`` refactors ``T``.
@@ -286,7 +288,7 @@ class _AnalysisFactor:
         """``R^{-1}``, cached read-only on the system by the first call on any factor of it."""
         cache = vars(self.system)  # where cached_property keeps its values
         if "_r_inverse" not in cache:
-            r_inverse = np.linalg.inv(self.r)
+            r_inverse = triangular_inverse(self.r)
             r_inverse.flags.writeable = False
             cache["_r_inverse"] = r_inverse
         return cache["_r_inverse"]

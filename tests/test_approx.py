@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gframes as gf
-from gframes._linalg import dagger, frobenius, null_space
+from gframes._linalg import complex_gaussian, dagger, frobenius, null_space, random_unitary
 from gframes.errors import PreconditionError, StructuralError
 from gframes.generate import random_coisometry, random_projective, random_system
 from helpers import draw_injective, draw_nonuniform_projective
@@ -202,3 +202,54 @@ def test_nearest_projective_verdicts_do_not_depend_on_scale(system):
             result = gf.analysis_matrix(gf.nearest_projective(scaled)[0])
             expected = c * gf.analysis_matrix(approx)
             assert frobenius(result - expected) <= 1e-12 * frobenius(expected)
+
+
+def conditioned_block(rng, k, d, kappa):
+    """A ``k x d`` block with singular values spaced geometrically from 1 to ``1 / kappa``."""
+    return (random_unitary(rng, k) * np.geomspace(1.0, 1.0 / kappa, k)) @ random_unitary(rng, d)[:k]
+
+
+def test_nearest_projective_refuses_exactly_what_classify_calls_not_injective():
+    # kappa^2 = 1 / tolerance is the injectivity threshold of a block
+    edge = np.sqrt(1e9)
+    ladder = [1e4, 2e4, 3e4, 1e5, 1e6] + [edge * (1 + delta)
+                                          for delta in (-1e-3, -1e-6, 0.0, 1e-6, 1e-3)]
+    rng = np.random.default_rng(615)
+    refused = []
+    for kappa in ladder:
+        blocks = [complex_gaussian(rng, (2, 6)), conditioned_block(rng, 3, 6, kappa),
+                  complex_gaussian(rng, (4, 6)), complex_gaussian(rng, (1, 6))]
+        system = gf.ReconstructionSystem(blocks)
+        try:
+            gf.nearest_projective(system)
+        except PreconditionError:
+            refused.append(True)
+        else:
+            refused.append(False)
+        assert refused[-1] == (not gf.classify(system).is_injective)
+    assert any(refused) and not all(refused)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_nearest_projective_of_mixed_heights_with_padding(seed):
+    # a square block, rows of one and blocks of every height in between
+    system = random_system(5, (5, 1, 3, 1, 2, 4), seed=616 + seed)
+    approx, distance = gf.nearest_projective(system)
+    assert approx.k == system.k
+    for block, expected in zip(approx.blocks, polar_reference(system)):
+        assert frobenius(block - expected) <= 1e-12 * frobenius(expected)
+    direct = frobenius(gf.analysis_matrix(system) - gf.analysis_matrix(approx))
+    assert abs(distance - direct) <= 1e-12 * direct
+    assert gf.classify(approx).is_projective
+
+
+def test_polar_factors_of_ill_conditioned_blocks_are_coisometries_to_kappa_eps():
+    rng = np.random.default_rng(619)
+    kappas = (1.0, 1e1, 1e2, 1e3, 1e4, 3e4)
+    system = gf.ReconstructionSystem([conditioned_block(rng, 4, 9, kappa) for kappa in kappas])
+    approx, _ = gf.nearest_projective(system)
+    for block, reference, kappa in zip(approx.blocks, system.blocks, kappas):
+        alpha = float(np.mean(np.linalg.svd(reference, compute_uv=False)))
+        coisometry = block / alpha
+        miss = np.linalg.norm(coisometry @ dagger(coisometry) - np.eye(4), 2)
+        assert miss <= 32 * kappa * np.finfo(float).eps
