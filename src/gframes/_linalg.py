@@ -52,29 +52,6 @@ def flat(lower, upper, tolerance: float):
     return nonsingular(lower, upper, tolerance) & (upper - lower <= tolerance * upper)
 
 
-_INVERSE_BASE = 32  # at most this order, np.linalg.inv (an LU that never pivots here)
-
-
-def triangular_inverse(r: np.ndarray) -> np.ndarray:
-    """Inverse of an upper-triangular ``r`` (or of each in a ``... x n x n`` stack).
-
-    Recurses on ``[[A, B], [0, C]]^{-1} = [[A^{-1}, -A^{-1} B C^{-1}], [0, C^{-1}]]``,
-    so above the base order the work is matrix products; at or below it the
-    result is ``np.linalg.inv(r)`` bit for bit.
-    """
-    n = r.shape[-1]
-    if n <= _INVERSE_BASE:
-        return np.linalg.inv(r)
-    half = n // 2
-    a_inverse = triangular_inverse(r[..., :half, :half])
-    c_inverse = triangular_inverse(r[..., half:, half:])
-    inverse = np.zeros_like(a_inverse, shape=r.shape)
-    inverse[..., :half, :half] = a_inverse
-    inverse[..., half:, half:] = c_inverse
-    inverse[..., :half, half:] = -(a_inverse @ r[..., :half, half:]) @ c_inverse
-    return inverse
-
-
 def null_space(a: np.ndarray, tolerance: float) -> np.ndarray:
     """Orthonormal basis (as columns) of the kernel of ``a``; rank by ``nonsingular`` sigma^2."""
     _, s, vh = np.linalg.svd(a)

@@ -12,17 +12,19 @@ the stacked-analysis Frobenius distance.
 The polar coisometry of an injective block is ``U_i = (V_i V_i^*)^{-1/2} V_i``,
 so it depends on the block only through the ``k_i x k_i`` Gram
 ``V_i V_i^* = R_i^* R_i`` of the block factor ``V_i^* = Q_i R_i`` that every
-system caches.  ``nearest_projective`` takes one small SVD
-``R_i = P_i diag(sigma_i) B_i^*`` of that factor (``m x width x width``) and
-forms every ``alpha_i U_i`` as the stacked product
-``(B_i diag(alpha_i / sigma_i) B_i^*) V_i``, with no SVD of the blocks
-themselves.  Since ``V_i`` and ``alpha_i U_i`` share their singular vectors,
-the distance is
+system caches.  ``nearest_projective`` takes one SVD
+``R_i = P_i diag(sigma_i) B_i^*`` of that factor (``m x width x width``, no SVD
+of the blocks themselves), judges injectivity on its ``sigma`` by the rule
+``classify`` applies (``core._block_spectra``), and forms every ``U_i`` as the
+stacked product ``(B_i diag(1 / sigma_i) B_i^*) V_i``.  That product leaves
+``U_i U_i^*`` about ``kappa(V_i) eps`` from I, so one Newton-Schulz step
+``U <- (3 I - U U^*) U / 2`` follows, which squares that miss and brings it
+to a few ``eps`` whatever ``kappa(V_i)`` is.  Since ``V_i`` and
+``alpha_i U_i`` share their singular vectors, the distance is
 
     ||T - T_hat|| = sqrt(sum_i sum_j (sigma_ij - alpha_i)^2),
 
-read from the same singular values without forming the difference.  The
-injectivity verdict is the one ``classify`` reads (``core._block_spectra``).
+read from the same singular values without forming the difference.
 """
 
 from __future__ import annotations
@@ -97,22 +99,23 @@ def nearest_projective(system: ReconstructionSystem,
     coisometry and ``alpha_i`` the mean singular value; the distance is the
     Frobenius norm of the stacked difference.  The minimizer is unique
     because each block problem is a strictly convex projection onto the ray
-    through its coisometry.  Raises ``PreconditionError`` exactly when
-    ``classify(system, tolerance).is_injective`` is false.  ``U_i`` is formed
-    from the block factor, so ``U_i U_i^*`` misses I by about ``kappa(V_i) eps``.
+    through its coisometry.  Raises ``PreconditionError`` when a block fails
+    ``classify``'s injectivity rule.  See the module docstring for the route.
     """
-    if not _block_spectra(system, tolerance)[0]:
+    # every k_i <= d once injective, so the factor is each R_i zero-padded; right = B_i^*
+    _, sigma, right = np.linalg.svd(system._block_factor)
+    if not _block_spectra(system, tolerance, sigma)[0]:
         raise PreconditionError("projective approximation needs an injective system")
     rows = _layout(system.k, system.d).rows
     sizes = np.asarray(system.k)
-    # every k_i <= d, so the factor is each R_i zero-padded to width x width; right = B_i^*
-    _, sigma, right = np.linalg.svd(system._block_factor)
     # keep each block's k_i singular values; the rest belong to its zero padding
     sigma = np.where(rows, sigma, 0.0)
     alpha = np.where(rows, sigma.sum(axis=1, keepdims=True) / sizes[:, None], 0.0)
     gap = float(np.sum((sigma - alpha) ** 2))
-    scale = alpha / np.where(rows, sigma, 1.0)  # alpha_i / sigma_ij, zero on the padding
-    # the alpha_i U_i = alpha_i (V_i V_i^*)^{-1/2} V_i, with the padding rows
-    nearest = ((dagger(right) * scale[:, None, :]) @ right) @ _block_stack(system)
+    inverse = np.where(rows, 1.0 / np.where(rows, sigma, 1.0), 0.0)  # zero on the padding
+    polar = ((dagger(right) * inverse[:, None, :]) @ right) @ _block_stack(system)
+    # one Newton-Schulz step U <- (3 I - U U^*) U / 2, with alpha_i in the same product
+    step = 1.5 * np.eye(rows.shape[1]) - 0.5 * (polar @ dagger(polar))
+    nearest = (alpha[:, :, None] * step) @ polar
     nearest = nearest.reshape(-1, system.d) if rows.all() else nearest[rows]  # no copy unpadded
     return _from_analysis(nearest, system.k), float(np.sqrt(gap))

@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import dagger, flat, frobenius, hermitian_part, nonsingular, triangular_inverse
+from ._linalg import dagger, flat, frobenius, hermitian_part, nonsingular
 from .errors import NotReconstructionSystemError, StructuralError
 
 DEFAULT_TOLERANCE = 1e-9
@@ -132,8 +132,7 @@ class ReconstructionSystem:
     (``_block_factor``, one stacked QR), the eigenvalues of ``S`` as the
     squared singular values of ``T`` (``_spectrum``, ``d`` floats), and
     ``R^{-1}`` of ``T = Q R`` (``_r_inverse``, ``d x d``, from the first
-    ``_AnalysisFactor.r_inverse``, which inverts the triangular ``R`` by
-    blocks with ``_linalg.triangular_inverse``).  Systems never change after
+    ``_AnalysisFactor.r_inverse``).  Systems never change after
     construction, so all three stay valid for the system's lifetime: every
     per-block value (``classify``'s injectivity and weights, truncation's
     dropped norms, ``error_report`` against any dual, the polar factors of
@@ -288,7 +287,7 @@ class _AnalysisFactor:
         """``R^{-1}``, cached read-only on the system by the first call on any factor of it."""
         cache = vars(self.system)  # where cached_property keeps its values
         if "_r_inverse" not in cache:
-            r_inverse = triangular_inverse(self.r)
+            r_inverse = np.linalg.inv(self.r)
             r_inverse.flags.writeable = False
             cache["_r_inverse"] = r_inverse
         return cache["_r_inverse"]
@@ -415,17 +414,18 @@ def blockwise_distance(a: ReconstructionSystem, b: ReconstructionSystem) -> floa
     return max(frobenius(x - y) for x, y in zip(a.blocks, b.blocks))
 
 
-def _block_sigma(system: ReconstructionSystem) -> np.ndarray:
+def _block_sigma(system: ReconstructionSystem, sigma: np.ndarray | None = None) -> np.ndarray:
     """``m x width`` table of each block's singular values, descending and zero-padded:
-    ``sigma(R_i) = sigma(V_i)`` from one values-only SVD of the cached block factor."""
+    ``sigma(R_i) = sigma(V_i)`` from one values-only SVD of the cached block factor, or
+    the ``sigma`` of an SVD of that factor the caller has already taken."""
     factor = system._block_factor
-    sigma = np.zeros((factor.shape[0], factor.shape[2]))
-    sigma[:, :factor.shape[1]] = np.linalg.svd(factor, compute_uv=False)
-    return sigma
+    table = np.zeros((factor.shape[0], factor.shape[2]))
+    table[:, :factor.shape[1]] = np.linalg.svd(factor, compute_uv=False) if sigma is None else sigma
+    return table
 
 
-def _block_spectra(system: ReconstructionSystem, tolerance: float
-                   ) -> tuple[bool, tuple[float, ...] | None]:
+def _block_spectra(system: ReconstructionSystem, tolerance: float,
+                   sigma: np.ndarray | None = None) -> tuple[bool, tuple[float, ...] | None]:
     """Whether every block has full row rank, and the weights ``||V_i||_sp`` if every
     ``V_i V_i^*`` is a positive multiple of I (else None).
 
@@ -433,7 +433,7 @@ def _block_spectra(system: ReconstructionSystem, tolerance: float
     ``_block_sigma`` row (``sigma_{k_i} = 0`` when ``k_i > d``): ``nonsingular`` for
     the rank, ``flat`` for the multiple; the squared weights must be ``nonsingular``.
     """
-    sigma = _block_sigma(system)
+    sigma = _block_sigma(system, sigma)
     top, bottom = sigma[:, 0], sigma[np.arange(system.m), np.asarray(system.k) - 1]
     peak, low = top * top, bottom * bottom
     injective = bool(np.all(nonsingular(low, peak, tolerance)))

@@ -253,3 +253,20 @@ def test_polar_factors_of_ill_conditioned_blocks_are_coisometries_to_kappa_eps()
         coisometry = block / alpha
         miss = np.linalg.norm(coisometry @ dagger(coisometry) - np.eye(4), 2)
         assert miss <= 32 * kappa * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_nearest_projective_is_projective_at_a_tight_tolerance(seed):
+    # a kappa = 1e4 block is injective at 1e-12, where a kappa eps miss of U U^* from I
+    # would exceed the flatness bound
+    tolerance = 1e-12
+    rng = np.random.default_rng(620 + seed)
+    blocks = [conditioned_block(rng, 4, 9, 1e4), complex_gaussian(rng, (3, 9)),
+              conditioned_block(rng, 2, 9, 1e3)]
+    system = gf.ReconstructionSystem(blocks)
+    approx, _ = gf.nearest_projective(system, tolerance)
+    assert gf.classify(approx, tolerance).is_projective
+    for block in approx.blocks:
+        gram = block @ dagger(block)
+        scale = np.trace(gram).real / len(gram)
+        assert np.linalg.norm(gram / scale - np.eye(len(gram)), 2) <= 32 * np.finfo(float).eps

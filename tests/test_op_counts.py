@@ -1,30 +1,25 @@
 """Each op factors the analysis matrix once, and builds S, spectra and inverses only where it needs them.
 
 The counters wrap ``core._block_gram`` (every ``frame_operator`` call goes
-through it), ``core.triangular_inverse`` (the blocked inverse of a triangular
-factor) and the ``numpy.linalg`` entry points ``qr``, ``eigvalsh``, ``inv``
-and ``svd``.  ``inv`` counts every call, the base blocks of
-``triangular_inverse`` included (two of order 32 for a factor of order 64),
-and no call may see a matrix of order above 32: larger triangular factors
-are inverted by products.  Every op that needs the frame bounds or
-``S^{-1}`` takes them from one QR of the analysis matrix ``T = Q R`` (one
-``qr``, at most one ``triangular_inverse`` of ``R``, and one values-only
-``svd`` of ``R`` the first time a system is factored, since the system
-caches that spectrum); no op builds ``S`` block by block or inverts it.  The
-system also caches ``R^{-1}``, so ``S^{-1}`` on a system that some op has
-inverted takes no ``qr`` and no inverse.  The survivors of a truncation are a
-system of their own, factored and judged the same way; their spectrum is
-memoized on the system per drop set, so the second truncation op on one drop
-set takes no ``svd`` of ``R_J``.  Every per-block value comes from the
-zero-padded block stack: the block spectra (injectivity, weights, the
-dropped norms in truncation) are one values-only ``svd`` of the block
-factor ``R_i``, which one ``qr`` of the stack computes once per system and
-``error_report`` shares; the polar factors of ``nearest_projective`` come
-from one more ``svd`` of the same ``m x width x width`` factor, never from
-an ``svd`` of the blocks themselves.  Calls numpy makes internally
-(``norm(a, 2)``, ``solve``) are not counted.  A separate counter checks that
-``error_report`` factors each system once, however many duals it scores
-against it.
+through it) and the ``numpy.linalg`` entry points ``qr``, ``eigvalsh``,
+``inv`` and ``svd``.  Every op that needs the frame bounds or ``S^{-1}``
+takes them from one QR of the analysis matrix ``T = Q R`` (one ``qr``, at
+most one ``inv`` of ``R``, and one values-only ``svd`` of ``R`` the first
+time a system is factored, since the system caches that spectrum); no op
+builds ``S`` block by block or inverts it.  The system also caches ``R^{-1}``,
+so ``S^{-1}`` on a system that some op has inverted takes no ``qr`` and no
+``inv``.  The survivors of a truncation are a system of their own, factored
+and judged the same way; their spectrum is memoized on the system per drop
+set, so the second truncation op on one drop set takes no ``svd`` of ``R_J``.  Every
+per-block value comes from the zero-padded block stack: the block spectra
+(injectivity, weights, the dropped norms in truncation) are one values-only
+``svd`` of the block factor ``R_i``, which one ``qr`` of the stack computes
+once per system and ``error_report`` shares; ``nearest_projective`` takes its
+verdict and its polar factors from one full ``svd`` of that factor in place
+of the values-only one, never from an ``svd`` of the blocks themselves.  Calls
+numpy makes internally (``norm(a, 2)``, ``solve``) are
+not counted.  A separate counter checks that ``error_report`` factors each
+system once, however many duals it scores against it.
 """
 
 from collections import Counter
@@ -58,18 +53,10 @@ def counts(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(core, "_block_gram", "gram")
-    counted(core, "triangular_inverse", "triangular_inverse")
     counted(np.linalg, "qr", "qr")
     counted(np.linalg, "eigvalsh", "eigvalsh")
+    counted(np.linalg, "inv", "inv")
     counted(np.linalg, "svd", "svd")
-    inv = np.linalg.inv
-
-    def inverse(a, *args, **kwargs):
-        assert np.shape(a)[-1] <= 32, f"np.linalg.inv of order {np.shape(a)[-1]}"
-        tally["inv"] += 1
-        return inv(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "inv", inverse)
     return tally
 
 
@@ -93,40 +80,38 @@ def fresh(system):
 CASES = {
     # one analysis QR and its spectrum for the bound and S^{-1} = R^{-1} R^{-*}; one QR of the
     # kept rows and its spectrum for the survivors' verdict, bounds and S_J = R_J^* R_J;
-    # M_J's singular values; R^{-1} of order 64 from two base blocks of order 32
+    # M_J's singular values
     "truncate": (lambda: gf.truncate(fresh(GENERAL), [0, 3]),
-                 {"qr": 2, "triangular_inverse": 1, "inv": 2, "svd": 3}),
+                 {"qr": 2, "inv": 1, "svd": 3}),
     # no truncate: one analysis QR of the kept rows for their bound and their dual
     "truncated_canonical_dual": (lambda: gf.truncated_canonical_dual(fresh(GENERAL), [0, 3]),
-                                 {"qr": 1, "triangular_inverse": 1, "inv": 2, "svd": 1}),
+                                 {"qr": 1, "inv": 1, "svd": 1}),
     # one full analysis QR for the verdict and the dual, which seeds the cached spectrum
     "canonical_dual": (lambda: gf.canonical_dual(fresh(GENERAL)),
-                       {"qr": 1, "triangular_inverse": 1, "inv": 2, "svd": 1}),
-    # no S at all: the block QR, its values-only SVD for the injectivity verdict and one full
-    # SVD of the same m x 4 x 4 factor for the polar factors
-    "nearest_projective": (lambda: gf.nearest_projective(fresh(GENERAL)), {"qr": 1, "svd": 2}),
+                       {"qr": 1, "inv": 1, "svd": 1}),
+    # no S at all: the block QR and one SVD of the m x 4 x 4 factor for the injectivity
+    # verdict and the polar factors
+    "nearest_projective": (lambda: gf.nearest_projective(fresh(GENERAL)), {"qr": 1, "svd": 1}),
     # one stacked product, no factorization
     "verify_dual": (lambda: gf.verify_dual(GENERAL, GENERAL), {}),
     # classify's stacked block spectra and one analysis QR for the bounds and the canonical
-    # dual (R^{-1} of order 12 is one base block); error_report's block factor
+    # dual; error_report's block factor
     "wce_condition": (lambda: gf.wce_condition(fresh(PROJECTIVE)),
-                      {"qr": 2, "triangular_inverse": 1, "inv": 1, "svd": 1 + 1}),
+                      {"qr": 2, "inv": 1, "svd": 1 + 1}),
     # plus the weighted family: one full QR of the padded blocks, one stacked inv of all
     # R_i, one QR per step
     "wce_solve": (lambda: gf.wce_solve(fresh(PROJECTIVE), iterations=3),
-                  {"qr": 2 + 1 + 3, "triangular_inverse": 1, "inv": 1 + 1, "svd": 1 + 1}),
+                  {"qr": 2 + 1 + 3, "inv": 1 + 1, "svd": 1 + 1}),
     # one analysis QR for the system; per block a kernel SVD and a restriction SVD; the
     # block spectra of the system and of its dual, each one block QR and one SVD of its R_i
     "riesz_projective_dual_check": (lambda: gf.riesz_projective_dual_check(RIESZ),
-                                    {"qr": 1 + 2, "triangular_inverse": 1, "inv": 1,
-                                     "svd": 1 + 2 * RIESZ.m + 2}),
+                                    {"qr": 1 + 2, "inv": 1, "svd": 1 + 2 * RIESZ.m + 2}),
     # no S at all: the weights come from one block QR and one values-only SVD of its R_i
     "commuting_projective_dual": (lambda: gf.commuting_projective_dual(COMMUTING),
                                   {"qr": 1, "svd": 1}),
     # one analysis QR for S = R^* R, the dual and S^{-1}; one SVD of the dual base, then
-    # nearest_projective's block QR of the dual and two SVDs of its block factor
-    "group_rs_checks": (orbit_checks, {"qr": 1 + 1, "triangular_inverse": 1, "inv": 1,
-                                       "svd": 1 + 1 + 2}),
+    # nearest_projective's block QR of the dual and one SVD of its block factor
+    "group_rs_checks": (orbit_checks, {"qr": 1 + 1, "inv": 1, "svd": 1 + 1 + 1}),
 }
 
 
@@ -139,7 +124,7 @@ def test_linear_algebra_counts(counts, name):
 
 @pytest.mark.parametrize("system", [GENERAL, random_system(12, (1, 3, 4, 2, 4), 7)],
                          ids=["uniform", "mixed"])
-def test_nearest_projective_takes_svds_of_the_block_factor_only(monkeypatch, system):
+def test_nearest_projective_takes_one_svd_of_the_block_factor(monkeypatch, system):
     shapes = []
     svd = np.linalg.svd
 
@@ -150,9 +135,8 @@ def test_nearest_projective_takes_svds_of_the_block_factor_only(monkeypatch, sys
     monkeypatch.setattr(np.linalg, "svd", recorded)
     gf.nearest_projective(fresh(system))
     width = max(system.k)
-    # the verdict's values-only SVD and the polar factors' SVD, both of the m x width x width
-    # block factor; no SVD of the m x width x d block stack
-    assert shapes == [(system.m, width, width)] * 2
+    # the m x width x width block factor, not the m x width x d block stack
+    assert shapes == [(system.m, width, width)]
 
 
 def test_wce_solve_checks_its_arguments_before_factoring(counts):
@@ -197,16 +181,14 @@ def test_ops_on_one_system_take_one_spectrum(counts, monkeypatch):
         # QR and SVD of R the verdict needs
         (lambda: gf.classify(system), {"qr": 2, "svd": 2}),
         # the full QR the dual needs, and no SVD: the spectrum is cached
-        (lambda: duals.append(gf.canonical_dual(system)),
-         {"qr": 1, "triangular_inverse": 1, "inv": 2}),
+        (lambda: duals.append(gf.canonical_dual(system)), {"qr": 1, "inv": 1}),
         # no factor at all: the block factor is cached
         (lambda: gf.error_report(system, duals[0]), {}),
         # S^{-1} from the cached R^{-1}; the kept rows' R_J and its spectrum; M_J's singular
         # values
         (lambda: gf.truncate(system, drop), {"qr": 1, "svd": 2}),
         # the kept rows' full QR and R_J^{-1} for their dual; their spectrum is memoized
-        (lambda: gf.truncated_canonical_dual(system, drop),
-         {"qr": 1, "triangular_inverse": 1, "inv": 2}),
+        (lambda: gf.truncated_canonical_dual(system, drop), {"qr": 1, "inv": 1}),
         # no factor at all: the dropped blocks' norms take one SVD of the cached R_i
         (lambda: gf.ck_sufficient_condition(system, drop), {"svd": 1}),
         # no factor at all: R^{-1} is cached

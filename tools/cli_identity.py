@@ -16,20 +16,16 @@ system passes the ``is_rs`` rule only narrowly, its other blocks easily.  Two
 more sit near the rank and flatness boundaries at the default tolerance 1e-9:
 the Riesz pair ``V = W^{-*}`` on C^4 whose dual block ``W_0`` is
 ``diag(1 + 7.5e-10, 1) U`` (``W_1 = 1.3 U'``, ``U`` and ``U'`` rows of Haar
-unitaries), and the square block ``U diag(1, 0.5, 1e-5) U'``.  The last,
-``random_system(48, (4,)*24, 7)``, is the one system with ``d > 32``, where
-``R^{-1}`` is inverted by blocks rather than by one LU.  It then runs a
-fixed matrix of 178 CLI calls on them, each in a fresh process
+unitaries), and the square block ``U diag(1, 0.5, 1e-5) U'``.  It then runs a
+fixed matrix of 174 CLI calls on them, each in a fresh process
 under each tree, and reports every call whose stdout, stderr or exit code
 differs.  The matrix covers every subcommand and every ``dual --kind``
 (``wce`` also at ``--iterations 200``), ``erase`` with and without a mask and
 with and without ``--dual``, ``truncate`` dropping one and ``m - 1`` blocks,
 ``analyze``, ``truncate`` and ``dual --kind two_error`` at ``--tolerance``
 1e-6 and 1e-12, and the fixture listing, on the fixtures and the four
-systems; the scaled system gets one call, ``truncate`` dropping block 0, the
-two boundary systems get ``analyze`` and ``approx``, and the ``d = 48`` system
-gets ``analyze``, ``dual --kind canonical``, ``truncate`` dropping block 0 and
-``approx``.  Ten calls end in
+systems; the scaled system gets one call, ``truncate`` dropping block 0, and
+the two boundary systems get ``analyze`` and ``approx``.  Ten calls end in
 a usage error or print help, on the ``overlapping_planes`` fixture: a
 missing file, a file of invalid JSON, ``--tolerance 0``, ``--iterations 0``,
 an out-of-range ``--mask`` and ``--drop``, a malformed ``--signal``,
@@ -93,14 +89,12 @@ save_system(ReconstructionSystem((riesz[:2], riesz[2:])), sys.argv[6])
 rng = np.random.default_rng(0)
 square = (random_unitary(rng, 3) * [1.0, 0.5, 1e-5]) @ random_unitary(rng, 3)
 save_system(ReconstructionSystem((square,)), sys.argv[7])
-save_system(random_system(48, (4,) * 24, 7), sys.argv[8])
 """
 
 GENERATED = ("generated", "generated_projective", "generated_mixed",
              "generated_mixed_projective")
 DOMINANT = "generated_dominant"  # only truncated, dropping the dominant block
 BOUNDARY = ("boundary_riesz", "boundary_square")  # only analyzed and approximated
-LARGE = "generated_large"  # d = 48: a few calls that invert R^{-1} by blocks
 
 
 def run(python: str, src: Path, args: list[str], cwd: Path) -> tuple[int, str, str]:
@@ -133,8 +127,7 @@ def usage_errors(planes: Path, broken: Path) -> list[list[str]]:
     ]
 
 
-def matrix(paths: dict[str, Path], dominant: Path, boundary: list[Path],
-           large: Path) -> list[list[str]]:
+def matrix(paths: dict[str, Path], dominant: Path, boundary: list[Path]) -> list[list[str]]:
     """CLI argument lists, one per call, before the usage errors."""
     calls = [["fixtures"]] + [["fixtures", "--name", name] for name in FIXTURES]
     for name, path in paths.items():
@@ -158,8 +151,6 @@ def matrix(paths: dict[str, Path], dominant: Path, boundary: list[Path],
             calls.append(["--tolerance", tolerance, "dual", file, "--kind", "two_error"])
     calls.append(["truncate", str(dominant), "--drop", "0"])
     calls.extend([command, str(path)] for path in boundary for command in ("analyze", "approx"))
-    calls += [["analyze", str(large)], ["dual", str(large), "--kind", "canonical"],
-              ["truncate", str(large), "--drop", "0"], ["approx", str(large)]]
     return calls
 
 
@@ -261,17 +252,16 @@ def main(argv=None) -> int:
         paths.update((name, work / f"{name}.json") for name in GENERATED)
         dominant = work / f"{DOMINANT}.json"
         boundary = [work / f"{name}.json" for name in BOUNDARY]
-        large = work / f"{LARGE}.json"
         code, _, err = run(args.python, old,
                            ["-c", GENERATE, *(str(paths[name]) for name in GENERATED),
-                            str(dominant), *map(str, boundary), str(large)], work)
+                            str(dominant), *map(str, boundary)], work)
         if code:
             print(f"could not generate systems: {err.strip()}", file=sys.stderr)
             return 2
 
         broken = work / "broken.json"
         broken.write_text("{not json", encoding="utf-8")
-        calls = matrix(paths, dominant, boundary, large) + usage_errors(
+        calls = matrix(paths, dominant, boundary) + usage_errors(
             paths["overlapping_planes"], broken)
         differing = inexact = 0
         largest = 0.0
