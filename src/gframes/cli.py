@@ -62,14 +62,16 @@ def _signal(text: str, d: int) -> np.ndarray:
         raise StructuralError(f"--signal must be a JSON list of {d} entries")
     out = np.zeros(d, dtype=np.complex128)
     for i, entry in enumerate(payload):
-        if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-            out[i] = float(entry)
-        elif (isinstance(entry, list) and len(entry) == 2
-              and all(isinstance(part, (int, float)) and not isinstance(part, bool)
-                      for part in entry)):
-            out[i] = complex(float(entry[0]), float(entry[1]))
-        else:
+        parts = entry if isinstance(entry, list) and len(entry) == 2 else [entry, 0]
+        if not all(isinstance(part, (int, float)) and not isinstance(part, bool)
+                   for part in parts):
             raise StructuralError(f"--signal entry {i} must be a number or [re, im] pair")
+        try:
+            out[i] = complex(float(parts[0]), float(parts[1]))
+        except OverflowError:  # an integer beyond the float range
+            out[i] = np.inf
+        if not np.isfinite(out[i]):
+            raise StructuralError(f"--signal entry {i} must be finite")
     return out
 
 
@@ -275,7 +277,7 @@ def main(argv=None) -> int:
         check_tolerance(args.tolerance)
         if args.iterations < 1:
             raise StructuralError("iterations must be at least 1")
-        report = args.handler(args)
+        rendered = dumps_canonical(args.handler(args))
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
               file=sys.stderr)
@@ -286,7 +288,7 @@ def main(argv=None) -> int:
     except GFramesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    print(dumps_canonical(report))
+    print(rendered)
     return EXIT_OK
 
 

@@ -42,6 +42,7 @@ from .core import (
     ReconstructionSystem,
     _analysis_factor,
     _block_spectra,
+    _frame_bounds,
     _inverse_gram,
     _layout,
     blockwise_distance,
@@ -321,12 +322,10 @@ def riesz_projective_dual_check(system: ReconstructionSystem,
                                 tolerance: float = DEFAULT_TOLERANCE) -> RieszDualCheck:
     """Decide projective-dual existence when block dimensions sum to ``d``."""
     factor = _analysis_factor(system)  # seeds the spectrum that classify reads
-    shape = classify(system, tolerance)
-    if not shape.is_riesz:
+    if not classify(system, tolerance).is_riesz:
         raise PreconditionError(
             "the criterion applies when total block dimension equals d")
-    if not shape.is_rs:
-        raise NotReconstructionSystemError("system has no positive lower frame bound")
+    _frame_bounds(system, tolerance)
 
     checks = []
     for i, rows in enumerate(_layout(system.k, system.d).slices):

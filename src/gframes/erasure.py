@@ -27,10 +27,10 @@ with value ``tr(D_lam^{-1})`` and per-block errors
 ``||W_i^* V_i||^2 = ||U_i D_lam^{-1}||^2 / lam_i^2``, which are also the
 gradient of ``tr(D_lam^{-1})`` in ``lam``.
 
-- Uniform weights on a projective system with weights ``v_i`` give the unique
-  two-error optimum in closed form (``optimal_dual_two_error``):
+- Uniform weights give the unique two-error optimum (``optimal_dual_two_error``;
+  Lopez and Han, 2010), which is the first point of ``wce_solve``'s ascent:
 
-      W0_i = v_i^{-2} V_i D^{-1},    D = sum_i v_i^{-2} V_i^* V_i
+      W0_i = (V_i V_i^*)^{-1} V_i D^{-1},    D = sum_i U_i^* U_i
 
 - For ``lam`` in the simplex, ``sqrt(tr(D_lam^{-1}))`` is a lower bound on the
   worst case of every dual, and the maximizing ``lam`` gives the worst-case
@@ -68,12 +68,13 @@ from .core import (
     ReconstructionSystem,
     _analysis_factor,
     _block_stack,
+    _frame_bounds,
     _from_analysis,
     _index_subset,
     _layout,
     classify,
 )
-from .errors import NotReconstructionSystemError, PreconditionError, StructuralError
+from .errors import PreconditionError, StructuralError
 
 __all__ = [
     "ErasureMask",
@@ -253,12 +254,11 @@ class _WeightedDuals:
 
 def optimal_dual_two_error(system: ReconstructionSystem,
                            tolerance: float = DEFAULT_TOLERANCE) -> ReconstructionSystem:
-    """Unique two-error-optimal dual of a projective system."""
-    shape = classify(system, tolerance)
-    if not shape.is_projective:
-        raise PreconditionError("two-error optimization needs a projective system")
-    if not shape.is_rs:
-        raise NotReconstructionSystemError("system has no positive lower frame bound")
+    """Unique two-error-optimal dual of an injective system, ``W_i = (V_i V_i^*)^{-1} V_i D^{-1}``
+    with ``D`` the sum of the row-space projections; its squared two-error is ``tr(D^{-1})``."""
+    if not classify(system, tolerance).is_injective:
+        raise PreconditionError("two-error optimization needs an injective system")
+    _frame_bounds(system, tolerance)
     family = _WeightedDuals(system)
     uniform = np.ones(system.m)
     return family.dual(uniform, family.solve(uniform)[2])
@@ -273,11 +273,9 @@ def wce_condition(system: ReconstructionSystem,
     canonical dual's erasure errors, since ``S^{-1} V_i^* V_i = W_i^* V_i``.
     """
     factor = _analysis_factor(system)  # seeds the spectrum that classify reads
-    shape = classify(system, tolerance)
-    if not shape.is_projective:
+    if not classify(system, tolerance).is_projective:
         raise PreconditionError("the worst-case criterion applies to projective systems")
-    if not shape.is_rs:
-        raise NotReconstructionSystemError("system has no positive lower frame bound")
+    _frame_bounds(system, tolerance)
     norms = error_report(system, factor.dual(system.k)).per_index
     if flat(min(norms), max(norms), tolerance):
         return float(np.mean(norms))
@@ -327,11 +325,9 @@ def wce_solve(system: ReconstructionSystem, iterations: int = 5000,
     if iterations < 1:
         raise StructuralError("iterations must be at least 1")
     factor = _analysis_factor(system)  # seeds the spectrum that classify reads
-    shape = classify(system, tolerance)
-    if not shape.is_injective:
+    if not classify(system, tolerance).is_injective:
         raise PreconditionError("worst-case optimization needs an injective system")
-    if not shape.is_rs:
-        raise NotReconstructionSystemError("system has no positive lower frame bound")
+    _frame_bounds(system, tolerance)
 
     canonical = factor.dual(system.k)
     incumbent = error_report(system, canonical).worst_case

@@ -116,8 +116,8 @@ def partition_protocol(d: int, block_dim: int, copies: int, seed) -> Reconstruct
     slices; scaling every slice by ``1/sqrt(copies)`` makes the union a
     protocol with all weights equal.
     """
-    if d % block_dim != 0:
-        raise StructuralError("block_dim must divide d")
+    if d < 1 or block_dim < 1 or d % block_dim != 0:
+        raise StructuralError("block_dim must be a positive divisor of d >= 1")
     if copies < 1:
         raise StructuralError("copies must be at least 1")
     rng = np.random.default_rng(seed)
@@ -129,6 +129,7 @@ def random_riesz(k: Sequence[int], seed, conditioning: float = 1e-2) -> Reconstr
     """Row-slices of a random invertible matrix; block dimensions sum to ``d``."""
     sizes = tuple(int(ki) for ki in k)
     d = sum(sizes)
+    _layout(sizes, d)  # a malformed shape raises StructuralError before any draw
     rng = np.random.default_rng(seed)
     for _ in range(_ATTEMPTS):
         square = complex_gaussian(rng, (d, d))

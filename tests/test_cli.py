@@ -95,6 +95,15 @@ def test_dual_two_error(capsys, tmp_path):
     assert np.allclose(dual.blocks[1], [[0.5, 0, 0], [0, 0, 0.25]], atol=1e-12)
     assert abs(report["outputs"]["error_report"]["two_error"] ** 2 - 2.5) <= 1e-10
 
+    # a system that is not projective: the squared optimum is tr(D^{-1}), D = sum_i P_i
+    general = random_system(6, (2, 3, 2, 2), 0)
+    gf.save_system(general, path)
+    outputs = run_json(capsys, "dual", str(path), "--kind", "two_error")["outputs"]
+    assert outputs["dual_residual"] <= 1e-9
+    projections = sum(np.linalg.pinv(v) @ v for v in map(np.asarray, general.blocks))
+    trace = float(np.real(np.trace(np.linalg.inv(projections))))
+    assert abs(outputs["error_report"]["two_error"] ** 2 - trace) <= 1e-12 * trace
+
 
 def test_dual_worst_case(capsys, planes_path):
     report = run_json(capsys, "--iterations", "100", "dual", planes_path,
@@ -204,6 +213,17 @@ def test_usage_and_parse_failures_exit_two(capsys, tmp_path, planes_path):
     assert run(capsys, "erase", planes_path, "--mask", "x", "--signal", "[1,2,3]")[0] == 2
     assert run(capsys, "erase", planes_path, "--signal", "[1,2]")[0] == 2
     assert run(capsys, "erase", planes_path, "--signal", "nope")[0] == 2
+    # JSON parses these to non-finite floats, or to an integer beyond the float range
+    for entry in ("NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, "[0, NaN]"):
+        signal = f"[1, {entry}, 2]"
+        assert run(capsys, "erase", planes_path, "--signal", signal) == (
+            2, "", "error: --signal entry 1 must be finite\n")
+    # sigma^2 of entries near 1e200 overflows: the report cannot be written
+    huge = tmp_path / "huge.json"
+    gf.save_system(gf.ReconstructionSystem([[[1e200, 0.0]], [[0.0, 1e200]]]), huge)
+    with pytest.warns(RuntimeWarning):  # overflow, then inf - inf
+        assert run(capsys, "analyze", str(huge)) == (
+            2, "", "error: cannot serialize non-finite float\n")
     assert run(capsys, "truncate", planes_path, "--drop", "0,0")[0] == 2
     assert run(capsys, "fixtures", "--name", "bogus")[0] == 2
     assert run(capsys)[0] == 2

@@ -309,7 +309,7 @@ def test_riesz_check_preconditions():
         gf.riesz_projective_dual_check(gf.fixtures()["overlapping_planes"])
     singular = gf.ReconstructionSystem([np.array([[1.0, 0.0]]),
                                         np.array([[2.0, 0.0]])])
-    with pytest.raises(NotReconstructionSystemError):
+    with pytest.raises(NotReconstructionSystemError, match="^block Gram sum is singular"):
         gf.riesz_projective_dual_check(singular)
 
 

@@ -165,30 +165,75 @@ def test_two_error_optimum_is_canonical_for_uniform_weights():
 
 
 def test_two_error_difference_identity():
-    rng = np.random.default_rng(405)
-    system = draw_nonuniform_projective(rng)
-    weights = gf.classify(system).weights
+    # two_error(W)^2 - two_error(B)^2 = sum_i ||V_i^* (W_i - B_i)||^2, which reads
+    # sum_i v_i^2 ||W_i - B_i||^2 on a projective system
+    projective = draw_nonuniform_projective(np.random.default_rng(405))
+    mixed = random_system(7, (2, 3, 1, 2, 3), seed=4051)
+    assert not gf.classify(mixed).is_projective
+    for system in (projective, mixed):
+        weights = gf.classify(system).weights  # None unless projective
+        best = gf.optimal_dual_two_error(system)
+        floor = gf.error_report(system, best).two_error ** 2
+        for dual in gf.dual_manifold_sample(system, seed=4050, count=20):
+            gap = gf.error_report(system, dual).two_error ** 2 - floor
+            moves = [np.asarray(w) - np.asarray(b) for w, b in zip(dual.blocks, best.blocks)]
+            shifts = [sum(frobenius(dagger(v) @ x) ** 2 for v, x in zip(system.blocks, moves))]
+            if weights is not None:
+                shifts.append(sum(v * v * frobenius(x) ** 2 for v, x in zip(weights, moves)))
+            for shift in shifts:
+                assert abs(gap - shift) <= 1e-8 * max(1.0, abs(gap))
+            assert gap >= -1e-10
+
+
+def orthonormal_rows(block):
+    """Orthonormal rows spanning the row space of a full-row-rank block."""
+    return np.linalg.svd(block)[2][:block.shape[0]]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_two_error_optimum_of_non_projective_systems(seed):
+    # U_i spans the row space of V_i, D = sum_i U_i^* U_i = sum_i P_i; the optimum is
+    # B_i = (V_i V_i^*)^{-1} V_i U_i^* C_i with C the canonical dual of the U_i
+    system = random_system(7, (2, 3, 1, 2, 3), seed)
+    assert not gf.classify(system).is_projective
     best = gf.optimal_dual_two_error(system)
-    floor = gf.error_report(system, best).two_error ** 2
-    for dual in gf.dual_manifold_sample(system, seed=4050, count=20):
-        gap = gf.error_report(system, dual).two_error ** 2 - floor
-        shift = sum(v * v * frobenius(np.asarray(w) - np.asarray(b)) ** 2
-                    for v, w, b in zip(weights, dual.blocks, best.blocks))
-        assert abs(gap - shift) <= 1e-8 * max(1.0, abs(gap))
-        assert gap >= -1e-10
+    assert gf.verify_dual(best, system).dual_residual <= 1e-9
+
+    bases = [orthonormal_rows(np.asarray(v)) for v in system.blocks]
+    projections = sum(dagger(u) @ u for u in bases)
+    trace = float(np.real(np.trace(np.linalg.inv(projections))))
+    floor = gf.error_report(system, best).two_error
+    assert abs(floor ** 2 - trace) <= 1e-12 * trace
+
+    normalized = gf.canonical_dual(gf.ReconstructionSystem(bases))
+    for v, u, c, b in zip(system.blocks, bases, normalized.blocks, best.blocks):
+        v = np.asarray(v)
+        expected = np.linalg.solve(v @ dagger(v), v @ dagger(u) @ np.asarray(c))
+        assert np.max(np.abs(np.asarray(b) - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+    canonical = gf.error_report(system, gf.canonical_dual(system)).two_error
+    assert floor < canonical
+    samples = gf.dual_manifold_sample(system, seed=4060 + seed, count=1000)
+    assert min(gf.error_report(system, s).two_error for s in samples) >= floor - 1e-9
 
 
 def test_two_error_optimum_preconditions():
     rng = np.random.default_rng(406)
     non_projective = draw_general(rng)
     assert not gf.classify(non_projective).is_projective
-    with pytest.raises(PreconditionError):
-        gf.optimal_dual_two_error(non_projective)
+    best = gf.optimal_dual_two_error(non_projective)
+    assert gf.verify_dual(best, non_projective).dual_residual <= 1e-9
+
+    wide = random_system(2, (3, 2), seed=802)
+    assert not gf.classify(wide).is_injective
+    with pytest.raises(PreconditionError,
+                       match="^two-error optimization needs an injective system$"):
+        gf.optimal_dual_two_error(wide)
 
     flat = gf.ReconstructionSystem([np.array([[1.0, 0.0, 0.0]]),
                                     np.array([[1.0, 0.0, 0.0]])])
-    assert gf.classify(flat).is_projective
-    with pytest.raises(NotReconstructionSystemError):
+    assert gf.classify(flat).is_injective
+    with pytest.raises(NotReconstructionSystemError, match="^block Gram sum is singular"):
         gf.optimal_dual_two_error(flat)
 
 
@@ -347,9 +392,9 @@ def test_wce_solve_unique_dual_has_zero_gap():
 def test_weighted_duals_reject_row_spaces_missing_a_direction():
     flat = gf.ReconstructionSystem([np.array([[1.0, 0.0, 0.0]]),
                                     np.array([[2.0, 0.0, 0.0]])])
-    with pytest.raises(NotReconstructionSystemError):
+    with pytest.raises(NotReconstructionSystemError, match="^block Gram sum is singular"):
         gf.wce_solve(flat)
-    with pytest.raises(NotReconstructionSystemError):
+    with pytest.raises(NotReconstructionSystemError, match="^block Gram sum is singular"):
         gf.optimal_dual_two_error(flat)
 
 

@@ -62,6 +62,7 @@ def counts(monkeypatch):
 
 GENERAL = random_system(64, (4,) * 32, 5)
 PROJECTIVE = random_projective(12, (3,) * 6, 11)
+MIXED = random_system(12, (1, 3, 4, 2, 4), 7)
 RIESZ = random_riesz((2, 3, 1, 2), 3)
 COMMUTING = commuting_projective(6, [(0, 1, 2), (1, 2, 3), (3, 4, 5), (0, 5)], seed=4)
 
@@ -102,6 +103,13 @@ CASES = {
     # R_i, one QR per step
     "wce_solve": (lambda: gf.wce_solve(fresh(PROJECTIVE), iterations=3),
                   {"qr": 2 + 1 + 3, "inv": 1 + 1, "svd": 1 + 1}),
+    # one code path with or without projective blocks: classify's stacked block spectra and
+    # one values-only analysis QR and SVD for the bounds; the weighted family's full QR of
+    # the padded blocks, its stacked inv of all R_i and one QR at uniform weights
+    "optimal_dual_two_error": (lambda: gf.optimal_dual_two_error(fresh(MIXED)),
+                               {"qr": 4, "inv": 1, "svd": 2}),
+    "optimal_dual_two_error_projective": (lambda: gf.optimal_dual_two_error(fresh(PROJECTIVE)),
+                                          {"qr": 4, "inv": 1, "svd": 2}),
     # one analysis QR for the system; per block a kernel SVD and a restriction SVD; the
     # block spectra of the system and of its dual, each one block QR and one SVD of its R_i
     "riesz_projective_dual_check": (lambda: gf.riesz_projective_dual_check(RIESZ),
@@ -122,7 +130,7 @@ def test_linear_algebra_counts(counts, name):
     assert dict(counts) == expected
 
 
-@pytest.mark.parametrize("system", [GENERAL, random_system(12, (1, 3, 4, 2, 4), 7)],
+@pytest.mark.parametrize("system", [GENERAL, MIXED],
                          ids=["uniform", "mixed"])
 def test_nearest_projective_takes_one_svd_of_the_block_factor(monkeypatch, system):
     shapes = []

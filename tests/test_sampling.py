@@ -17,7 +17,7 @@ from gframes._linalg import (
     random_unitary,
     singular_values,
 )
-from gframes.errors import SamplingError
+from gframes.errors import SamplingError, StructuralError
 from gframes.generate import (
     partition_protocol,
     random_coisometry,
@@ -223,6 +223,17 @@ def test_partition_protocol_matches_blockwise_slices(d, block_dim, copies):
     assert_same_blocks(partition_protocol(d, block_dim, copies, mine),
                        protocol_reference(d, block_dim, copies, theirs))
     assert np.array_equal(mine.standard_normal(4), theirs.standard_normal(4))
+
+
+def test_generators_reject_malformed_shapes():
+    for d, block_dim in ((4, 0), (4, -2), (0, 1), (-4, 2), (4, 3)):
+        with pytest.raises(StructuralError,
+                           match="^block_dim must be a positive divisor of d >= 1$"):
+            partition_protocol(d, block_dim, 1, 0)
+    with pytest.raises(StructuralError, match="^signature needs at least one block"):
+        random_riesz((), 0)
+    with pytest.raises(StructuralError, match="^block 0 must be a non-empty 2-d matrix"):
+        random_riesz((0,), 0)
 
 
 @pytest.mark.parametrize("orders", [(1, 1), (2, 3), (3, 2), (4, 4), (1, 5)])

@@ -17,7 +17,7 @@ more sit near the rank and flatness boundaries at the default tolerance 1e-9:
 the Riesz pair ``V = W^{-*}`` on C^4 whose dual block ``W_0`` is
 ``diag(1 + 7.5e-10, 1) U`` (``W_1 = 1.3 U'``, ``U`` and ``U'`` rows of Haar
 unitaries), and the square block ``U diag(1, 0.5, 1e-5) U'``.  It then runs a
-fixed matrix of 174 CLI calls on them, each in a fresh process
+fixed matrix of 175 CLI calls on them, each in a fresh process
 under each tree, and reports every call whose stdout, stderr or exit code
 differs.  The matrix covers every subcommand and every ``dual --kind``
 (``wce`` also at ``--iterations 200``), ``erase`` with and without a mask and
@@ -25,11 +25,12 @@ with and without ``--dual``, ``truncate`` dropping one and ``m - 1`` blocks,
 ``analyze``, ``truncate`` and ``dual --kind two_error`` at ``--tolerance``
 1e-6 and 1e-12, and the fixture listing, on the fixtures and the four
 systems; the scaled system gets one call, ``truncate`` dropping block 0, and
-the two boundary systems get ``analyze`` and ``approx``.  Ten calls end in
-a usage error or print help, on the ``overlapping_planes`` fixture: a
+the two boundary systems get ``analyze`` and ``approx``.  Eleven calls end
+in a usage error or print help, on the ``overlapping_planes`` fixture: a
 missing file, a file of invalid JSON, ``--tolerance 0``, ``--iterations 0``,
-an out-of-range ``--mask`` and ``--drop``, a malformed ``--signal``,
-``--help``, ``dual --help`` and no subcommand.
+an out-of-range ``--mask`` and ``--drop``, a malformed ``--signal``, a
+``--signal`` with a ``NaN`` entry, ``--help``, ``dual --help`` and no
+subcommand.
 Exit status: 0 when every call matched, 1 otherwise.
 
 ``--numeric`` compares stdout as JSON instead of as bytes: keys, strings,
@@ -121,6 +122,7 @@ def usage_errors(planes: Path, broken: Path) -> list[list[str]]:
         ["erase", file, "--mask", "2", "--signal", "[1, 2, 3]"],
         ["truncate", file, "--drop", "2"],
         ["erase", file, "--signal", "[1, 2"],
+        ["erase", file, "--signal", "[NaN, 2, 3]"],
         ["--help"],
         ["dual", "--help"],
         [],
