@@ -58,6 +58,7 @@ Block indices are 0-based throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,9 +154,9 @@ def error_report(system: ReconstructionSystem,
         raise StructuralError("dual and system signatures differ")
     # ||W_j^* V_j|| = ||V_j^* W_j|| = ||R_j W_j||, as Q_j has orthonormal columns
     products = system._block_factor @ _block_stack(dual)
-    per = tuple(np.linalg.norm(products, axis=(1, 2)).tolist())
-    return ErrorReport(per_index=per,
-                       two_error=float(np.sqrt(sum(e * e for e in per))),
+    # np.linalg.norm(products, axis=(1, 2)) without its argument handling, bit for bit
+    per = tuple(np.sqrt(np.add.reduce((products.conj() * products).real, axis=(1, 2))).tolist())
+    return ErrorReport(per_index=per, two_error=math.sqrt(sum(e * e for e in per)),
                        worst_case=max(per))
 
 

@@ -5,7 +5,15 @@ existing ``numpy.random.Generator``) and guard conditioning, so comparisons
 at the 1e-10 level stay meaningful downstream: a draw is kept when its
 analysis matrix ``T`` passes the relative rule ``_linalg.nonsingular`` at ``conditioning``
 (``random_riesz`` on ``sigma(T)``, the others on ``sigma(T)^2``), so the same
-draw is kept at any scale.
+draw is kept at any scale.  The arguments (``conditioning``, ``weights``) are
+checked before the first draw, so a refused call leaves a caller's generator
+as it was.
+
+``random_projective`` is called thousands of times per shape by the sampling
+checks, so what its attempts share is worked out once per ``(d, sizes)`` and
+cached by ``_draw_plan``: three read-only index arrays that put an attempt's
+draws into its Gaussian stack with one scatter and take its analysis rows
+out of the stacked QR factor with one ``take``.
 """
 
 from __future__ import annotations
@@ -15,7 +23,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import complex_gaussian, dagger, nonsingular, random_unitary, singular_values
+from ._linalg import (
+    check_tolerance,
+    complex_gaussian,
+    dagger,
+    nonsingular,
+    random_unitary,
+    singular_values,
+)
 from .core import ReconstructionSystem, _analysis_is_rs, _from_analysis, _layout
 from .errors import SamplingError, StructuralError
 
@@ -29,6 +44,9 @@ __all__ = [
 ]
 
 _ATTEMPTS = 100
+# numpy divides a complex ``a + bi`` by a real ``r`` as ``(a + 0 b) (1 / r)`` and
+# ``(b - 0 a) (1 / r)``, so scaling real draws by this factor gives complex_gaussian's bits
+_ROOT_HALF = 1.0 / np.sqrt(2.0)
 
 
 def random_coisometry(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
@@ -39,10 +57,22 @@ def random_coisometry(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
     return dagger(q)
 
 
+def _weights(weights: Sequence[float] | None, m: int) -> np.ndarray | None:
+    """``weights`` as floats (None stays None); ``StructuralError`` unless positive and finite,
+    one per block."""
+    if weights is None:
+        return None
+    scales = np.asarray(weights, dtype=float)
+    if scales.shape != (m,) or not np.all((scales > 0) & (scales < np.inf)):
+        raise StructuralError("weights must be positive and finite, one per block")
+    return scales
+
+
 def random_system(d: int, k: Sequence[int], seed, scale: float = 1.0,
                   conditioning: float = 1e-3) -> ReconstructionSystem:
     """Gaussian blocks of entry scale ``scale``, redrawn until ``nonsingular`` at ``conditioning``;
     which attempt is kept does not depend on ``scale``."""
+    check_tolerance(conditioning)
     rng = np.random.default_rng(seed)
     sizes = tuple(int(ki) for ki in k)
     for _ in range(_ATTEMPTS):
@@ -54,22 +84,31 @@ def random_system(d: int, k: Sequence[int], seed, scale: float = 1.0,
 
 
 @lru_cache(maxsize=16)
-def _draw_gather(d: int, sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where one attempt's draws go in the zero-padded ``m x d x width`` Gaussian stack.
+def _draw_plan(d: int, sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """How one ``random_projective`` attempt of shape ``(d, sizes)`` moves its numbers.
 
-    Returns the stack's mask of entries that are not padding (column ``c`` of
-    block ``i`` with ``c < k_i``) and, in mask order, the indices of each
-    entry's real and imaginary draw: block by block, the ``d x k_i`` real
-    parts, then the imaginary parts, as ``random_coisometry`` draws them.
+    The attempt factors the zero-padded ``m x d x width`` stack of the Gaussian
+    ``d x k_i`` blocks, held as a float64 buffer (real, imaginary, real, ...).
+    Returns three read-only index arrays:
+
+    - the buffer position of each draw, in draw order: block by block, the
+      ``d x k_i`` real parts, then the imaginary parts, as ``random_coisometry``
+      draws them;
+    - the ``K x d`` flat positions in the stacked ``Q`` factor of the analysis
+      rows, to be conjugated: row ``c`` of block ``i`` is column ``c`` of ``Q_i``;
+    - the ``K x 1`` column of each analysis row's block, to pick its weight.
     """
-    columns = _layout(sizes, d).rows
-    entries = np.broadcast_to(columns[:, None, :], (len(sizes), d, columns.shape[1]))
-    counts = d * np.asarray(sizes)
-    starts = np.cumsum(2 * counts) - 2 * counts
-    real = np.concatenate([start + np.arange(count) for start, count in zip(starts, counts)])
-    imag = real + np.repeat(counts, counts)
-    real.flags.writeable = imag.flags.writeable = False
-    return entries, real, imag
+    layout = _layout(sizes, d)
+    width = layout.rows.shape[1]
+    blocks, columns = np.nonzero(layout.rows)  # analysis-row order
+    entries = (blocks[:, None] * d + np.arange(d)) * width + columns[:, None]
+    # each block's entries in the row-major order of its d x k_i draw
+    stack = [entries[rows].T.ravel() for rows in layout.slices]
+    positions = np.concatenate([part for flat in stack for part in (2 * flat, 2 * flat + 1)])
+    blocks = blocks[:, None]
+    for index in (positions, entries, blocks):
+        index.flags.writeable = False
+    return positions, entries, blocks
 
 
 def random_projective(d: int, k: Sequence[int], seed,
@@ -78,32 +117,37 @@ def random_projective(d: int, k: Sequence[int], seed,
     """Weighted random coisometries; weights default to uniform draws in [0.5, 2].
 
     Each attempt makes, in one call, the draws ``random_coisometry`` would
-    make block by block, gathers them into a zero-padded stack, and factors
+    make block by block, scatters them into a zero-padded stack, and factors
     all blocks in one stacked QR.  Zero columns pad every block to the
     widest; they leave the leading columns of each Q factor unchanged, so the
-    blocks are those of the blockwise loop.  The ``nonsingular`` acceptance at
-    ``conditioning`` is relative: weights ``c w`` give ``c`` times the draw of ``w``.
+    blocks are those of the blockwise loop.  Where each draw goes and where
+    each analysis entry comes from is the shape's cached ``_draw_plan``, so an
+    attempt is one scatter, one ``qr``, one ``take`` and one ``eigvalsh``.
+    The ``nonsingular`` acceptance at ``conditioning`` is relative: weights
+    ``c w`` give ``c`` times the draw of ``w``.
     """
-    rng = np.random.default_rng(seed)
     sizes = tuple(int(ki) for ki in k)
     if not sizes:
         raise StructuralError("a system needs at least one block")
-    if weights is not None:
-        scales = np.asarray(weights, dtype=float)
-        if scales.shape != (len(sizes),) or np.any(scales <= 0):
-            raise StructuralError("weights must be positive, one per block")
+    scales = _weights(weights, len(sizes))
+    check_tolerance(conditioning)
     if max(sizes) > d:
         raise StructuralError("a coisometry needs k <= d")
-    entries, real, imag = _draw_gather(d, sizes)
-    rows = _layout(sizes, d).rows  # the rows of each padded Q_i^* that block i keeps
+    positions, entries, blocks = _draw_plan(d, sizes)
+    shape = (len(sizes), d, max(sizes))
+    size = 2 * len(sizes) * d * max(sizes)
+    rng = np.random.default_rng(seed)
     for _ in range(_ATTEMPTS):
         if weights is None:
             scales = 0.5 + 1.5 * rng.random(len(sizes))
-        draws = rng.standard_normal(2 * d * sum(sizes))
-        gaussians = np.zeros(entries.shape, dtype=np.complex128)
-        gaussians[entries] = (draws[real] + 1j * draws[imag]) / np.sqrt(2.0)
-        q, _ = np.linalg.qr(gaussians)
-        analysis = np.repeat(scales, sizes)[:, None] * dagger(q)[rows]
+        draws = rng.standard_normal(positions.size)
+        draws *= _ROOT_HALF
+        buffer = np.zeros(size)
+        buffer[positions] = draws
+        q, _ = np.linalg.qr(buffer.view(np.complex128).reshape(shape))
+        analysis = q.take(entries)
+        np.conjugate(analysis, out=analysis)
+        analysis *= scales[blocks]
         if _analysis_is_rs(analysis, conditioning):
             return _from_analysis(analysis, sizes)
     raise SamplingError(f"no well-conditioned projective system for d={d}, k={sizes}")
@@ -130,6 +174,7 @@ def random_riesz(k: Sequence[int], seed, conditioning: float = 1e-2) -> Reconstr
     sizes = tuple(int(ki) for ki in k)
     d = sum(sizes)
     _layout(sizes, d)  # a malformed shape raises StructuralError before any draw
+    check_tolerance(conditioning)
     rng = np.random.default_rng(seed)
     for _ in range(_ATTEMPTS):
         square = complex_gaussian(rng, (d, d))
@@ -155,13 +200,10 @@ def commuting_projective(d: int, masks: Iterable[Iterable[int]], seed,
     covered = set().union(*mask_list)
     if covered != set(range(d)):
         raise StructuralError("masks must cover every coordinate")
+    scales = _weights(weights, len(mask_list))
     rng = np.random.default_rng(seed)
-    if weights is None:
+    if scales is None:
         scales = 0.5 + 1.5 * rng.random(len(mask_list))
-    else:
-        scales = np.asarray(weights, dtype=float)
-        if scales.shape != (len(mask_list),) or np.any(scales <= 0):
-            raise StructuralError("weights must be positive, one per block")
     unitary = random_unitary(rng, d)
     blocks = tuple(v * dagger(unitary[:, list(mask)])
                    for v, mask in zip(scales, mask_list))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gframes as gf
+import gframes.core as core
 import gframes.erasure as erasure
 from gframes._linalg import dagger, frobenius
 from gframes.errors import (
@@ -124,6 +125,22 @@ def test_error_report_matches_the_direct_block_products(c):
         for got, w, v in zip(report.per_index, dual.blocks, system.blocks):
             direct = frobenius(dagger(w) @ v)
             assert abs(got - direct) <= 1e-12 * direct
+        assert report.worst_case == max(report.per_index)
+
+
+@pytest.mark.parametrize("k", [(3,) * 5, (2, 5, 3, 1, 4)], ids=["uniform", "mixed"])
+def test_error_report_is_the_stacked_norm_bit_for_bit(k):
+    # the inline norms and aggregates are those of np.linalg.norm and np.sqrt, not
+    # merely close to them
+    system = random_system(4, k, 416)
+    factor = system._block_factor
+    duals = [gf.canonical_dual(system), *gf.dual_manifold_sample(system, 417, 5)]
+    for dual in duals:
+        report = gf.error_report(system, dual)
+        norms = np.linalg.norm(factor @ core._block_stack(dual), axis=(1, 2))
+        assert all(got == float(expected) for got, expected in zip(report.per_index, norms,
+                                                                    strict=True))
+        assert report.two_error == float(np.sqrt(sum(e * e for e in report.per_index)))
         assert report.worst_case == max(report.per_index)
 
 

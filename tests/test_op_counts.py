@@ -19,7 +19,8 @@ verdict and its polar factors from one full ``svd`` of that factor in place
 of the values-only one, never from an ``svd`` of the blocks themselves.  Calls
 numpy makes internally (``norm(a, 2)``, ``solve``) are
 not counted.  A separate counter checks that ``error_report`` factors each
-system once, however many duals it scores against it.
+system once, however many duals it scores against it, and another that each
+``random_projective`` attempt, kept or rejected, is one ``qr`` and one ``eigvalsh``.
 """
 
 from collections import Counter
@@ -29,6 +30,7 @@ import pytest
 
 import gframes as gf
 import gframes.core as core
+import gframes.generate as generate
 import gframes.stability as stability
 from gframes.errors import StructuralError
 from gframes.generate import (
@@ -212,6 +214,28 @@ def test_ops_on_one_system_take_one_spectrum(counts, monkeypatch):
     assert cached[1] is cached[2]
     assert [sum(taken is spectrum for taken in spectra) for spectrum in cached[:2]] == [1, 1]
     assert len(spectra) == 2
+
+
+@pytest.mark.parametrize("d, k, conditioning", [(12, (3,) * 6, 1e-3), (7, (1, 4, 1, 4, 2), 1e-3),
+                                               (5, (4, 4, 4), 0.33)],
+                         ids=["uniform", "mixed", "rejecting"])
+def test_random_projective_takes_one_qr_and_one_eigvalsh_per_attempt(counts, monkeypatch,
+                                                                     d, k, conditioning):
+    attempts = Counter()
+    is_rs = generate._analysis_is_rs
+
+    def judged(*args, **kwargs):
+        attempts["attempt"] += 1
+        return is_rs(*args, **kwargs)
+
+    monkeypatch.setattr(generate, "_analysis_is_rs", judged)
+    rng = np.random.default_rng(12)
+    for _ in range(6):
+        random_projective(d, k, rng, conditioning=conditioning)
+    n = attempts["attempt"]
+    # the stacked QR of the padded draws and the verdict's eigvalsh; no svd, no inv
+    assert dict(counts) == {"qr": n, "eigvalsh": n}
+    assert n > 6 if conditioning > 1e-3 else n == 6  # the floor rejected some attempts
 
 
 def test_error_report_factors_each_system_once(monkeypatch):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import gframes as gf
+import gframes.generate as generate
 from gframes._linalg import (
     complex_gaussian,
     dagger,
@@ -19,6 +20,7 @@ from gframes._linalg import (
 )
 from gframes.errors import SamplingError, StructuralError
 from gframes.generate import (
+    commuting_projective,
     partition_protocol,
     random_coisometry,
     random_projective,
@@ -243,3 +245,56 @@ def test_direct_product_table_matches_the_pairwise_loop(orders):
     nested = gf.direct_product(gf.direct_product(a, b), a)
     assert np.array_equal(nested.table,
                           product_table_reference(gf.direct_product(a, b), a))
+
+
+def test_random_projective_plans_serve_interleaved_shapes():
+    # one generator across the same sizes at two domains and two orders of one
+    # multiset of sizes: every shape draws from its own plan, built once, and each
+    # draw is the blockwise one
+    shapes = [(4, (3, 1, 2)), (6, (3, 1, 2)), (4, (2, 3, 1)), (6, (3, 1, 2)), (4, (3, 1, 2)),
+              (4, (2, 3, 1)), (5, (2, 3, 1))]
+    generate._draw_plan.cache_clear()
+    mine, theirs = np.random.default_rng(410), np.random.default_rng(410)
+    for i, (d, k) in enumerate(shapes):
+        weights = None if i % 2 else [0.6 + 0.3 * j for j in range(len(k))]
+        assert_same_blocks(random_projective(d, k, mine, weights=weights),
+                           projective_reference(d, k, theirs, weights=weights)[0])
+    assert generate._draw_plan.cache_info().misses == len(set(shapes))
+    assert np.array_equal(mine.standard_normal(4), theirs.standard_normal(4))
+
+
+@pytest.mark.parametrize("generator", ["random_projective", "commuting_projective"])
+def test_generators_refuse_weights_that_are_not_positive_and_finite(generator):
+    def draw(weights):
+        if generator == "random_projective":
+            return random_projective(4, (2, 2), 0, weights=weights)
+        return commuting_projective(4, [(0, 1), (2, 3)], 0, weights=weights)
+
+    message = "^weights must be positive and finite, one per block$"
+    for bad in (np.nan, np.inf, -np.inf, 0.0, -1.0):
+        with pytest.raises(StructuralError, match=message):
+            draw([1.0, bad])
+    for wrong_length in ([1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]):
+        with pytest.raises(StructuralError, match=message):
+            draw(wrong_length)
+    assert draw([1.0, 2.0]).k == (2, 2)
+
+
+def test_refused_generator_calls_draw_nothing():
+    # each argument is checked before the first draw, so the caller's generator is
+    # left as it was
+    refusals = [
+        lambda rng: random_projective(4, (2, 2), rng, conditioning=0.0),
+        lambda rng: random_projective(4, (2, 2), rng, conditioning=np.inf),
+        lambda rng: random_projective(4, (2, 2), rng, weights=[1.0, np.nan]),
+        lambda rng: random_system(4, (2, 2), rng, conditioning=np.nan),
+        lambda rng: random_system(4, (2, 2), rng, conditioning=-1.0),
+        lambda rng: random_riesz((2, 2), rng, conditioning=0.0),
+        lambda rng: commuting_projective(4, [(0, 1), (2, 3)], rng, weights=[np.inf, 1.0]),
+    ]
+    for refuse in refusals:
+        rng = np.random.default_rng(411)
+        state = rng.bit_generator.state
+        with pytest.raises(StructuralError):
+            refuse(rng)
+        assert rng.bit_generator.state == state
