@@ -5,11 +5,25 @@ thin wrappers over ``numpy.linalg`` fixing the conventions once: Frobenius is
 the default matrix norm, Hermitian spectra are taken after explicit
 symmetrization, and every rank or flatness verdict compares the extremes of a
 PSD spectrum (``sigma(A)^2`` for a matrix ``A``) by ``nonsingular`` or ``flat``.
+
+Two calls that the sampling paths make once per attempt skip the
+``numpy.linalg`` wrapper: ``qr_basis`` (the stacked QR of
+``random_projective``) and ``hermitian_eigenvalues`` (the verdict of
+``core._analysis_is_rs``).  On the small ``complex128`` matrices these paths
+factor, the wrapper's type checks, copy, unused ``R`` factor and result tuple
+are a large share of the call.  Both helpers call the gufuncs of
+``numpy.linalg._umath_linalg`` that ``numpy.linalg.qr`` and
+``numpy.linalg.eigvalsh`` dispatch to, so the same LAPACK routines return the
+same bits.  They run inside the ``errstate`` that ``numpy.linalg`` sets, so a
+LAPACK failure raises the same ``LinAlgError``.  The single ``qr_r_raw`` gufunc
+appeared in numpy 2.0 (1.x has ``qr_r_raw_m`` and ``qr_r_raw_n``), hence the
+``numpy>=2.0`` requirement.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import StructuralError
 
@@ -32,12 +46,39 @@ def singular_values(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-def check_tolerance(tolerance: float) -> None:
-    """Raise ``StructuralError`` unless ``tolerance`` is positive (not NaN) and finite."""
-    if not tolerance > 0.0:
-        raise StructuralError("tolerance must be positive")
-    if tolerance == np.inf:
-        raise StructuralError("tolerance must be finite")
+def _qr_failed(err, flag):
+    raise LinAlgError("Incorrect argument found while performing QR factorization")
+
+
+def _eigenvalues_failed(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+def qr_basis(stack: np.ndarray) -> np.ndarray:
+    """``Q`` of the reduced QR of a ``complex128`` matrix or ``... x n x k`` stack: the bits of
+    ``np.linalg.qr(stack)[0]``.  ``stack`` is overwritten, so it must be the caller's own
+    scratch buffer."""
+    with np.errstate(call=_qr_failed, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        tau = _umath_linalg.qr_r_raw(stack)  # leaves the Householder vectors in ``stack``
+        return _umath_linalg.qr_reduced(stack, tau)
+
+
+def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a ``complex128`` Hermitian matrix or stack, read from its lower
+    triangle: the bits of ``np.linalg.eigvalsh(h)``."""
+    with np.errstate(call=_eigenvalues_failed, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return _umath_linalg.eigvalsh_lo(h)
+
+
+def check_tolerance(value: float, name: str = "tolerance") -> None:
+    """Raise ``StructuralError`` unless ``value`` is positive (not NaN) and finite; the message
+    names the argument ``name``."""
+    if not value > 0.0:
+        raise StructuralError(f"{name} must be positive")
+    if value == np.inf:
+        raise StructuralError(f"{name} must be finite")
 
 
 def nonsingular(lower, upper, tolerance: float):

@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import dagger, flat, frobenius, hermitian_part, nonsingular
+from ._linalg import dagger, flat, frobenius, hermitian_eigenvalues, hermitian_part, nonsingular
 from .errors import NotReconstructionSystemError, StructuralError
 
 DEFAULT_TOLERANCE = 1e-9
@@ -307,8 +307,9 @@ def _squared_spectrum(r: np.ndarray, d: int) -> np.ndarray:
 
 def _analysis_is_rs(analysis: np.ndarray, tolerance: float) -> np.ndarray:
     """``nonsingular`` of ``sigma(T)^2`` for ``T`` or each in a ``... x K x d`` stack, read from
-    one batched ``eigvalsh`` of ``T^* T`` formed as one product; it seeds no ``_spectrum``."""
-    spectra = np.linalg.eigvalsh(dagger(analysis) @ analysis)
+    one batched ``hermitian_eigenvalues`` of ``T^* T`` formed as one product; it seeds no
+    ``_spectrum``."""
+    spectra = hermitian_eigenvalues(dagger(analysis) @ analysis)
     return nonsingular(spectra[..., 0], spectra[..., -1], tolerance)
 
 

@@ -5,15 +5,16 @@ existing ``numpy.random.Generator``) and guard conditioning, so comparisons
 at the 1e-10 level stay meaningful downstream: a draw is kept when its
 analysis matrix ``T`` passes the relative rule ``_linalg.nonsingular`` at ``conditioning``
 (``random_riesz`` on ``sigma(T)``, the others on ``sigma(T)^2``), so the same
-draw is kept at any scale.  The arguments (``conditioning``, ``weights``) are
-checked before the first draw, so a refused call leaves a caller's generator
-as it was.
+draw is kept at any scale.  The arguments (the block shape, ``conditioning``,
+``weights``) are checked before the first draw, so a refused call leaves a
+caller's generator as it was.
 
 ``random_projective`` is called thousands of times per shape by the sampling
 checks, so what its attempts share is worked out once per ``(d, sizes)`` and
 cached by ``_draw_plan``: three read-only index arrays that put an attempt's
 draws into its Gaussian stack with one scatter and take its analysis rows
-out of the stacked QR factor with one ``take``.
+out of the stacked QR factor with one ``take``.  The factor and the verdict
+are ``_linalg.qr_basis`` and ``_linalg.hermitian_eigenvalues``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from ._linalg import (
     complex_gaussian,
     dagger,
     nonsingular,
+    qr_basis,
     random_unitary,
     singular_values,
 )
@@ -57,6 +59,20 @@ def random_coisometry(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
     return dagger(q)
 
 
+def _shape(k: Sequence[int], d: int | None = None, coisometry: bool = False) -> tuple[int, ...]:
+    """The block sizes ``k`` as ints; ``StructuralError`` unless there is at least one block,
+    every block is non-empty over ``d >= 1`` (``d`` defaults to the sum of the sizes) and, for
+    a ``coisometry``, no block is taller than ``d``, which is checked before ``_layout`` runs."""
+    sizes = tuple(int(ki) for ki in k)
+    if not sizes:
+        raise StructuralError("a system needs at least one block")
+    d = sum(sizes) if d is None else d
+    if coisometry and max(sizes) > d:
+        raise StructuralError("a coisometry needs k <= d")
+    _layout(sizes, d)
+    return sizes
+
+
 def _weights(weights: Sequence[float] | None, m: int) -> np.ndarray | None:
     """``weights`` as floats (None stays None); ``StructuralError`` unless positive and finite,
     one per block."""
@@ -72,9 +88,9 @@ def random_system(d: int, k: Sequence[int], seed, scale: float = 1.0,
                   conditioning: float = 1e-3) -> ReconstructionSystem:
     """Gaussian blocks of entry scale ``scale``, redrawn until ``nonsingular`` at ``conditioning``;
     which attempt is kept does not depend on ``scale``."""
-    check_tolerance(conditioning)
+    sizes = _shape(k, d)
+    check_tolerance(conditioning, "conditioning")
     rng = np.random.default_rng(seed)
-    sizes = tuple(int(ki) for ki in k)
     for _ in range(_ATTEMPTS):
         system = ReconstructionSystem(tuple(complex_gaussian(rng, (ki, d), scale)
                                             for ki in sizes))
@@ -122,17 +138,14 @@ def random_projective(d: int, k: Sequence[int], seed,
     widest; they leave the leading columns of each Q factor unchanged, so the
     blocks are those of the blockwise loop.  Where each draw goes and where
     each analysis entry comes from is the shape's cached ``_draw_plan``, so an
-    attempt is one scatter, one ``qr``, one ``take`` and one ``eigvalsh``.
+    attempt is one scatter, one ``qr_basis`` (in place, on the attempt's fresh
+    padded buffer), one ``take`` and one ``hermitian_eigenvalues``.
     The ``nonsingular`` acceptance at ``conditioning`` is relative: weights
     ``c w`` give ``c`` times the draw of ``w``.
     """
-    sizes = tuple(int(ki) for ki in k)
-    if not sizes:
-        raise StructuralError("a system needs at least one block")
+    sizes = _shape(k, d, coisometry=True)
     scales = _weights(weights, len(sizes))
-    check_tolerance(conditioning)
-    if max(sizes) > d:
-        raise StructuralError("a coisometry needs k <= d")
+    check_tolerance(conditioning, "conditioning")
     positions, entries, blocks = _draw_plan(d, sizes)
     shape = (len(sizes), d, max(sizes))
     size = 2 * len(sizes) * d * max(sizes)
@@ -144,7 +157,7 @@ def random_projective(d: int, k: Sequence[int], seed,
         draws *= _ROOT_HALF
         buffer = np.zeros(size)
         buffer[positions] = draws
-        q, _ = np.linalg.qr(buffer.view(np.complex128).reshape(shape))
+        q = qr_basis(buffer.view(np.complex128).reshape(shape))
         analysis = q.take(entries)
         np.conjugate(analysis, out=analysis)
         analysis *= scales[blocks]
@@ -171,10 +184,9 @@ def partition_protocol(d: int, block_dim: int, copies: int, seed) -> Reconstruct
 
 def random_riesz(k: Sequence[int], seed, conditioning: float = 1e-2) -> ReconstructionSystem:
     """Row-slices of a random invertible matrix; block dimensions sum to ``d``."""
-    sizes = tuple(int(ki) for ki in k)
+    sizes = _shape(k)
     d = sum(sizes)
-    _layout(sizes, d)  # a malformed shape raises StructuralError before any draw
-    check_tolerance(conditioning)
+    check_tolerance(conditioning, "conditioning")
     rng = np.random.default_rng(seed)
     for _ in range(_ATTEMPTS):
         square = complex_gaussian(rng, (d, d))

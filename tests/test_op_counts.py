@@ -2,7 +2,10 @@
 
 The counters wrap ``core._block_gram`` (every ``frame_operator`` call goes
 through it) and the ``numpy.linalg`` entry points ``qr``, ``eigvalsh``,
-``inv`` and ``svd``.  Every op that needs the frame bounds or ``S^{-1}``
+``inv`` and ``svd``, and count ``_linalg.qr_basis`` and
+``_linalg.hermitian_eigenvalues`` (the same LAPACK calls without numpy's
+wrapper) as ``qr`` and ``eigvalsh``, wrapped where ``generate`` and ``core``
+call them.  Every op that needs the frame bounds or ``S^{-1}``
 takes them from one QR of the analysis matrix ``T = Q R`` (one ``qr``, at
 most one ``inv`` of ``R``, and one values-only ``svd`` of ``R`` the first
 time a system is factored, since the system caches that spectrum); no op
@@ -59,6 +62,8 @@ def counts(monkeypatch):
     counted(np.linalg, "eigvalsh", "eigvalsh")
     counted(np.linalg, "inv", "inv")
     counted(np.linalg, "svd", "svd")
+    counted(generate, "qr_basis", "qr")
+    counted(core, "hermitian_eigenvalues", "eigvalsh")
     return tally
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import gframes as gf
+import gframes.core as core
 import gframes.generate as generate
 from gframes._linalg import (
     complex_gaussian,
@@ -232,7 +233,7 @@ def test_generators_reject_malformed_shapes():
         with pytest.raises(StructuralError,
                            match="^block_dim must be a positive divisor of d >= 1$"):
             partition_protocol(d, block_dim, 1, 0)
-    with pytest.raises(StructuralError, match="^signature needs at least one block"):
+    with pytest.raises(StructuralError, match="^a system needs at least one block$"):
         random_riesz((), 0)
     with pytest.raises(StructuralError, match="^block 0 must be a non-empty 2-d matrix"):
         random_riesz((0,), 0)
@@ -282,19 +283,36 @@ def test_generators_refuse_weights_that_are_not_positive_and_finite(generator):
 
 def test_refused_generator_calls_draw_nothing():
     # each argument is checked before the first draw, so the caller's generator is
-    # left as it was
+    # left as it was, and the message names the argument that was refused
+    positive, finite = "^conditioning must be positive$", "^conditioning must be finite$"
+    weights = "^weights must be positive and finite, one per block$"
     refusals = [
-        lambda rng: random_projective(4, (2, 2), rng, conditioning=0.0),
-        lambda rng: random_projective(4, (2, 2), rng, conditioning=np.inf),
-        lambda rng: random_projective(4, (2, 2), rng, weights=[1.0, np.nan]),
-        lambda rng: random_system(4, (2, 2), rng, conditioning=np.nan),
-        lambda rng: random_system(4, (2, 2), rng, conditioning=-1.0),
-        lambda rng: random_riesz((2, 2), rng, conditioning=0.0),
-        lambda rng: commuting_projective(4, [(0, 1), (2, 3)], rng, weights=[np.inf, 1.0]),
+        (lambda rng: random_projective(4, (2, 2), rng, conditioning=0.0), positive),
+        (lambda rng: random_projective(4, (2, 2), rng, conditioning=np.inf), finite),
+        (lambda rng: random_projective(4, (2, 2), rng, weights=[1.0, np.nan]), weights),
+        (lambda rng: random_projective(4, (), rng), "^a system needs at least one block$"),
+        (lambda rng: random_projective(4, (0, 2), rng), r"^block 0 must be .* shape \(0, 4\)$"),
+        (lambda rng: random_system(4, (2, 2), rng, conditioning=np.nan), positive),
+        (lambda rng: random_system(4, (2, 2), rng, conditioning=-1.0), positive),
+        (lambda rng: random_system(4, (), rng), "^a system needs at least one block$"),
+        (lambda rng: random_system(4, (0, 2), rng), r"^block 0 must be .* shape \(0, 4\)$"),
+        (lambda rng: random_system(4, (2, -1), rng), r"^block 1 must be .* shape \(-1, 4\)$"),
+        (lambda rng: random_system(0, (2, 2), rng), r"^block 0 must be .* shape \(2, 0\)$"),
+        (lambda rng: random_projective(4, (2, 10**6), rng), "^a coisometry needs k <= d$"),
+        (lambda rng: random_riesz((2, 2), rng, conditioning=0.0), positive),
+        (lambda rng: random_riesz((), rng), "^a system needs at least one block$"),
+        (lambda rng: random_riesz((2, -1), rng), r"^block 1 must be .* shape \(-1, 1\)$"),
+        (lambda rng: commuting_projective(4, [(0, 1), (2, 3)], rng, weights=[np.inf, 1.0]),
+         weights),
     ]
-    for refuse in refusals:
+    for refuse, message in refusals:
         rng = np.random.default_rng(411)
         state = rng.bit_generator.state
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match=message):
             refuse(rng)
         assert rng.bit_generator.state == state
+    # an oversized coisometry is refused before any shape layout is built
+    misses = core._layout.cache_info().misses
+    with pytest.raises(StructuralError, match="^a coisometry needs k <= d$"):
+        random_projective(4, (10**6,), 0)
+    assert core._layout.cache_info().misses == misses
