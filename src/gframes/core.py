@@ -21,9 +21,8 @@ truncation, the erasure errors) reads one stacked factor.  Padding costs
 ``sum_i k_i^2 d``; the two differ only on systems with a few tall blocks
 among many short ones.
 
-Systems are immutable, so each caches what every op would otherwise
-recompute: its block factor and the spectrum ``sigma(T)^2`` that every
-verdict reads (see ``ReconstructionSystem``).
+Systems are immutable, so each caches what ops derive from it (see
+``ReconstructionSystem``).
 
 All norms written ``||.||`` in this module's docstrings are Frobenius norms
 unless said otherwise; spectral norms are always called out by name.  Block
@@ -127,22 +126,18 @@ class ReconstructionSystem:
     fixed at construction; systems of one shape share their signature and
     row slices through a bounded cache.
 
-    A system also caches three things on first use, each as a read-only
-    array: the triangular factors ``R_i`` of ``V_i^* = Q_i R_i``
-    (``_block_factor``, one stacked QR), the eigenvalues of ``S`` as the
-    squared singular values of ``T`` (``_spectrum``, ``d`` floats), and
-    ``R^{-1}`` of ``T = Q R`` (``_r_inverse``, ``d x d``, from the first
-    ``_AnalysisFactor.r_inverse``).  Systems never change after
-    construction, so all three stay valid for the system's lifetime: every
-    per-block value (``classify``'s injectivity and weights, truncation's
-    dropped norms, ``error_report`` against any dual, the polar factors of
-    ``nearest_projective``) comes from the one block factor, every verdict
-    (``is_rs``, the frame bounds, ``is_protocol`` and the lower bound that
-    truncation reads) from the one spectrum, and
-    every ``S^{-1} = R^{-1} R^{-*}`` and canonical dual from the one
-    ``R^{-1}``, whichever op computed it.  ``Q`` and ``R`` of ``T`` are not
-    cached (``K d`` entries); an op that needs ``Q`` refactors ``T``.
-    Truncation memoizes the survivors' spectrum per system (``stability``).
+    A system also caches three read-only arrays on first use, valid for its
+    lifetime whichever op computed them: the triangular factors ``R_i`` of
+    ``V_i^* = Q_i R_i`` (``_block_factor``, one stacked QR), which every
+    per-block value reads; the eigenvalues of ``S`` as the squared singular
+    values of ``T`` (``_spectrum``, ``d`` floats), which every verdict reads;
+    and ``R^{-1}`` of ``T = Q R`` (``_r_inverse``, ``d x d``), which every
+    ``S^{-1} = R^{-1} R^{-*}`` and canonical dual reads.  ``Q`` and ``R`` of
+    ``T`` are not cached.  Truncation memoizes the survivors' spectrum per
+    system (``stability``).  A dual drawn by ``dual_manifold_sample`` holds
+    ``_scored = (system, scores, row)``, its erasure errors ``scores[row]``
+    against the system it was drawn from, which ``error_report`` reads; any
+    other system holds None there.
 
     Parameters
     ----------
@@ -167,21 +162,21 @@ class ReconstructionSystem:
             if b.shape[1] != d:
                 raise StructuralError(
                     f"block {i} has {b.shape[1]} columns, expected {d} (common domain)")
-        self._adopt(np.concatenate(converted), tuple(b.shape[0] for b in converted))
+        analysis = np.concatenate(converted)
+        self._adopt(analysis, _frozen_layout(analysis, tuple(b.shape[0] for b in converted)))
 
-    def _adopt(self, analysis: np.ndarray, sizes: tuple[int, ...]) -> None:
-        """Freeze ``analysis`` (C-contiguous, owned by nobody else) and slice it into blocks."""
-        layout = _layout(sizes, analysis.shape[1])
-        if not np.isfinite(analysis).all():
-            row = int(np.argmin(np.isfinite(analysis).all(axis=1)))
-            raise StructuralError(
-                f"block {bisect_right(layout.ends, row)} contains non-finite entries")
-        analysis.flags.writeable = False
+    def _adopt(self, analysis: np.ndarray, layout: _Layout) -> None:
+        """Take the read-only ``analysis`` as storage and slice it into blocks.
+
+        Every system sets the same attributes in the same order, the unset
+        ``_scored`` memo included, so CPython keeps their shared-key layout.
+        """
         object.__setattr__(self, "blocks", tuple(map(analysis.__getitem__, layout.slices)))
         object.__setattr__(self, "analysis", analysis)
-        object.__setattr__(self, "k", sizes)
+        object.__setattr__(self, "k", layout.signature.k)
         object.__setattr__(self, "tr_k", analysis.shape[0])
         object.__setattr__(self, "signature", layout.signature)
+        object.__setattr__(self, "_scored", None)
 
     @property
     def m(self) -> int:
@@ -216,27 +211,69 @@ class ReconstructionSystem:
         return f"ReconstructionSystem(m={self.m}, k={self.k}, d={self.d})"
 
 
-def _block_stack(system: ReconstructionSystem) -> np.ndarray:
-    """The blocks as a zero-padded ``m x width x d`` stack; a read-only view if none is padded."""
-    rows = _layout(system.k, system.d).rows
-    if rows.size == system.tr_k:
-        return system.analysis.reshape(rows.shape + (system.d,))
-    stack = np.zeros(rows.shape + (system.d,), dtype=np.complex128)
-    stack[rows] = system.analysis
+def _padded(analyses: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``... x K x d`` analysis matrices as zero-padded ``... x m x width x d`` block stacks
+    (``rows`` from ``_layout``); a view if no block is padded."""
+    shape = analyses.shape[:-2] + rows.shape + analyses.shape[-1:]
+    if rows.size == analyses.shape[-2]:
+        return analyses.reshape(shape)
+    stack = np.zeros(shape, dtype=np.complex128)
+    stack[..., rows, :] = analyses
     return stack
 
 
-def _from_analysis(analysis: np.ndarray, sizes: Sequence[int]) -> ReconstructionSystem:
-    """System whose blocks are the consecutive row slices of ``analysis`` of heights ``sizes``.
+def _block_stack(system: ReconstructionSystem) -> np.ndarray:
+    """The blocks as a zero-padded ``m x width x d`` stack; a read-only view if none is padded."""
+    return _padded(system.analysis, _layout(system.k, system.d).rows)
 
-    ``analysis`` must not be used by the caller afterwards: the system keeps
-    it (or a contiguous copy) as its own storage.
+
+def _scores(system: ReconstructionSystem, stacks: np.ndarray) -> np.ndarray:
+    """The norms ``||W_j^* V_j||`` of each dual in ``stacks`` (``... x m x width x d``, as
+    ``_padded`` gives them), as ``... x m`` floats.
+
+    ``||W_j^* V_j|| = ||V_j^* W_j|| = ||R_j W_j||`` with ``V_j^* = Q_j R_j``, since
+    ``Q_j`` has orthonormal columns; the reduction is that of
+    ``np.linalg.norm(products, axis=(-2, -1))``, bit for bit.
     """
+    products = system._block_factor @ stacks
+    squares = np.conjugate(products)
+    squares *= products
+    return np.sqrt(np.add.reduce(squares.real, axis=(-2, -1)))
+
+
+def _frozen_layout(analyses: np.ndarray, sizes: Sequence[int]) -> _Layout:
+    """The layout of systems with blocks of heights ``sizes`` over the ``... x K x d``
+    ``analyses``, made read-only; raises ``StructuralError`` naming the block of the first
+    non-finite entry."""
     sizes = tuple(map(int, sizes))
     if not sizes:
         raise StructuralError("a system needs at least one block")
+    layout = _layout(sizes, analyses.shape[-1])
+    if not np.isfinite(analyses).all():
+        row = int(np.argmin(np.isfinite(analyses).all(axis=-1))) % analyses.shape[-2]
+        raise StructuralError(
+            f"block {bisect_right(layout.ends, row)} contains non-finite entries")
+    analyses.flags.writeable = False
+    return layout
+
+
+def _from_analyses(analyses: np.ndarray, sizes: Sequence[int]) -> list[ReconstructionSystem]:
+    """One system per ``K x d`` matrix of the C-contiguous ``n x K x d`` ``complex128`` stack
+    ``analyses``, each with blocks of heights ``sizes``: views of the stack, which the
+    caller must not use afterwards."""
+    layout = _frozen_layout(analyses, sizes)
+    systems = [object.__new__(ReconstructionSystem) for _ in range(analyses.shape[0])]
+    for system, analysis in zip(systems, analyses):
+        system._adopt(analysis, layout)
+    return systems
+
+
+def _from_analysis(analysis: np.ndarray, sizes: Sequence[int]) -> ReconstructionSystem:
+    """The system of ``_from_analyses`` over one ``K x d`` matrix, which the system keeps
+    (or a contiguous copy) as its storage."""
+    analysis = np.ascontiguousarray(analysis, dtype=np.complex128)
     system = object.__new__(ReconstructionSystem)
-    system._adopt(np.ascontiguousarray(analysis, dtype=np.complex128), sizes)
+    system._adopt(analysis, _frozen_layout(analysis, sizes))
     return system
 
 

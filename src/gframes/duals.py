@@ -15,13 +15,8 @@ matrices.  ``DualManifold`` exposes this chart; sampling duals means drawing
 The canonical dual ``Q R^{-*}``, ``S^{-1} = R^{-1} R^{-*}`` and the chart's
 projector ``I - Q Q^*`` come from one checked QR factor ``T = Q R`` of the
 analysis matrix (``core._analysis_factor``), which raises
-``NotReconstructionSystemError`` exactly when ``classify(...).is_rs`` fails:
-both read the one spectrum ``sigma(T)^2`` that the system caches, seeded by
-the first factor of ``T`` and valid for the system's lifetime, since systems
-are immutable.  The system also caches ``R^{-1}`` from the first inversion,
-so ``inverse_frame_operator`` on a factored system takes no QR and no
-``inv``.  ``Q`` and ``R`` are not cached; ``canonical_dual`` and
-``dual_manifold`` refactor ``T``, but take no second SVD or ``inv``.  ``S``
+``NotReconstructionSystemError`` exactly when ``classify(...).is_rs`` fails;
+what the system caches of it is listed under ``ReconstructionSystem``.  ``S``
 is never formed, so accuracy follows ``kappa(T)``, not ``kappa(T)^2``.
 """
 
@@ -37,8 +32,11 @@ from .core import (
     ReconstructionSystem,
     _analysis_factor,
     _analysis_is_rs,
-    _from_analysis,
+    _from_analyses,
     _inverse_gram,
+    _layout,
+    _padded,
+    _scores,
     system_from_synthesis,
 )
 from .errors import SamplingError, StructuralError
@@ -151,6 +149,11 @@ def dual_manifold_sample(system: ReconstructionSystem, seed: int, count: int,
     at a time would, and no batch reaches past the last slot or the redraw
     limit.  So the samples, and the generator's state afterwards, are those
     of the one-at-a-time loop.
+
+    Each batch's accepted duals are scored against ``system`` in one pass
+    (``core._scores``), and each sample keeps its row of those read-only
+    scores, so ``error_report(system, sample)`` reads them in place of
+    computing the same bits.
     """
     if count < 1:
         raise StructuralError("count must be at least 1")
@@ -158,6 +161,7 @@ def dual_manifold_sample(system: ReconstructionSystem, seed: int, count: int,
     deviation = scale / np.sqrt(system._spectrum[0])  # dual_manifold cached the spectrum
     rng = np.random.default_rng(seed)
     batch = max(1, min(_SAMPLE_CHUNK, _BATCH_ENTRIES // (system.d * system.tr_k)))
+    rows = _layout(system.k, system.d).rows
     samples: list[ReconstructionSystem] = []
     misses = 0  # consecutive rejected attempts for the current slot
     while len(samples) < count:
@@ -169,10 +173,12 @@ def dual_manifold_sample(system: ReconstructionSystem, seed: int, count: int,
         parameters = deviation * (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
         syntheses = manifold.base_synthesis + parameters @ manifold.range_complement
         analyses = np.ascontiguousarray(dagger(syntheses))
-        for analysis, accepted in zip(analyses, _analysis_is_rs(analyses, tolerance).tolist()):
-            if accepted:
-                samples.append(_from_analysis(analysis, system.k))
-                misses = 0
-            else:
-                misses += 1
+        accepted = np.flatnonzero(_analysis_is_rs(analyses, tolerance))
+        misses = size - 1 - int(accepted[-1]) if accepted.size else misses + size
+        kept = analyses[accepted]
+        scores = _scores(system, _padded(kept, rows))
+        scores.flags.writeable = False
+        for row, sample in enumerate(_from_analyses(kept, system.k)):
+            object.__setattr__(sample, "_scored", (system, scores, row))
+            samples.append(sample)
     return samples

@@ -6,14 +6,12 @@ is ``W_j^* V_j``.  Two figures of merit aggregate the per-index Frobenius
 norms ``||W_j^* V_j||``: their Euclidean norm (``two_error``) and their
 maximum (``worst_case``).
 
-``error_report`` never forms the ``d x d`` products ``W_j^* V_j``.  With the
-QR factorization ``V_j^* = Q_j R_j``, where ``Q_j`` has orthonormal columns,
-``||W_j^* V_j|| = ||V_j^* W_j|| = ||R_j W_j||``.  The ``R_j`` of a system come
-from one stacked QR of its zero-padded blocks, computed on first use and
-cached on the (immutable) system, the same factor whose singular values
-``classify`` reads, so scoring many duals against one system costs one
-batched ``R W`` product and one norm per block for each dual.  The
-values agree with the direct products up to rounding.
+``error_report`` never forms the ``d x d`` products ``W_j^* V_j``: it takes
+``||W_j^* V_j|| = ||R_j W_j||`` from the system's cached block factor
+(``core._scores``).  A dual drawn by ``dual_manifold_sample`` carries these
+errors against the system it was drawn from, computed for its whole batch in
+one product; ``error_report`` against that same system object returns them,
+and against any other system computes them, with the same bits.
 
 Both optima come from one weighted family of duals.  Write each block of an
 injective system as ``V_i = R_i^* U_i`` with orthonormal rows ``U_i``, and for
@@ -73,6 +71,7 @@ from .core import (
     _from_analysis,
     _index_subset,
     _layout,
+    _scores,
     classify,
 )
 from .errors import PreconditionError, StructuralError
@@ -152,10 +151,12 @@ def error_report(system: ReconstructionSystem,
     """Per-index norms ``||W_j^* V_j||`` and their two aggregates."""
     if dual.signature != system.signature:
         raise StructuralError("dual and system signatures differ")
-    # ||W_j^* V_j|| = ||V_j^* W_j|| = ||R_j W_j||, as Q_j has orthonormal columns
-    products = system._block_factor @ _block_stack(dual)
-    # np.linalg.norm(products, axis=(1, 2)) without its argument handling, bit for bit
-    per = tuple(np.sqrt(np.add.reduce((products.conj() * products).real, axis=(1, 2))).tolist())
+    memo = dual._scored
+    if memo is not None and memo[0] is system:
+        scores = memo[1][memo[2]]
+    else:
+        scores = _scores(system, _block_stack(dual))
+    per = tuple(scores.tolist())
     return ErrorReport(per_index=per, two_error=math.sqrt(sum(e * e for e in per)),
                        worst_case=max(per))
 

@@ -10,11 +10,8 @@ draw is kept at any scale.  The arguments (the block shape, ``conditioning``,
 caller's generator as it was.
 
 ``random_projective`` is called thousands of times per shape by the sampling
-checks, so what its attempts share is worked out once per ``(d, sizes)`` and
-cached by ``_draw_plan``: three read-only index arrays that put an attempt's
-draws into its Gaussian stack with one scatter and take its analysis rows
-out of the stacked QR factor with one ``take``.  The factor and the verdict
-are ``_linalg.qr_basis`` and ``_linalg.hermitian_eigenvalues``.
+checks, so what its attempts share is cached per ``(d, sizes)`` by
+``_draw_plan``.
 """
 
 from __future__ import annotations
@@ -52,9 +49,9 @@ _ROOT_HALF = 1.0 / np.sqrt(2.0)
 
 
 def random_coisometry(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
-    """Random ``k x d`` block with orthonormal rows (adjoint of a QR factor)."""
-    if k > d:
-        raise StructuralError("a coisometry needs k <= d")
+    """Random ``k x d`` block with orthonormal rows (adjoint of a QR factor); the shape is
+    checked by ``_shape`` before the first draw."""
+    _shape((k,), d, coisometry=True)
     q, _ = np.linalg.qr(complex_gaussian(rng, (d, k)))
     return dagger(q)
 
@@ -133,13 +130,9 @@ def random_projective(d: int, k: Sequence[int], seed,
     """Weighted random coisometries; weights default to uniform draws in [0.5, 2].
 
     Each attempt makes, in one call, the draws ``random_coisometry`` would
-    make block by block, scatters them into a zero-padded stack, and factors
-    all blocks in one stacked QR.  Zero columns pad every block to the
-    widest; they leave the leading columns of each Q factor unchanged, so the
-    blocks are those of the blockwise loop.  Where each draw goes and where
-    each analysis entry comes from is the shape's cached ``_draw_plan``, so an
-    attempt is one scatter, one ``qr_basis`` (in place, on the attempt's fresh
-    padded buffer), one ``take`` and one ``hermitian_eigenvalues``.
+    make block by block, and factors all blocks as one zero-padded stack
+    (``_draw_plan``, ``qr_basis``); zero columns leave the leading columns of
+    each Q factor unchanged, so the blocks are those of the blockwise loop.
     The ``nonsingular`` acceptance at ``conditioning`` is relative: weights
     ``c w`` give ``c`` times the draw of ``w``.
     """

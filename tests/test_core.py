@@ -233,6 +233,27 @@ def test_validation_errors_name_the_block():
         gf.ReconstructionSystem([good, np.eye(2, 4)])
 
 
+def test_batched_construction_is_one_at_a_time_and_names_the_block():
+    rng = np.random.default_rng(114)
+    sizes = (2, 1, 3)
+    stack = rng.standard_normal((4, 6, 3)) + 1j * rng.standard_normal((4, 6, 3))
+    systems = core._from_analyses(stack.copy(), sizes)
+    for system, analysis in zip(systems, stack, strict=True):
+        single = core._from_analysis(analysis, sizes)
+        assert system.k == single.k and system.signature == single.signature
+        assert not system.analysis.flags.writeable and system._scored is None
+        for a, b in zip(system.blocks, single.blocks, strict=True):
+            assert np.array_equal(a, b)
+    # the first non-finite entry in stack order is in row 2 of the second system
+    broken = stack.copy()
+    broken[2, 3, 1] = np.nan
+    broken[1, 2, 0] = np.inf
+    with pytest.raises(StructuralError, match="^block 1 contains non-finite entries$"):
+        core._from_analyses(broken, sizes)
+    with pytest.raises(StructuralError, match="^block 2 contains non-finite entries$"):
+        core._from_analysis(broken[2], sizes)
+
+
 def test_analysis_matrix_is_a_writable_copy():
     rng = np.random.default_rng(113)
     system = draw_general(rng)

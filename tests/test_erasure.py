@@ -144,6 +144,33 @@ def test_error_report_is_the_stacked_norm_bit_for_bit(k):
         assert report.worst_case == max(report.per_index)
 
 
+def test_error_report_reads_the_sampler_scores_only_against_the_sampled_system(monkeypatch):
+    system = random_system(5, (2, 3, 1, 4), 420)
+    samples = gf.dual_manifold_sample(system, 421, 70)
+    computed = []
+    scores = erasure._scores
+
+    def counted(owner, stacks):
+        computed.append(owner)
+        return scores(owner, stacks)
+
+    monkeypatch.setattr(erasure, "_scores", counted)
+    memoized = [gf.error_report(system, sample) for sample in samples]
+    assert computed == []
+    # a copy with equal blocks, or another system of the same signature, is not the
+    # sampled system: the errors are computed, and agree with the sampler's bits
+    copy = gf.ReconstructionSystem(system.blocks)
+    doubled = gf.ReconstructionSystem([2.0 * b for b in system.blocks])
+    for sample, memo in zip(samples, memoized, strict=True):
+        report = gf.error_report(copy, sample)
+        assert np.array_equal(report.per_index, memo.per_index) and report == memo
+        report = gf.error_report(doubled, sample)
+        for got, w, v in zip(report.per_index, sample.blocks, doubled.blocks, strict=True):
+            direct = frobenius(dagger(w) @ v)
+            assert abs(got - direct) <= 1e-12 * direct
+    assert computed == [copy, doubled] * len(samples)
+
+
 def test_error_report_single_identity_block():
     system = gf.ReconstructionSystem([np.eye(2)])
     report = gf.error_report(system, gf.canonical_dual(system))

@@ -22,7 +22,8 @@ verdict and its polar factors from one full ``svd`` of that factor in place
 of the values-only one, never from an ``svd`` of the blocks themselves.  Calls
 numpy makes internally (``norm(a, 2)``, ``solve``) are
 not counted.  A separate counter checks that ``error_report`` factors each
-system once, however many duals it scores against it, and another that each
+system once, however many duals it scores against it (``dual_manifold_sample``
+takes that factor itself to score its samples), and another that each
 ``random_projective`` attempt, kept or rejected, is one ``qr`` and one ``eigvalsh``.
 """
 
@@ -254,10 +255,14 @@ def test_error_report_factors_each_system_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", counted)
     system = random_system(6, (2, 3, 4, 2, 4), 8)
     first, second = gf.dual_manifold_sample(system, seed=9, count=2)
-    assert factorizations["qr"] == 1  # the sampler's chart comes from one analysis QR
+    # the sampler's chart comes from one analysis QR, its scores from the block QR
+    assert factorizations["qr"] == 2
     factorizations.clear()
-    gf.error_report(system, first)
-    assert factorizations["qr"] == 1
+    gf.error_report(system, first)  # the sampler's scores
     gf.error_report(system, second)
-    gf.error_report(system, first)
+    gf.error_report(system, gf.ReconstructionSystem(first.blocks))  # the cached block factor
+    assert factorizations["qr"] == 0
+    other = gf.ReconstructionSystem(system.blocks)  # equal blocks, no scores, no block factor
+    gf.error_report(other, first)
+    gf.error_report(other, second)
     assert factorizations["qr"] == 1

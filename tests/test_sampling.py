@@ -11,6 +11,7 @@ import pytest
 
 import gframes as gf
 import gframes.core as core
+import gframes.duals as duals
 import gframes.generate as generate
 from gframes._linalg import (
     complex_gaussian,
@@ -206,6 +207,32 @@ def test_dual_manifold_sample_redraws_match_and_run_out():
     assert np.array_equal(mine.standard_normal(4), theirs.standard_normal(4))
 
 
+@pytest.mark.parametrize("system, count, scale, tolerance", [
+    (random_system(5, (3,) * 4, 418), 150, 1.0, 1e-9),
+    (random_system(5, (3, 1, 4, 2), 418), 150, 2.5, 1e-9),
+    (partition_protocol(4, 2, 2, seed=406), 80, 1.0, 0.11),
+], ids=["uniform", "mixed-scaled", "redrawn"])
+def test_dual_manifold_sample_scores_are_fresh_error_reports(system, count, scale, tolerance):
+    # each chunk is scored in one pass; every score is the error_report of a copy
+    # without the sampler's scores, and the samples and the generator state are those
+    # of the one-at-a-time loop
+    mine, theirs = np.random.default_rng(419), np.random.default_rng(419)
+    samples = gf.dual_manifold_sample(system, mine, count, scale=scale, tolerance=tolerance)
+    reference, attempts = dual_sample_reference(system, theirs, count, scale=scale,
+                                                tolerance=tolerance)
+    assert count > duals._SAMPLE_CHUNK
+    assert attempts > count + 20 if tolerance > 1e-9 else attempts == count
+    for sample, expected in zip(samples, reference, strict=True):
+        assert_same_blocks(sample, expected)
+        owner, scores, row = sample._scored
+        assert owner is system and not scores.flags.writeable
+        memoized = gf.error_report(system, sample)
+        for fresh in (gf.error_report(system, gf.ReconstructionSystem(sample.blocks)),
+                      gf.error_report(gf.ReconstructionSystem(system.blocks), sample)):
+            assert np.array_equal(memoized.per_index, fresh.per_index) and memoized == fresh
+    assert np.array_equal(mine.standard_normal(4), theirs.standard_normal(4))
+
+
 @pytest.mark.parametrize("k", MIXED_SIZES)
 def test_random_riesz_matches_blockwise_slices(k):
     for seed in range(20):
@@ -299,6 +326,9 @@ def test_refused_generator_calls_draw_nothing():
         (lambda rng: random_system(4, (2, -1), rng), r"^block 1 must be .* shape \(-1, 4\)$"),
         (lambda rng: random_system(0, (2, 2), rng), r"^block 0 must be .* shape \(2, 0\)$"),
         (lambda rng: random_projective(4, (2, 10**6), rng), "^a coisometry needs k <= d$"),
+        (lambda rng: random_coisometry(rng, 0, 4), r"^block 0 must be .* shape \(0, 4\)$"),
+        (lambda rng: random_coisometry(rng, -1, 4), r"^block 0 must be .* shape \(-1, 4\)$"),
+        (lambda rng: random_coisometry(rng, 5, 4), "^a coisometry needs k <= d$"),
         (lambda rng: random_riesz((2, 2), rng, conditioning=0.0), positive),
         (lambda rng: random_riesz((), rng), "^a system needs at least one block$"),
         (lambda rng: random_riesz((2, -1), rng), r"^block 1 must be .* shape \(-1, 1\)$"),
