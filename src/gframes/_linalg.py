@@ -6,18 +6,14 @@ the default matrix norm, Hermitian spectra are taken after explicit
 symmetrization, and every rank or flatness verdict compares the extremes of a
 PSD spectrum (``sigma(A)^2`` for a matrix ``A``) by ``nonsingular`` or ``flat``.
 
-Two calls that the sampling paths make once per attempt skip the
-``numpy.linalg`` wrapper: ``qr_basis`` (the stacked QR of
-``random_projective``) and ``hermitian_eigenvalues`` (the verdict of
-``core._analysis_is_rs``).  On the small ``complex128`` matrices these paths
-factor, the wrapper's type checks, copy, unused ``R`` factor and result tuple
-are a large share of the call.  Both helpers call the gufuncs of
-``numpy.linalg._umath_linalg`` that ``numpy.linalg.qr`` and
-``numpy.linalg.eigvalsh`` dispatch to, so the same LAPACK routines return the
-same bits.  They run inside the ``errstate`` that ``numpy.linalg`` sets, so a
-LAPACK failure raises the same ``LinAlgError``.  The single ``qr_r_raw`` gufunc
-appeared in numpy 2.0 (1.x has ``qr_r_raw_m`` and ``qr_r_raw_n``), hence the
-``numpy>=2.0`` requirement.
+The QR, eigenvalue and inverse helpers call the gufuncs of
+``numpy.linalg._umath_linalg`` that ``numpy.linalg.qr``, ``eigvalsh`` and
+``inv`` dispatch to, inside the ``errstate`` those set, so they return
+numpy's bits and raise its ``LinAlgError`` without the wrapper's type checks,
+copies and result tuples.  ``householder`` and ``householder_basis`` are the
+two halves of a QR, so a caller can read ``R`` and form ``Q`` later from the
+same reflectors.  The single ``qr_r_raw`` gufunc appeared in numpy 2.0, hence
+the ``numpy>=2.0`` requirement.
 """
 
 from __future__ import annotations
@@ -54,21 +50,63 @@ def _eigenvalues_failed(err, flag):
     raise LinAlgError("Eigenvalues did not converge")
 
 
+def _singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+def _lapack(failed):
+    return np.errstate(call=failed, invalid="call", over="ignore", divide="ignore",
+                       under="ignore")
+
+
 def qr_basis(stack: np.ndarray) -> np.ndarray:
     """``Q`` of the reduced QR of a ``complex128`` matrix or ``... x n x k`` stack: the bits of
     ``np.linalg.qr(stack)[0]``.  ``stack`` is overwritten, so it must be the caller's own
     scratch buffer."""
-    with np.errstate(call=_qr_failed, invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
+    with _lapack(_qr_failed):
         tau = _umath_linalg.qr_r_raw(stack)  # leaves the Householder vectors in ``stack``
         return _umath_linalg.qr_reduced(stack, tau)
+
+
+def householder(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``R`` of the QR of the caller's own ``complex128`` scratch ``matrix`` (the bits of
+    ``np.linalg.qr(matrix, "r")``) and the ``tau`` that, with the reflectors this leaves in
+    ``matrix``, give ``Q`` through ``householder_basis``."""
+    with _lapack(_qr_failed):
+        tau = _umath_linalg.qr_r_raw(matrix)
+    return np.triu(matrix[..., :tau.shape[-1], :]), tau
+
+
+def householder_basis(reflectors: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """``Q`` from ``householder``'s reflectors and ``tau``: the bits of ``np.linalg.qr(...)[0]``."""
+    with _lapack(_qr_failed):
+        return _umath_linalg.qr_reduced(reflectors, tau)
+
+
+def triangular_inverse(r: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular upper-triangular ``complex128`` matrix: up to order 32 the bits
+    of ``np.linalg.inv(r)``, above it ``[[A^{-1}, -A^{-1} (B C^{-1})], [0, C^{-1}]]`` for
+    ``r = [[A, B], [0, C]]``, recursively.  That is matrix products, exactly upper triangular,
+    with residuals ``||RX - I||`` and ``||XR - I||`` of order ``kappa(R) n eps`` as for the LU
+    inverse (Du Croz and Higham, IMA J. Numer. Anal. 12, 1992), and a quarter of its time at
+    order 256."""
+    n = r.shape[-1]
+    if n <= 32:
+        with _lapack(_singular):
+            return _umath_linalg.inv(r)
+    h = n // 2
+    top, bottom = triangular_inverse(r[:h, :h]), triangular_inverse(r[h:, h:])
+    inverse = np.zeros_like(r)
+    inverse[:h, :h] = top
+    inverse[h:, h:] = bottom
+    inverse[:h, h:] = -(top @ (r[:h, h:] @ bottom))
+    return inverse
 
 
 def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a ``complex128`` Hermitian matrix or stack, read from its lower
     triangle: the bits of ``np.linalg.eigvalsh(h)``."""
-    with np.errstate(call=_eigenvalues_failed, invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
+    with _lapack(_eigenvalues_failed):
         return _umath_linalg.eigvalsh_lo(h)
 
 

@@ -31,6 +31,7 @@ indices are 0-based everywhere.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -39,7 +40,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import dagger, flat, frobenius, hermitian_eigenvalues, hermitian_part, nonsingular
+from ._linalg import (dagger, flat, frobenius, hermitian_eigenvalues, hermitian_part, nonsingular,
+                      triangular_inverse)
 from .errors import NotReconstructionSystemError, StructuralError
 
 DEFAULT_TOLERANCE = 1e-9
@@ -133,11 +135,13 @@ class ReconstructionSystem:
     values of ``T`` (``_spectrum``, ``d`` floats), which every verdict reads;
     and ``R^{-1}`` of ``T = Q R`` (``_r_inverse``, ``d x d``), which every
     ``S^{-1} = R^{-1} R^{-*}`` and canonical dual reads.  ``Q`` and ``R`` of
-    ``T`` are not cached.  Truncation memoizes the survivors' spectrum per
-    system (``stability``).  A dual drawn by ``dual_manifold_sample`` holds
-    ``_scored = (system, scores, row)``, its erasure errors ``scores[row]``
-    against the system it was drawn from, which ``error_report`` reads; any
-    other system holds None there.
+    ``T`` are not cached.  Truncation memoizes the survivors' spectrum for the
+    last drop set (``_kept_spectrum``), and ``truncate`` leaves the kept rows'
+    Householder factor (``_kept_factor``, one ``K_J x d`` array) until the next
+    ``truncated_canonical_dual`` takes it (``stability``).  A dual drawn by
+    ``dual_manifold_sample`` holds ``_scored = (system, scores, row)``, its
+    erasure errors ``scores[row]`` against the system it was drawn from, which
+    ``error_report`` reads; any other system holds None there.
 
     Parameters
     ----------
@@ -277,9 +281,19 @@ def _from_analysis(analysis: np.ndarray, sizes: Sequence[int]) -> Reconstruction
     return system
 
 
+def _index(i, noun: str) -> int:
+    """``i`` as a block index: an integer (numpy's too), never a ``bool``."""
+    if not isinstance(i, bool):
+        try:
+            return operator.index(i)
+        except TypeError:
+            pass
+    raise StructuralError(f"{noun} indices must be integers")
+
+
 def _index_subset(indices: Iterable[int], m: int, noun: str) -> tuple[int, ...]:
     """Sorted distinct indices in ``[0, m)``; error messages name the ``noun``."""
-    listed = [int(i) for i in indices]
+    listed = [_index(i, noun) for i in indices]
     if len(listed) != len(set(listed)):
         raise StructuralError(f"{noun} indices must not repeat")
     if m < 1:
@@ -321,10 +335,11 @@ class _AnalysisFactor:
 
     @property
     def r_inverse(self) -> np.ndarray:
-        """``R^{-1}``, cached read-only on the system by the first call on any factor of it."""
+        """``R^{-1}`` by ``triangular_inverse``, cached read-only on the system by the first call
+        on any factor of it."""
         cache = vars(self.system)  # where cached_property keeps its values
         if "_r_inverse" not in cache:
-            r_inverse = np.linalg.inv(self.r)
+            r_inverse = triangular_inverse(self.r)
             r_inverse.flags.writeable = False
             cache["_r_inverse"] = r_inverse
         return cache["_r_inverse"]

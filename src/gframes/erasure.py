@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Number
 
 import numpy as np
 
@@ -106,8 +107,8 @@ class ErasureMask:
 
     def __post_init__(self) -> None:
         raw = self.indices
-        if isinstance(raw, (int, np.integer)):
-            raw = [int(raw)]
+        if isinstance(raw, (Number, np.generic)):
+            raw = [raw]
         object.__setattr__(self, "indices", frozenset(_index_subset(raw, self.m, "mask")))
 
     @property

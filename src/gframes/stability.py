@@ -9,38 +9,39 @@ exactly when this factor is invertible.  A cheap sufficient condition for
 invertibility is that the dropped spectral energy ``sum_{i in J} ||V_i||_sp^2``
 stays below the lower frame bound.  Indices are 0-based.
 
-Both truncation functions copy the kept rows once into a system of their own
-and judge it by the one ``is_rs`` rule on its own QR factor ``R_J``, so
-``truncate``'s verdict and bounds, ``classify`` of the kept blocks and
-``truncated_canonical_dual`` (which does not run ``truncate``) agree, however
-large the dropped blocks are.  ``truncate`` forms ``S_J = R_J^* R_J``, and
-``S^{-1} = R^{-1} R^{-*}`` from the ``R^{-1}`` the system caches (see
-``core.ReconstructionSystem``).  Each system memoizes the survivors' spectrum
-``sigma(R_J)^2`` for the last drop set either function factored, so the
-other one, called with that drop set, takes no SVD of ``R_J``.
-``ck_sufficient_condition`` factors nothing once the system's spectrum and
-block factor are cached: it reads the lower bound from the one and the
-dropped blocks' spectral norms ``||R_i||_sp = ||V_i||_sp`` from one
-values-only SVD of the other.  The truncated dual is certified by its
-residual ``||sum_kept W_i^* V_i - I||``.
+Both truncation functions copy the kept rows and judge them by the one
+``is_rs`` rule on their own QR factor ``R_J``, so ``truncate``'s verdict and
+bounds, ``classify`` of the kept blocks and ``truncated_canonical_dual`` agree,
+however large the dropped blocks are.  ``truncate`` forms ``S_J = R_J^* R_J``
+and ``S^{-1}`` from the ``R^{-1}`` the system caches.  Each system memoizes
+the survivors' spectrum ``sigma(R_J)^2`` for the last drop set either function
+factored, and ``truncate`` also leaves its Householder reflectors of the kept
+rows, which the next ``truncated_canonical_dual`` takes (and drops) to form
+``Q_J`` on that drop set instead of factoring the rows again.  So the pair
+factors the survivors once.  ``ck_sufficient_condition`` reads the lower bound
+from the cached spectrum and the dropped norms ``||V_i||_sp`` from the cached
+block factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from ._linalg import dagger, frobenius, hermitian_part, nonsingular, singular_values
+from ._linalg import (dagger, frobenius, hermitian_part, householder, householder_basis,
+                      nonsingular, singular_values)
 from .core import (
     DEFAULT_TOLERANCE,
     ReconstructionSystem,
+    _AnalysisFactor,
     _analysis_factor,
     _frame_bounds,
     _from_analysis,
     _index_subset,
     _inverse_gram,
+    _squared_spectrum,
 )
 from .errors import GFramesError, NotReconstructionSystemError, StructuralError
 
@@ -74,40 +75,34 @@ class TruncationReport:
     bounds_after: tuple[float, float] | None
 
 
-def _rows(system: ReconstructionSystem, blocks: Sequence[int]) -> np.ndarray:
-    """A copy of the analysis rows of the listed blocks, in block order."""
-    chosen = np.zeros(system.m, dtype=bool)
-    chosen[list(blocks)] = True
-    return system.analysis[np.repeat(chosen, system.k)]
-
-
-def _survivors(system: ReconstructionSystem, dropped: Iterable[int]
-               ) -> tuple[tuple[int, ...], tuple[int, ...], ReconstructionSystem]:
-    """The checked dropped and kept indices, and the kept blocks as a system of their own,
-    its spectrum seeded from ``system``'s memo when that holds this drop set."""
+def _kept_rows(system: ReconstructionSystem, dropped: Iterable[int]
+               ) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
+    """The checked dropped and kept indices, and a copy of the kept blocks' analysis rows."""
     drop = _index_subset(dropped, system.m, "dropped")
     if len(drop) == system.m:
         raise StructuralError("cannot drop every block")
     kept = tuple(i for i in range(system.m) if i not in drop)
-    survivors = _from_analysis(_rows(system, kept), [system.k[i] for i in kept])
-    memo = vars(system).get("_kept_spectrum")
-    if memo is not None and memo[0] == drop:
-        vars(survivors)["_spectrum"] = memo[1]
-    return drop, kept, survivors
+    chosen = np.ones(system.m, dtype=bool)
+    chosen[list(drop)] = False
+    return drop, kept, system.analysis[np.repeat(chosen, system.k)]
 
 
 def truncate(system: ReconstructionSystem, dropped: Iterable[int],
              tolerance: float = DEFAULT_TOLERANCE) -> TruncationReport:
     """Drop the blocks in ``dropped`` (a proper subset) and report stability; raises
     ``NotReconstructionSystemError`` unless the whole system is RS, as ``M_J`` needs ``S^{-1}``."""
-    drop, kept, survivors = _survivors(system, dropped)
+    drop, kept, rows = _kept_rows(system, dropped)
     inverse = _inverse_gram(system, tolerance)
     lower, _ = _frame_bounds(system)
-    r = _analysis_factor(survivors, basis=False).r
-    vars(system)["_kept_spectrum"] = drop, survivors._spectrum  # the memo _survivors reads
+    r, tau = householder(rows)
+    memo, spectrum = vars(system).get("_kept_spectrum", (None, None))
+    if memo != drop:
+        spectrum = _squared_spectrum(r, system.d)
+    vars(system)["_kept_spectrum"] = drop, spectrum
+    vars(system)["_kept_factor"] = drop, r, rows, tau  # for truncated_canonical_dual
     survivor_gram = hermitian_part(dagger(r) @ r)
     truncation_factor = survivor_gram @ inverse
-    bounds = _frame_bounds(survivors)
+    bounds = float(spectrum[-1]), float(spectrum[0])
     is_rs_after = nonsingular(*bounds, tolerance)
     return TruncationReport(
         dropped=drop,
@@ -128,8 +123,17 @@ def truncated_canonical_dual(system: ReconstructionSystem, dropped: Iterable[int
     rule, exactly when ``canonical_dual`` of the kept blocks raises, and
     ``GFramesError`` when ``||sum_kept W_i^* V_i - I|| > tolerance``.
     """
-    drop, _, survivors = _survivors(system, dropped)
-    factor = _analysis_factor(survivors)
+    drop, kept, rows = _kept_rows(system, dropped)
+    survivors = _from_analysis(rows, [system.k[i] for i in kept])
+    memo, spectrum = vars(system).get("_kept_spectrum", (None, None))
+    if memo == drop:
+        vars(survivors)["_spectrum"] = spectrum
+    handed, *factored = vars(system).pop("_kept_factor", (None,))
+    if handed == drop:
+        r, reflectors, tau = factored
+        factor = _AnalysisFactor(survivors, householder_basis(reflectors, tau), r)
+    else:
+        factor = _analysis_factor(survivors)
     vars(system)["_kept_spectrum"] = drop, survivors._spectrum
     try:
         _frame_bounds(survivors, tolerance)

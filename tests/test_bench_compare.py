@@ -1,0 +1,49 @@
+"""``tools/bench_compare.py`` keeps every tier-1 run it writes into one record.
+
+Each invocation measures the tier-1 suite once per side; the record's ``tier1``
+entry appends those runs and reads each test's seconds as the median over
+every run that lists it, so a gate on one test reads more than one sample.
+Standard library only, like the tool.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_compare.py"
+spec = importlib.util.spec_from_file_location("bench_compare", TOOL)
+bench_compare = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_compare)
+
+
+def run(wall, **calls):
+    slowest = [{"seconds": seconds, "when": "call", "id": name} for name, seconds in calls.items()]
+    slowest.append({"seconds": 9.0, "when": "setup", "id": "slow_fixture"})
+    return {"wall_s": wall, "exit": 0, "result": "1 passed", "slowest": slowest}
+
+
+def test_each_invocation_appends_a_run_and_the_medians_cover_all_runs():
+    entry = {}
+    samples = [(20.0, 2.7, 2.3), (18.0, 1.9, 1.6), (19.0, 2.0, None)]
+    for wall, first, second in samples:
+        calls = {"crit02": first} if second is None else {"crit02": first, "crit05": second}
+        change = run(wall - 2.0, crit02=first / 2)
+        entry = bench_compare.merge_tier1(entry, {"parent": run(wall, **calls), "change": change})
+        entry = json.loads(json.dumps(entry))  # as read back from the record
+    parent, change = entry["parent"], entry["change"]
+    assert [each["wall_s"] for each in parent["runs"]] == [20.0, 18.0, 19.0]
+    assert parent["wall_s"] == 19.0 and change["wall_s"] == 17.0
+    assert parent["tests"] == {"crit02": {"median_s": 2.0, "runs": 3},
+                               "crit05": {"median_s": 1.95, "runs": 2}}
+    assert change["tests"] == {"crit02": {"median_s": 1.0, "runs": 3}}  # calls only
+    assert entry["command"].endswith(" ".join(bench_compare.TIER1))
+
+
+def test_a_record_of_one_unlisted_run_keeps_that_run():
+    old = {"command": "python -m pytest", "parent": run(20.0, crit02=2.7),
+           "change": run(15.0, crit02=1.4)}
+    entry = bench_compare.merge_tier1(old, {"parent": run(18.0, crit02=1.9),
+                                            "change": run(16.0, crit02=1.3)})
+    assert [each["wall_s"] for each in entry["parent"]["runs"]] == [20.0, 18.0]
+    assert entry["parent"]["tests"]["crit02"] == {"median_s": 2.3, "runs": 2}
+    assert entry["change"]["wall_s"] == 15.5

@@ -54,6 +54,20 @@ def test_mask_error_messages():
             gf.ErasureMask(indices, m)
 
 
+@pytest.mark.parametrize("indices", [True, np.True_, 1.0, 1.5, [True], {1.5}, [np.array(True)]],
+                         ids=["bool", "numpy_bool", "integral_float", "float", "bool_list",
+                              "float_set", "bool_array"])
+def test_mask_indices_that_are_not_integers_are_refused(indices):
+    with pytest.raises(StructuralError, match="^mask indices must be integers$"):
+        gf.ErasureMask(indices, 3)
+
+
+def test_mask_takes_numpy_integers():
+    for indices in (np.int64(1), np.array([1]), [np.uint8(1)], (np.array(1),)):
+        mask = gf.ErasureMask(indices, 3)
+        assert mask.dropped == (1,) and type(mask.dropped[0]) is int
+
+
 def test_blind_reconstruction_limits():
     rng = np.random.default_rng(401)
     system = draw_general(rng)

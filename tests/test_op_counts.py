@@ -2,18 +2,21 @@
 
 The counters wrap ``core._block_gram`` (every ``frame_operator`` call goes
 through it) and the ``numpy.linalg`` entry points ``qr``, ``eigvalsh``,
-``inv`` and ``svd``, and count ``_linalg.qr_basis`` and
-``_linalg.hermitian_eigenvalues`` (the same LAPACK calls without numpy's
-wrapper) as ``qr`` and ``eigvalsh``, wrapped where ``generate`` and ``core``
-call them.  Every op that needs the frame bounds or ``S^{-1}``
-takes them from one QR of the analysis matrix ``T = Q R`` (one ``qr``, at
-most one ``inv`` of ``R``, and one values-only ``svd`` of ``R`` the first
-time a system is factored, since the system caches that spectrum); no op
-builds ``S`` block by block or inverts it.  The system also caches ``R^{-1}``,
-so ``S^{-1}`` on a system that some op has inverted takes no ``qr`` and no
-``inv``.  The survivors of a truncation are a system of their own, factored
+``inv`` and ``svd``.  They count ``_linalg.qr_basis``, the first half
+``_linalg.householder`` of a QR and ``_linalg.hermitian_eigenvalues`` (the
+same LAPACK calls without numpy's wrapper) as ``qr`` and ``eigvalsh``, and
+``_linalg.triangular_inverse`` of ``R`` as one ``inv``, wrapped where
+``generate``, ``stability`` and ``core`` call them.  Every op that needs the
+frame bounds or ``S^{-1}`` takes them from one QR of the analysis matrix
+``T = Q R`` (one ``qr``, at most one ``inv`` of ``R``, and one values-only
+``svd`` of ``R`` the first time a system is factored, since the system caches
+that spectrum); no op builds ``S`` block by block or inverts it.  The system
+also caches ``R^{-1}``, so ``S^{-1}`` on a system that some op has inverted
+takes no ``qr`` and no ``inv``.  The survivors of a truncation are factored
 and judged the same way; their spectrum is memoized on the system per drop
-set, so the second truncation op on one drop set takes no ``svd`` of ``R_J``.  Every
+set, so the second truncation op on one drop set takes no ``svd`` of ``R_J``,
+and ``truncated_canonical_dual`` after ``truncate`` forms ``Q_J`` from the
+reflectors that ``truncate`` left, with no ``qr``.  Every
 per-block value comes from the zero-padded block stack: the block spectra
 (injectivity, weights, the dropped norms in truncation) are one values-only
 ``svd`` of the block factor ``R_i``, which one ``qr`` of the stack computes
@@ -64,6 +67,8 @@ def counts(monkeypatch):
     counted(np.linalg, "inv", "inv")
     counted(np.linalg, "svd", "svd")
     counted(generate, "qr_basis", "qr")
+    counted(stability, "householder", "qr")
+    counted(core, "triangular_inverse", "inv")
     counted(core, "hermitian_eigenvalues", "eigvalsh")
     return tally
 
@@ -188,6 +193,7 @@ def test_ops_on_one_system_take_one_spectrum(counts, monkeypatch):
         return survivors[-1]
 
     monkeypatch.setattr(core, "_squared_spectrum", counted)
+    monkeypatch.setattr(stability, "_squared_spectrum", counted)
     monkeypatch.setattr(stability, "_from_analysis", kept)
     system = fresh(GENERAL)
     drop = [0, 3]
@@ -203,8 +209,9 @@ def test_ops_on_one_system_take_one_spectrum(counts, monkeypatch):
         # S^{-1} from the cached R^{-1}; the kept rows' R_J and its spectrum; M_J's singular
         # values
         (lambda: gf.truncate(system, drop), {"qr": 1, "svd": 2}),
-        # the kept rows' full QR and R_J^{-1} for their dual; their spectrum is memoized
-        (lambda: gf.truncated_canonical_dual(system, drop), {"qr": 1, "inv": 1}),
+        # R_J^{-1} for their dual; Q_J comes from truncate's reflectors and the spectrum is
+        # memoized
+        (lambda: gf.truncated_canonical_dual(system, drop), {"inv": 1}),
         # no factor at all: the dropped blocks' norms take one SVD of the cached R_i
         (lambda: gf.ck_sufficient_condition(system, drop), {"svd": 1}),
         # no factor at all: R^{-1} is cached
@@ -214,11 +221,11 @@ def test_ops_on_one_system_take_one_spectrum(counts, monkeypatch):
         counts.clear()
         op()
         assert dict(counts) == expected
-    assert len(survivors) == 2  # the kept blocks of truncate and of truncated_canonical_dual
-    # one spectrum per system and drop set: the survivors of both truncation ops share one
+    assert len(survivors) == 1  # the kept blocks of truncated_canonical_dual
+    # one spectrum per system and drop set: truncate's memo is the survivors' spectrum
     cached = [vars(owner)["_spectrum"] for owner in (system, *survivors)]
-    assert cached[1] is cached[2]
-    assert [sum(taken is spectrum for taken in spectra) for spectrum in cached[:2]] == [1, 1]
+    assert cached[1] is vars(system)["_kept_spectrum"][1]
+    assert [sum(taken is spectrum for taken in spectra) for spectrum in cached] == [1, 1]
     assert len(spectra) == 2
 
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gframes as gf
-from gframes._linalg import random_unitary
+from gframes._linalg import dagger, random_unitary
 from gframes.errors import NotReconstructionSystemError, PreconditionError
 from gframes.generate import partition_protocol, random_projective, random_system
 from helpers import riesz_pair
@@ -100,6 +100,20 @@ def test_canonical_dual_at_kappa_1e4():
     system = conditioned(1e4, 0)
     assert np.isclose(np.linalg.cond(system.analysis), 1e4)
     assert residual(system) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [48, 64])
+@pytest.mark.parametrize("kappa", [1.0, 1e2, 1e4])
+def test_duals_above_order_32_are_accurate_to_kappa(d, kappa):
+    # R^{-1} of these systems and of their survivors comes from the block recursion
+    system = conditioned(kappa, d, d, (4,) * (d // 2))
+    assert residual(system) <= 4 * d * EPS * kappa
+    drop = (0, 5)
+    kept = np.concatenate([b for i, b in enumerate(system.blocks) if i not in drop])
+    assert gf.truncate(system, drop).is_rs_after
+    dual = gf.truncated_canonical_dual(system, drop)
+    error = np.linalg.norm(dagger(dual.analysis) @ kept - np.eye(d))
+    assert error <= 4 * d * EPS * np.linalg.cond(kept)
 
 
 def draw(kind, seed, m):

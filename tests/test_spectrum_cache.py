@@ -9,10 +9,12 @@ erasure-optimal duals); ``R^{-1}`` of ``T = Q R`` whenever an op first
 inverts ``R`` (``canonical_dual``, ``dual_manifold``, ``truncate``,
 ``inverse_frame_operator``, the erasure-optimal duals); and, as a memo for
 the last drop set, the survivors' spectrum whenever ``truncate`` or
-``truncated_canonical_dual`` factors the kept rows.  Every op must return
-the same bits, or raise the same error with the same message, on a cold
-system as on one warmed by any other op, and every cache must hold the bits
-that its own values-only QR gives.
+``truncated_canonical_dual`` factors the kept rows, and from ``truncate`` to
+the next ``truncated_canonical_dual`` the kept rows' Householder factor.
+Every op must return the same bits, or raise the same error with the same
+message, on a cold system as on one warmed by any other op, and every cache
+must hold the bits that its own values-only QR gives.  The d = 48 system
+runs the block recursion of ``triangular_inverse``.
 """
 
 from dataclasses import astuple
@@ -23,7 +25,7 @@ import pytest
 import gframes as gf
 import gframes.core as core
 import gframes.stability as stability
-from gframes._linalg import complex_gaussian
+from gframes._linalg import complex_gaussian, householder_basis, triangular_inverse
 from gframes.generate import random_projective, random_system
 
 DROP = (0,)
@@ -46,6 +48,8 @@ OPS = {
     "truncate": lambda s: astuple(gf.truncate(s, DROP)),
     "truncate_second_drop": lambda s: astuple(gf.truncate(s, SECOND_DROP)),
     "truncated_canonical_dual": lambda s: gf.truncated_canonical_dual(s, DROP).analysis,
+    "truncate_then_dual": lambda s: (astuple(gf.truncate(s, DROP)),
+                                     gf.truncated_canonical_dual(s, DROP).analysis),
     "dual_manifold": lambda s: gf.dual_manifold(s).base_synthesis,
     "ck_sufficient_condition": lambda s: gf.ck_sufficient_condition(s, DROP),
     "inverse_frame_operator": gf.inverse_frame_operator,
@@ -71,6 +75,7 @@ def edge_systems():
         "rank_deficient": blocks_times(base, flat),
         "scaled_1e-8": blocks_times(base, 1e-8 * np.eye(6)),
         "mixed_projective": random_projective(8, (1, 3, 4, 2, 4), 11),
+        "d48": random_system(48, (4,) * 16, 5),
     }
 
 
@@ -102,12 +107,17 @@ def check_caches(system):
     """A cached ``R^{-1}`` and survivors' memo hold the bits of their own values-only QR."""
     cache = vars(system)
     if "_r_inverse" in cache:
-        expected = np.linalg.inv(np.linalg.qr(system.analysis, mode="r"))
+        expected = triangular_inverse(np.linalg.qr(system.analysis, mode="r"))
         assert np.array_equal(cache["_r_inverse"], expected)
     if "_kept_spectrum" in cache:
         drop, spectrum = cache["_kept_spectrum"]
         r = np.linalg.qr(kept_rows(system, drop), mode="r")
         assert np.array_equal(spectrum, core._squared_spectrum(r, system.d))
+    if "_kept_factor" in cache:
+        drop, r, reflectors, tau = cache["_kept_factor"]
+        q, expected = np.linalg.qr(kept_rows(system, drop))
+        assert np.array_equal(r, expected)
+        assert np.array_equal(householder_basis(reflectors, tau), q)
 
 
 SYSTEMS = edge_systems()
@@ -216,3 +226,40 @@ def test_a_cached_r_inverse_keeps_every_tolerance_check():
             errors.append(str(raised.value))
         assert errors[0] == errors[1], name
         assert np.array_equal(gf.inverse_frame_operator(warm, 1e-12), loose)
+
+
+def arrays(value):
+    """The arrays held in ``value``, a system's cached value or memo (nested tuples)."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, gf.ReconstructionSystem):
+        return [value.analysis]
+    return [a for item in value for a in arrays(item)] if isinstance(value, tuple) else []
+
+
+def memo_arrays(system):
+    memos = vars(system)
+    return [a for name in ("_kept_spectrum", "_kept_factor") for a in arrays(memos.get(name, ()))]
+
+
+@pytest.mark.parametrize("kind", ["general", "d48"])
+def test_truncate_hands_its_factor_to_the_next_dual_only(kind):
+    base = SYSTEMS[kind]
+    system = fresh(base)
+    kept = kept_rows(system, DROP).shape
+    gf.truncate(system, DROP)
+    held = memo_arrays(system)
+    assert sum(a.shape == kept for a in held) == 1  # the reflectors, and no copy of the rows
+    # besides them R_J, tau and the survivors' spectrum
+    assert sum(a.size for a in held) == kept[0] * kept[1] + system.d ** 2 + min(kept) + system.d
+    gf.truncate(system, SECOND_DROP)  # another drop set replaces it
+    assert vars(system)["_kept_factor"][0] == SECOND_DROP
+    assert sum(a.shape == kept for a in memo_arrays(system)) == 1
+    gf.truncate(system, DROP)
+    handed = gf.truncated_canonical_dual(system, DROP)
+    assert "_kept_factor" not in vars(system)  # only the survivors' spectrum is left
+    assert [a.shape for a in memo_arrays(system)] == [(system.d,)]
+    assert np.array_equal(handed.analysis, gf.truncated_canonical_dual(fresh(base), DROP).analysis)
+    gf.truncate(system, SECOND_DROP)
+    gf.truncated_canonical_dual(system, DROP)  # a dual on another drop set drops the hand-off
+    assert "_kept_factor" not in vars(system)

@@ -163,6 +163,24 @@ def test_dropped_index_error_messages():
         gf.truncated_canonical_dual(system, [0, 1])
 
 
+@pytest.mark.parametrize("dropped", [[1.5], [True], [np.True_], [1.0], ["1"], [np.array(True)]],
+                         ids=["float", "bool", "numpy_bool", "integral_float", "str", "bool_array"])
+def test_dropped_indices_that_are_not_integers_are_refused(dropped):
+    system = gf.fixtures()["overlapping_planes"]
+    for op in (gf.truncate, gf.ck_sufficient_condition, gf.truncated_canonical_dual):
+        with pytest.raises(StructuralError, match="^dropped indices must be integers$"):
+            op(system, dropped)
+
+
+def test_numpy_integer_indices_are_accepted():
+    system = random_system(6, (2, 3, 4, 2), 1)
+    expected = gf.truncate(system, [1, 3])
+    for dropped in (np.array([1, 3]), [np.int8(1), np.uint64(3)], (np.array(3), 1)):
+        report = gf.truncate(system, dropped)
+        assert report.dropped == (1, 3) and type(report.dropped[0]) is int
+        assert np.array_equal(report.truncation_factor, expected.truncation_factor)
+
+
 FIXTURES = gf.fixtures()
 
 

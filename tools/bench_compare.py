@@ -48,15 +48,19 @@ interpreter's ``sys.flags.dont_write_bytecode``.  The benchmark's processes
 inherit the environment, so when the variable is set no ``__pycache__`` is
 written and every ``cli`` process compiles the gframes modules it imports
 from source.  The output file may hold several workloads: an existing file is
-read and only the entry of workload ``W`` is replaced.  A run that exits
+read, only the entry of workload ``W`` is replaced and the tier-1 runs are
+appended.  A run that exits
 non-zero or prints no result stops the script with exit status 2.
 
 Before the pairs, the test-suite layer is measured once per side: the tier-1
 suite (``python -m pytest -q --continue-on-collection-errors -p no:cacheprovider
---durations=3`` with ``PYTHONPATH=src``) runs in each checkout at ``OPENBLAS_NUM_THREADS=1``,
-and the record's top-level ``tier1`` entry holds per side its wall time, exit
-code, closing pytest line and three slowest test ids with their seconds.  A
-failing suite is recorded, not fatal.
+--durations=10`` with ``PYTHONPATH=src``) runs in each checkout at
+``OPENBLAS_NUM_THREADS=1``.  Each run (wall time, exit code, closing pytest line
+and the ten slowest test phases with their seconds) is appended to the side's
+``runs`` in the record's top-level ``tier1`` entry, so every invocation that
+writes one file adds a sample, and the entry holds per side the median wall
+time and, under ``tests``, each test's median call seconds over the runs that
+list it, with their number.  A failing suite is recorded, not fatal.
 
 Standard library only; the checkouts themselves need numpy.
 """
@@ -80,9 +84,9 @@ RAW_NAMES = {"setup_s": "setup_s_raw", "op_ms_p50": "op_ms_p50_raw",
 PART_NAMES = ("dense_pipeline_ms_p50", "dense_wce_ms_p50")
 # Fewest pairs on which a gain may be claimed.
 MIN_PAIRS = 10
-# The tier-1 suite, timed once per side with the three slowest tests named.
+# The tier-1 suite, timed once per side per invocation with the ten slowest test phases named.
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
-         "--durations=3"]
+         "--durations=10"]
 # A line of pytest's "slowest durations" table, e.g. "11.68s call     tests/x.py::test_y".
 DURATION = re.compile(r"^(\d+(?:\.\d+)?)s (setup|call|teardown) +(\S+)$")
 
@@ -118,6 +122,28 @@ def run_tier1(root: Path) -> dict:
                for hit in map(DURATION.match, lines) if hit]
     return {"wall_s": wall, "exit": done.returncode, "result": lines[-1] if lines else "",
             "slowest": slowest}
+
+
+def merge_tier1(entry: dict, runs: dict) -> dict:
+    """The ``tier1`` entry ``entry`` (empty for a new record) with each side's new run in
+    ``runs`` appended, and the medians over every run recomputed."""
+    merged = {}
+    for side, run in runs.items():
+        previous = entry.get(side, {})  # one run, unlisted, in records of older versions
+        kept = [*previous.get("runs", [previous] if "slowest" in previous else []), run]
+        calls = {}
+        for each in kept:
+            for hit in each["slowest"]:
+                if hit["when"] == "call":
+                    calls.setdefault(hit["id"], []).append(hit["seconds"])
+        merged[side] = {
+            "runs": kept,
+            "wall_s": statistics.median(each["wall_s"] for each in kept),
+            "tests": {name: {"median_s": statistics.median(seconds), "runs": len(seconds)}
+                      for name, seconds in sorted(calls.items())},
+        }
+    return {"command": "python " + " ".join(TIER1),
+            "env": {"OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": "src"}, **merged}
 
 
 def spread(values: list[float]) -> dict:
@@ -219,8 +245,7 @@ def main(argv=None) -> int:
              for name in PART_NAMES if all(name in r.get("summary", {}) for r in runs)}
 
     record = json.loads(args.out.read_text(encoding="utf-8")) if args.out.is_file() else {}
-    record["tier1"] = {"command": "python " + " ".join(TIER1),
-                       "env": {"OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": "src"}, **tier1}
+    record["tier1"] = merge_tier1(record.get("tier1", {}), tier1)
     record.setdefault("workloads", {})[args.workload] = {
         "command": f"bench/run.py --workload {args.workload} --seconds {seconds:g} "
                    "--trace 0",
