@@ -42,11 +42,10 @@ from .core import (
     ReconstructionSystem,
     _analysis_factor,
     _block_spectra,
-    _frame_bounds,
+    _canonical,
     _inverse_gram,
     _layout,
     blockwise_distance,
-    classify,
 )
 from .errors import (
     NotReconstructionSystemError,
@@ -191,11 +190,10 @@ def group_rs_checks(rep: UnitaryRepresentation, base: np.ndarray,
     from .approx import nearest_projective
 
     system = group_rs(rep, base)
-    factor = _analysis_factor(system, tolerance)
-    gram = dagger(factor.r) @ factor.r
+    dual = _canonical(system, *_analysis_factor(system, tolerance))
+    gram = dagger(system.analysis) @ system.analysis
     commutation = max(frobenius(gram @ u - u @ gram) for u in rep.unitaries)
 
-    dual = factor.dual(system.k)
     dual_base = np.asarray(base, dtype=np.complex128) @ _inverse_gram(system, tolerance)
     dual_deviation = blockwise_distance(dual, group_rs(rep, dual_base))
 
@@ -321,11 +319,10 @@ class RieszDualCheck:
 def riesz_projective_dual_check(system: ReconstructionSystem,
                                 tolerance: float = DEFAULT_TOLERANCE) -> RieszDualCheck:
     """Decide projective-dual existence when block dimensions sum to ``d``."""
-    factor = _analysis_factor(system)  # seeds the spectrum that classify reads
-    if not classify(system, tolerance).is_riesz:
+    if system.tr_k != system.d:
         raise PreconditionError(
             "the criterion applies when total block dimension equals d")
-    _frame_bounds(system, tolerance)
+    q, r_inverse = _analysis_factor(system, tolerance)
 
     checks = []
     for i, rows in enumerate(_layout(system.k, system.d).slices):
@@ -336,7 +333,7 @@ def riesz_projective_dual_check(system: ReconstructionSystem,
                                       singular_values=tuple(float(s) for s in sigma),
                                       is_scaled_isometry=scaled))
 
-    dual = factor.dual(system.k)
+    dual = _canonical(system, q, r_inverse)
     return RieszDualCheck(
         has_projective_dual=all(c.is_scaled_isometry for c in checks),
         per_index=tuple(checks),

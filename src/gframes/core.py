@@ -134,11 +134,15 @@ class ReconstructionSystem:
     per-block value reads; the eigenvalues of ``S`` as the squared singular
     values of ``T`` (``_spectrum``, ``d`` floats), which every verdict reads;
     and ``R^{-1}`` of ``T = Q R`` (``_r_inverse``, ``d x d``), which every
-    ``S^{-1} = R^{-1} R^{-*}`` and canonical dual reads.  ``Q`` and ``R`` of
-    ``T`` are not cached.  Truncation memoizes the survivors' spectrum for the
-    last drop set (``_kept_spectrum``), and ``truncate`` leaves the kept rows'
-    Householder factor (``_kept_factor``, one ``K_J x d`` array) until the next
-    ``truncated_canonical_dual`` takes it (``stability``).  A dual drawn by
+    ``S^{-1} = R^{-1} R^{-*}`` and canonical dual reads.  ``_analysis_factor``,
+    the one routine that factors ``T``, seeds ``_spectrum`` when no verdict
+    has taken it yet and writes ``_r_inverse`` only once the system passes
+    the ``is_rs`` rule; ``Q`` and ``R`` of ``T`` are not cached.  Truncation
+    keeps one memo for the last drop set, ``_kept = (drop, spectrum,
+    handed)``: the survivors' spectrum, and ``truncate``'s factor of the kept
+    rows (``R_J``, Householder reflectors and ``tau``; one ``K_J x d`` array)
+    until the next ``truncated_canonical_dual`` takes it and leaves None
+    (``stability``).  A dual drawn by
     ``dual_manifold_sample`` holds ``_scored = (system, scores, row)``, its
     erasure errors ``scores[row]`` against the system it was drawn from, which
     ``error_report`` reads; any other system holds None there.
@@ -293,6 +297,10 @@ def _index(i, noun: str) -> int:
 
 def _index_subset(indices: Iterable[int], m: int, noun: str) -> tuple[int, ...]:
     """Sorted distinct indices in ``[0, m)``; error messages name the ``noun``."""
+    try:
+        indices = iter(indices)
+    except TypeError:
+        raise StructuralError(f"{noun} indices must be a collection of integers") from None
     listed = [_index(i, noun) for i in indices]
     if len(listed) != len(set(listed)):
         raise StructuralError(f"{noun} indices must not repeat")
@@ -325,30 +333,6 @@ class SystemClassification:
     tolerance: float
 
 
-@dataclass(frozen=True, eq=False)
-class _AnalysisFactor:
-    """Thin QR ``T = Q R`` of a system's analysis matrix (``q`` is None unless asked for)."""
-
-    system: ReconstructionSystem
-    q: np.ndarray | None
-    r: np.ndarray
-
-    @property
-    def r_inverse(self) -> np.ndarray:
-        """``R^{-1}`` by ``triangular_inverse``, cached read-only on the system by the first call
-        on any factor of it."""
-        cache = vars(self.system)  # where cached_property keeps its values
-        if "_r_inverse" not in cache:
-            r_inverse = triangular_inverse(self.r)
-            r_inverse.flags.writeable = False
-            cache["_r_inverse"] = r_inverse
-        return cache["_r_inverse"]
-
-    def dual(self, sizes: Sequence[int]) -> ReconstructionSystem:
-        """The canonical dual, analysis matrix ``Q R^{-*} = T S^{-1}``, in blocks of ``sizes``."""
-        return _from_analysis(self.q @ dagger(self.r_inverse), sizes)
-
-
 def _squared_spectrum(r: np.ndarray, d: int) -> np.ndarray:
     """Read-only ``sigma(R)^2``, descending, zero-padded to ``d``: the eigenvalues of ``R^* R``."""
     sigma = np.linalg.svd(r, compute_uv=False)
@@ -377,22 +361,37 @@ def _frame_bounds(system: ReconstructionSystem,
     return lower, upper
 
 
-def _analysis_factor(system: ReconstructionSystem, tolerance: float | None = None,
-                     basis: bool = True) -> _AnalysisFactor:
-    """Factor ``system.analysis`` (``Q`` only if ``basis``); given a ``tolerance``, raise
-    ``NotReconstructionSystemError`` unless its spectrum is ``nonsingular``.
+def _analysis_factor(system: ReconstructionSystem, tolerance: float, basis: bool = True,
+                     factor: tuple[np.ndarray | None, np.ndarray] | None = None
+                     ) -> tuple[np.ndarray | None, np.ndarray]:
+    """``(Q or None, R^{-1})`` of ``T = Q R``, from the QR of ``system.analysis`` (``Q`` only if
+    ``basis``) or the ``(Q, R)`` given as ``factor``; raises ``NotReconstructionSystemError``
+    unless the spectrum is ``nonsingular`` at ``tolerance``.
 
-    The first call on a system seeds its ``_spectrum`` from this ``R``, so no op
-    factors ``T`` twice.  numpy takes ``R`` from the same LAPACK ``geqrf`` call
-    with or without ``Q``, so neither the spectrum nor ``R^{-1}`` depends on
-    which op computes it.
+    It seeds the system's ``_spectrum`` if missing and, once the check passes, caches
+    ``R^{-1}`` read-only, so no op factors ``T`` twice and a system that fails the check holds
+    no ``R^{-1}``.  numpy takes ``R`` from the same LAPACK ``geqrf`` call with or without
+    ``Q``, so neither cache depends on which op fills it.
     """
-    q, r = np.linalg.qr(system.analysis) if basis else (None, np.linalg.qr(system.analysis, "r"))
-    cache = vars(system)  # where cached_property keeps its value
+    if factor is None:
+        analysis = system.analysis
+        factor = np.linalg.qr(analysis) if basis else (None, np.linalg.qr(analysis, "r"))
+    q, r = factor
+    cache = vars(system)  # where cached_property keeps its values
     if "_spectrum" not in cache:
         cache["_spectrum"] = _squared_spectrum(r, system.d)
     _frame_bounds(system, tolerance)
-    return _AnalysisFactor(system, q, r)
+    if "_r_inverse" not in cache:
+        r_inverse = triangular_inverse(r)
+        r_inverse.flags.writeable = False
+        cache["_r_inverse"] = r_inverse
+    return q, cache["_r_inverse"]
+
+
+def _canonical(system: ReconstructionSystem, q: np.ndarray, r_inverse: np.ndarray
+               ) -> ReconstructionSystem:
+    """The canonical dual from ``system``'s factor: analysis matrix ``Q R^{-*} = T S^{-1}``."""
+    return _from_analysis(q @ dagger(r_inverse), system.k)
 
 
 def _inverse_gram(system: ReconstructionSystem, tolerance: float) -> np.ndarray:
@@ -400,23 +399,18 @@ def _inverse_gram(system: ReconstructionSystem, tolerance: float) -> np.ndarray:
     raises ``NotReconstructionSystemError`` unless the spectrum is ``nonsingular``."""
     r_inverse = vars(system).get("_r_inverse")
     if r_inverse is None:
-        r_inverse = _analysis_factor(system, tolerance, basis=False).r_inverse
+        _, r_inverse = _analysis_factor(system, tolerance, basis=False)
     else:
         _frame_bounds(system, tolerance)
     return r_inverse @ dagger(r_inverse)
 
 
-def _block_gram(system: ReconstructionSystem) -> np.ndarray:
-    """Block Gram sum: ``V_i^* V_i`` added over the blocks in order, then symmetrized."""
+def frame_operator(system: ReconstructionSystem) -> np.ndarray:
+    """Block Gram sum ``S = sum_i V_i^* V_i``: added over the blocks in order, then symmetrized."""
     total = np.zeros((system.d, system.d), dtype=np.complex128)
     for block in system.blocks:
         total += dagger(block) @ block
     return hermitian_part(total)
-
-
-def frame_operator(system: ReconstructionSystem) -> np.ndarray:
-    """Block Gram sum ``S = sum_i V_i^* V_i``, symmetrized on return."""
-    return _block_gram(system)
 
 
 def analysis_apply(system: ReconstructionSystem, x) -> list[np.ndarray]:

@@ -14,10 +14,12 @@ matrices.  ``DualManifold`` exposes this chart; sampling duals means drawing
 
 The canonical dual ``Q R^{-*}``, ``S^{-1} = R^{-1} R^{-*}`` and the chart's
 projector ``I - Q Q^*`` come from one checked QR factor ``T = Q R`` of the
-analysis matrix (``core._analysis_factor``), which raises
-``NotReconstructionSystemError`` exactly when ``classify(...).is_rs`` fails;
-what the system caches of it is listed under ``ReconstructionSystem``.  ``S``
-is never formed, so accuracy follows ``kappa(T)``, not ``kappa(T)^2``.
+analysis matrix (``core._analysis_factor``, the one routine that factors
+``T``), which raises ``NotReconstructionSystemError`` exactly when
+``classify`` reads ``is_rs`` false and otherwise returns ``Q`` and the
+system's cached ``R^{-1}``; what the system caches is listed under
+``ReconstructionSystem``.  ``S`` is never formed, so accuracy follows
+``kappa(T)``, not ``kappa(T)^2``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .core import (
     ReconstructionSystem,
     _analysis_factor,
     _analysis_is_rs,
+    _canonical,
     _from_analyses,
     _inverse_gram,
     _layout,
@@ -81,7 +84,7 @@ def inverse_frame_operator(system: ReconstructionSystem,
 def canonical_dual(system: ReconstructionSystem,
                    tolerance: float = DEFAULT_TOLERANCE) -> ReconstructionSystem:
     """Blocks ``V_i S^{-1}``, stacked as ``Q R^{-*}``; the minimal-norm dual."""
-    return _analysis_factor(system, tolerance).dual(system.k)
+    return _canonical(system, *_analysis_factor(system, tolerance))
 
 
 def verify_dual(candidate: ReconstructionSystem, reference: ReconstructionSystem,
@@ -126,9 +129,9 @@ class DualManifold:
 
 def dual_manifold(system: ReconstructionSystem,
                   tolerance: float = DEFAULT_TOLERANCE) -> DualManifold:
-    factor = _analysis_factor(system, tolerance)
-    base = factor.r_inverse @ dagger(factor.q)
-    complement = np.eye(system.tr_k) - factor.q @ dagger(factor.q)
+    q, r_inverse = _analysis_factor(system, tolerance)
+    base = r_inverse @ dagger(q)
+    complement = np.eye(system.tr_k) - q @ dagger(q)
     return DualManifold(system, base, complement)
 
 

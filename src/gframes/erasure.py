@@ -38,6 +38,12 @@ gradient of ``tr(D_lam^{-1})`` in ``lam``.
   certificate; ``wce_condition`` detects the regime where the canonical dual
   is provably the unique optimum.
 
+Each op checks its own precondition first, reading only the block verdict it
+needs (``core._block_spectra``: injectivity, or the projective weights), so a
+system that fails it raises ``PreconditionError`` even when it also fails
+``is_rs``; then the ``is_rs`` rule, from the cached spectrum or the one factor
+of ``T`` that the canonical dual needs (``core._analysis_factor``).
+
 The family takes every ``U_i = Q_i^*`` and ``R_i`` from one full QR of the
 same padded stack (numpy takes ``R`` from the same LAPACK call as the cached
 factor), inverts all ``R_i`` in one stacked ``inv`` and builds each dual as
@@ -67,13 +73,14 @@ from .core import (
     DEFAULT_TOLERANCE,
     ReconstructionSystem,
     _analysis_factor,
+    _block_spectra,
     _block_stack,
+    _canonical,
     _frame_bounds,
     _from_analysis,
     _index_subset,
     _layout,
     _scores,
-    classify,
 )
 from .errors import PreconditionError, StructuralError
 
@@ -107,7 +114,7 @@ class ErasureMask:
 
     def __post_init__(self) -> None:
         raw = self.indices
-        if isinstance(raw, (Number, np.generic)):
+        if isinstance(raw, Number) or getattr(raw, "ndim", None) == 0:  # one index
             raw = [raw]
         object.__setattr__(self, "indices", frozenset(_index_subset(raw, self.m, "mask")))
 
@@ -259,7 +266,7 @@ def optimal_dual_two_error(system: ReconstructionSystem,
                            tolerance: float = DEFAULT_TOLERANCE) -> ReconstructionSystem:
     """Unique two-error-optimal dual of an injective system, ``W_i = (V_i V_i^*)^{-1} V_i D^{-1}``
     with ``D`` the sum of the row-space projections; its squared two-error is ``tr(D^{-1})``."""
-    if not classify(system, tolerance).is_injective:
+    if not _block_spectra(system, tolerance)[0]:
         raise PreconditionError("two-error optimization needs an injective system")
     _frame_bounds(system, tolerance)
     family = _WeightedDuals(system)
@@ -275,11 +282,10 @@ def wce_condition(system: ReconstructionSystem,
     optimal dual; returns the shared value in that case.  The norms are the
     canonical dual's erasure errors, since ``S^{-1} V_i^* V_i = W_i^* V_i``.
     """
-    factor = _analysis_factor(system)  # seeds the spectrum that classify reads
-    if not classify(system, tolerance).is_projective:
+    if _block_spectra(system, tolerance)[1] is None:
         raise PreconditionError("the worst-case criterion applies to projective systems")
-    _frame_bounds(system, tolerance)
-    norms = error_report(system, factor.dual(system.k)).per_index
+    canonical = _canonical(system, *_analysis_factor(system, tolerance))
+    norms = error_report(system, canonical).per_index
     if flat(min(norms), max(norms), tolerance):
         return float(np.mean(norms))
     return None
@@ -327,12 +333,10 @@ def wce_solve(system: ReconstructionSystem, iterations: int = 5000,
     check_tolerance(tolerance)
     if iterations < 1:
         raise StructuralError("iterations must be at least 1")
-    factor = _analysis_factor(system)  # seeds the spectrum that classify reads
-    if not classify(system, tolerance).is_injective:
+    if not _block_spectra(system, tolerance)[0]:
         raise PreconditionError("worst-case optimization needs an injective system")
-    _frame_bounds(system, tolerance)
 
-    canonical = factor.dual(system.k)
+    canonical = _canonical(system, *_analysis_factor(system, tolerance))
     incumbent = error_report(system, canonical).worst_case
     if system.tr_k == system.d:
         return WorstCaseSolution(canonical, incumbent, incumbent, 0)

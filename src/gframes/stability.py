@@ -13,12 +13,13 @@ Both truncation functions copy the kept rows and judge them by the one
 ``is_rs`` rule on their own QR factor ``R_J``, so ``truncate``'s verdict and
 bounds, ``classify`` of the kept blocks and ``truncated_canonical_dual`` agree,
 however large the dropped blocks are.  ``truncate`` forms ``S_J = R_J^* R_J``
-and ``S^{-1}`` from the ``R^{-1}`` the system caches.  Each system memoizes
-the survivors' spectrum ``sigma(R_J)^2`` for the last drop set either function
-factored, and ``truncate`` also leaves its Householder reflectors of the kept
-rows, which the next ``truncated_canonical_dual`` takes (and drops) to form
-``Q_J`` on that drop set instead of factoring the rows again.  So the pair
-factors the survivors once.  ``ck_sufficient_condition`` reads the lower bound
+and ``S^{-1}`` from the ``R^{-1}`` the system caches.  Both functions share
+one memo per system for the last drop set either factored: the survivors'
+spectrum ``sigma(R_J)^2`` and, from ``truncate``, its factor of the kept rows
+(``R_J`` and the Householder reflectors), which the next
+``truncated_canonical_dual`` on that drop set hands to ``core._analysis_factor``
+to form ``Q_J`` instead of factoring the rows again, and then drops.  So the
+pair factors the survivors once.  ``ck_sufficient_condition`` reads the lower bound
 from the cached spectrum and the dropped norms ``||V_i||_sp`` from the cached
 block factor.
 """
@@ -35,8 +36,8 @@ from ._linalg import (dagger, frobenius, hermitian_part, householder, householde
 from .core import (
     DEFAULT_TOLERANCE,
     ReconstructionSystem,
-    _AnalysisFactor,
     _analysis_factor,
+    _canonical,
     _frame_bounds,
     _from_analysis,
     _index_subset,
@@ -95,11 +96,10 @@ def truncate(system: ReconstructionSystem, dropped: Iterable[int],
     inverse = _inverse_gram(system, tolerance)
     lower, _ = _frame_bounds(system)
     r, tau = householder(rows)
-    memo, spectrum = vars(system).get("_kept_spectrum", (None, None))
+    memo, spectrum, _ = vars(system).get("_kept", (None, None, None))
     if memo != drop:
         spectrum = _squared_spectrum(r, system.d)
-    vars(system)["_kept_spectrum"] = drop, spectrum
-    vars(system)["_kept_factor"] = drop, r, rows, tau  # for truncated_canonical_dual
+    vars(system)["_kept"] = drop, spectrum, (r, rows, tau)  # for truncated_canonical_dual
     survivor_gram = hermitian_part(dagger(r) @ r)
     truncation_factor = survivor_gram @ inverse
     bounds = float(spectrum[-1]), float(spectrum[0])
@@ -125,22 +125,20 @@ def truncated_canonical_dual(system: ReconstructionSystem, dropped: Iterable[int
     """
     drop, kept, rows = _kept_rows(system, dropped)
     survivors = _from_analysis(rows, [system.k[i] for i in kept])
-    memo, spectrum = vars(system).get("_kept_spectrum", (None, None))
+    memo, spectrum, handed = vars(system).get("_kept", (None, None, None))
+    factor = None
     if memo == drop:
         vars(survivors)["_spectrum"] = spectrum
-    handed, *factored = vars(system).pop("_kept_factor", (None,))
-    if handed == drop:
-        r, reflectors, tau = factored
-        factor = _AnalysisFactor(survivors, householder_basis(reflectors, tau), r)
-    else:
-        factor = _analysis_factor(survivors)
-    vars(system)["_kept_spectrum"] = drop, survivors._spectrum
+        if handed is not None:
+            r, reflectors, tau = handed
+            factor = householder_basis(reflectors, tau), r
     try:
-        _frame_bounds(survivors, tolerance)
+        dual = _canonical(survivors, *_analysis_factor(survivors, tolerance, factor=factor))
     except NotReconstructionSystemError:
         raise NotReconstructionSystemError(
             "surviving blocks have no positive lower frame bound") from None
-    dual = factor.dual(survivors.k)
+    finally:
+        vars(system)["_kept"] = drop, survivors._spectrum, None
     residual = frobenius(dagger(dual.analysis) @ survivors.analysis - np.eye(system.d))
     if residual > tolerance:
         raise GFramesError(f"truncated canonical dual misses the identity by {residual:.3e}")

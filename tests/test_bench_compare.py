@@ -3,7 +3,9 @@
 Each invocation measures the tier-1 suite once per side; the record's ``tier1``
 entry appends those runs and reads each test's seconds as the median over
 every run that lists it, so a gate on one test reads more than one sample.
-Standard library only, like the tool.
+The side whose suite runs first alternates from one invocation to the next, so
+drift in machine speed favours neither side.  Standard library only, like the
+tool.
 """
 
 import importlib.util
@@ -47,3 +49,27 @@ def test_a_record_of_one_unlisted_run_keeps_that_run():
     assert [each["wall_s"] for each in entry["parent"]["runs"]] == [20.0, 18.0]
     assert entry["parent"]["tests"]["crit02"] == {"median_s": 2.3, "runs": 2}
     assert entry["change"]["wall_s"] == 15.5
+
+
+def test_the_side_that_runs_tier1_first_alternates_over_invocations(monkeypatch):
+    order = []
+
+    def timed(root):
+        order.append(root)
+        return run(20.0 if root == "p" else 18.0, crit02=1.0)
+
+    monkeypatch.setattr(bench_compare, "run_tier1", timed)
+    roots = {"parent": "p", "change": "c"}
+    entry = {}
+    for expected in (["p", "c"], ["c", "p"], ["p", "c"]):
+        order.clear()
+        runs = bench_compare.measure_tier1(roots, entry)
+        assert order == expected
+        assert runs["parent"]["first"] is (expected[0] == "p")
+        assert runs["change"]["first"] is (expected[0] == "c")
+        entry = json.loads(json.dumps(bench_compare.merge_tier1(entry, runs)))
+    assert [each["first"] for each in entry["parent"]["runs"]] == [True, False, True]
+    assert [each["first"] for each in entry["change"]["runs"]] == [False, True, False]
+    order.clear()  # a record of one unlisted run per side holds an odd number of runs
+    bench_compare.measure_tier1(roots, {"parent": run(20.0), "change": run(15.0)})
+    assert order == ["c", "p"]

@@ -54,18 +54,45 @@ def test_mask_error_messages():
             gf.ErasureMask(indices, m)
 
 
-@pytest.mark.parametrize("indices", [True, np.True_, 1.0, 1.5, [True], {1.5}, [np.array(True)]],
+@pytest.mark.parametrize("indices", [True, np.True_, 1.0, 1.5, [True], {1.5}, [np.array(True)],
+                                     np.array(1.5)],
                          ids=["bool", "numpy_bool", "integral_float", "float", "bool_list",
-                              "float_set", "bool_array"])
+                              "float_set", "bool_array", "zero_dimensional_float_array"])
 def test_mask_indices_that_are_not_integers_are_refused(indices):
     with pytest.raises(StructuralError, match="^mask indices must be integers$"):
         gf.ErasureMask(indices, 3)
 
 
 def test_mask_takes_numpy_integers():
-    for indices in (np.int64(1), np.array([1]), [np.uint8(1)], (np.array(1),)):
+    for indices in (np.int64(1), np.array(1), np.array([1]), [np.uint8(1)], (np.array(1),)):
         mask = gf.ErasureMask(indices, 3)
         assert mask.dropped == (1,) and type(mask.dropped[0]) is int
+
+
+@pytest.mark.parametrize("indices", [None, object()], ids=["none", "object"])
+def test_mask_indices_that_are_not_a_collection_are_refused(indices):
+    with pytest.raises(StructuralError, match="^mask indices must be a collection of integers$"):
+        gf.ErasureMask(indices, 3)
+
+
+def test_a_failed_precondition_is_reported_before_the_rs_rule():
+    # a rank-1 block of two rows beside one row over C^4: not injective, not projective,
+    # K = 3 != d, and the block Gram sum is singular
+    blocks = ([[1, 0, 0, 0], [2, 0, 0, 0]], [[0, 1, 0, 0]])
+    for op, message in (
+            (gf.optimal_dual_two_error, "two-error optimization needs an injective system"),
+            (gf.wce_solve, "worst-case optimization needs an injective system"),
+            (gf.wce_condition, "the worst-case criterion applies to projective systems"),
+            (gf.riesz_projective_dual_check,
+             "the criterion applies when total block dimension equals d")):
+        system = gf.ReconstructionSystem(blocks)
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            op(system)
+        assert "_r_inverse" not in vars(system)
+    system = gf.ReconstructionSystem(blocks)
+    with pytest.raises(NotReconstructionSystemError, match="^block Gram sum is singular"):
+        gf.canonical_dual(system)
+    assert "_r_inverse" not in vars(system)  # a system that fails the rule holds no R^{-1}
 
 
 def test_blind_reconstruction_limits():

@@ -1,21 +1,22 @@
 """Each op factors the analysis matrix once, and builds S, spectra and inverses only where it needs them.
 
-The counters wrap ``core._block_gram`` (every ``frame_operator`` call goes
-through it) and the ``numpy.linalg`` entry points ``qr``, ``eigvalsh``,
-``inv`` and ``svd``.  They count ``_linalg.qr_basis``, the first half
-``_linalg.householder`` of a QR and ``_linalg.hermitian_eigenvalues`` (the
-same LAPACK calls without numpy's wrapper) as ``qr`` and ``eigvalsh``, and
-``_linalg.triangular_inverse`` of ``R`` as one ``inv``, wrapped where
-``generate``, ``stability`` and ``core`` call them.  Every op that needs the
-frame bounds or ``S^{-1}`` takes them from one QR of the analysis matrix
-``T = Q R`` (one ``qr``, at most one ``inv`` of ``R``, and one values-only
-``svd`` of ``R`` the first time a system is factored, since the system caches
-that spectrum); no op builds ``S`` block by block or inverts it.  The system
-also caches ``R^{-1}``, so ``S^{-1}`` on a system that some op has inverted
-takes no ``qr`` and no ``inv``.  The survivors of a truncation are factored
-and judged the same way; their spectrum is memoized on the system per drop
-set, so the second truncation op on one drop set takes no ``svd`` of ``R_J``,
-and ``truncated_canonical_dual`` after ``truncate`` forms ``Q_J`` from the
+The counters wrap ``core.frame_operator`` (the block Gram sum ``S``) and the
+``numpy.linalg`` entry points ``qr``, ``eigvalsh``, ``inv`` and ``svd``.  They
+count ``_linalg.qr_basis``, the first half ``_linalg.householder`` of a QR and
+``_linalg.hermitian_eigenvalues`` (the same LAPACK calls without numpy's
+wrapper) as ``qr`` and ``eigvalsh``, and ``_linalg.triangular_inverse`` of
+``R`` as one ``inv``, wrapped where ``generate``, ``stability`` and ``core``
+call them.  Every op that needs the frame bounds or ``S^{-1}`` takes them from
+one QR of the analysis matrix ``T = Q R`` (one ``qr``, at most one ``inv`` of
+``R``, and one values-only ``svd`` of ``R`` the first time a system is
+factored, since the system caches that spectrum); no op builds ``S`` block by
+block or inverts it, and no op's precondition takes more than the one verdict
+it reads (no library op calls ``classify``).  The system also caches
+``R^{-1}``, so ``S^{-1}`` on a system that some op has inverted takes no
+``qr`` and no ``inv``.  The survivors of a truncation are factored and judged
+the same way; their spectrum is memoized on the system per drop set, so the
+second truncation op on one drop set takes no ``svd`` of ``R_J``, and
+``truncated_canonical_dual`` after ``truncate`` forms ``Q_J`` from the
 reflectors that ``truncate`` left, with no ``qr``.  Every
 per-block value comes from the zero-padded block stack: the block spectra
 (injectivity, weights, the dropped norms in truncation) are one values-only
@@ -61,7 +62,7 @@ def counts(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(core, "_block_gram", "gram")
+    counted(core, "frame_operator", "gram")
     counted(np.linalg, "qr", "qr")
     counted(np.linalg, "eigvalsh", "eigvalsh")
     counted(np.linalg, "inv", "inv")
@@ -108,7 +109,7 @@ CASES = {
     "nearest_projective": (lambda: gf.nearest_projective(fresh(GENERAL)), {"qr": 1, "svd": 1}),
     # one stacked product, no factorization
     "verify_dual": (lambda: gf.verify_dual(GENERAL, GENERAL), {}),
-    # classify's stacked block spectra and one analysis QR for the bounds and the canonical
+    # the stacked block spectra and one analysis QR for the bounds and the canonical
     # dual; error_report's block factor
     "wce_condition": (lambda: gf.wce_condition(fresh(PROJECTIVE)),
                       {"qr": 2, "inv": 1, "svd": 1 + 1}),
@@ -116,7 +117,7 @@ CASES = {
     # R_i, one QR per step
     "wce_solve": (lambda: gf.wce_solve(fresh(PROJECTIVE), iterations=3),
                   {"qr": 2 + 1 + 3, "inv": 1 + 1, "svd": 1 + 1}),
-    # one code path with or without projective blocks: classify's stacked block spectra and
+    # one code path with or without projective blocks: the stacked block spectra and
     # one values-only analysis QR and SVD for the bounds; the weighted family's full QR of
     # the padded blocks, its stacked inv of all R_i and one QR at uniform weights
     "optimal_dual_two_error": (lambda: gf.optimal_dual_two_error(fresh(MIXED)),
@@ -124,14 +125,15 @@ CASES = {
     "optimal_dual_two_error_projective": (lambda: gf.optimal_dual_two_error(fresh(PROJECTIVE)),
                                           {"qr": 4, "inv": 1, "svd": 2}),
     # one analysis QR for the system; per block a kernel SVD and a restriction SVD; the
-    # block spectra of the system and of its dual, each one block QR and one SVD of its R_i
+    # block spectra of its dual, one block QR and one SVD of its R_i (the precondition is
+    # combinatorial and takes none of the system's)
     "riesz_projective_dual_check": (lambda: gf.riesz_projective_dual_check(RIESZ),
-                                    {"qr": 1 + 2, "inv": 1, "svd": 1 + 2 * RIESZ.m + 2}),
+                                    {"qr": 1 + 1, "inv": 1, "svd": 1 + 2 * RIESZ.m + 1}),
     # no S at all: the weights come from one block QR and one values-only SVD of its R_i
     "commuting_projective_dual": (lambda: gf.commuting_projective_dual(COMMUTING),
                                   {"qr": 1, "svd": 1}),
-    # one analysis QR for S = R^* R, the dual and S^{-1}; one SVD of the dual base, then
-    # nearest_projective's block QR of the dual and one SVD of its block factor
+    # one analysis QR for the dual and S^{-1} (S is the product T^* T); one SVD of the dual
+    # base, then nearest_projective's block QR of the dual and one SVD of its block factor
     "group_rs_checks": (orbit_checks, {"qr": 1 + 1, "inv": 1, "svd": 1 + 1 + 1}),
 }
 
@@ -224,7 +226,7 @@ def test_ops_on_one_system_take_one_spectrum(counts, monkeypatch):
     assert len(survivors) == 1  # the kept blocks of truncated_canonical_dual
     # one spectrum per system and drop set: truncate's memo is the survivors' spectrum
     cached = [vars(owner)["_spectrum"] for owner in (system, *survivors)]
-    assert cached[1] is vars(system)["_kept_spectrum"][1]
+    assert cached[1] is vars(system)["_kept"][1]
     assert [sum(taken is spectrum for taken in spectra) for spectrum in cached] == [1, 1]
     assert len(spectra) == 2
 

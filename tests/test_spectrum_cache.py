@@ -7,13 +7,14 @@ first; its block factor ``R_i`` whenever a per-block value is first
 needed (``classify``, ``ck_sufficient_condition``, ``error_report``, the
 erasure-optimal duals); ``R^{-1}`` of ``T = Q R`` whenever an op first
 inverts ``R`` (``canonical_dual``, ``dual_manifold``, ``truncate``,
-``inverse_frame_operator``, the erasure-optimal duals); and, as a memo for
-the last drop set, the survivors' spectrum whenever ``truncate`` or
-``truncated_canonical_dual`` factors the kept rows, and from ``truncate`` to
-the next ``truncated_canonical_dual`` the kept rows' Householder factor.
+``inverse_frame_operator``, the erasure-optimal duals); and, in one memo for
+the last drop set (``_kept``), the survivors' spectrum whenever ``truncate``
+or ``truncated_canonical_dual`` factors the kept rows, and from ``truncate``
+to the next ``truncated_canonical_dual`` the kept rows' Householder factor.
 Every op must return the same bits, or raise the same error with the same
 message, on a cold system as on one warmed by any other op, and every cache
-must hold the bits that its own values-only QR gives.  The d = 48 system
+must hold the bits that its own values-only QR gives; the memo's hand-off,
+while ``truncate`` holds it there, those of the kept rows' own QR.  The d = 48 system
 runs the block recursion of ``triangular_inverse``.
 """
 
@@ -109,15 +110,15 @@ def check_caches(system):
     if "_r_inverse" in cache:
         expected = triangular_inverse(np.linalg.qr(system.analysis, mode="r"))
         assert np.array_equal(cache["_r_inverse"], expected)
-    if "_kept_spectrum" in cache:
-        drop, spectrum = cache["_kept_spectrum"]
+    if "_kept" in cache:
+        drop, spectrum, handed = cache["_kept"]
         r = np.linalg.qr(kept_rows(system, drop), mode="r")
         assert np.array_equal(spectrum, core._squared_spectrum(r, system.d))
-    if "_kept_factor" in cache:
-        drop, r, reflectors, tau = cache["_kept_factor"]
-        q, expected = np.linalg.qr(kept_rows(system, drop))
-        assert np.array_equal(r, expected)
-        assert np.array_equal(householder_basis(reflectors, tau), q)
+        if handed is not None:
+            r, reflectors, tau = handed
+            q, expected = np.linalg.qr(kept_rows(system, drop))
+            assert np.array_equal(r, expected)
+            assert np.array_equal(householder_basis(reflectors, tau), q)
 
 
 SYSTEMS = edge_systems()
@@ -131,12 +132,13 @@ def test_outputs_do_not_depend_on_which_op_fills_the_cache(kind, first):
     warm = fresh(system)
     outcome(first, warm)
     if first == "truncated_canonical_dual":  # factors the kept rows only
-        assert "_kept_spectrum" in vars(warm)
+        assert "_kept" in vars(warm)
     elif first != "nearest_projective":  # the one op that reads no cache
         assert "_spectrum" in vars(warm)
     check_caches(warm)
     for op in OPS:
         assert same(outcome(op, warm), cold[op]), op
+    assert "_kept" in vars(warm)  # the truncated dual leaves it, RS or not
     check_caches(warm)
     assert ("_r_inverse" in vars(warm)) == gf.classify(system).is_rs
 
@@ -177,17 +179,17 @@ def test_a_drop_set_memo_is_read_for_that_drop_set_only(monkeypatch):
     system = fresh(base)
     for other in ([0], [3], [0, 3, 5], [1, 2]):
         gf.truncate(system, [0, 3])
-        _, memo = vars(system)["_kept_spectrum"]
+        _, memo, _ = vars(system)["_kept"]
         survivors.clear()
         dual = gf.truncated_canonical_dual(system, other)
         assert vars(survivors[0])["_spectrum"] is not memo
-        assert vars(system)["_kept_spectrum"][0] == tuple(other)
+        assert vars(system)["_kept"][0] == tuple(other)
         cold = gf.truncated_canonical_dual(fresh(base), other)
         assert np.array_equal(dual.analysis, cold.analysis)
         report = gf.truncate(system, [0, 3])
         assert same(astuple(report), astuple(gf.truncate(fresh(base), [0, 3])))
     # the same drop set, listed in another order, reads the memo
-    _, memo = vars(system)["_kept_spectrum"]
+    _, memo, _ = vars(system)["_kept"]
     survivors.clear()
     gf.truncated_canonical_dual(system, [3, 0])
     assert vars(survivors[0])["_spectrum"] is memo
@@ -204,7 +206,7 @@ def test_cached_r_inverse_and_memo_are_read_only(first):
         r_inverse[0, 0] = 0.0
     assert r_inverse.shape == (system.d, system.d)
     gf.truncated_canonical_dual(system, DROP)
-    _, spectrum = vars(system)["_kept_spectrum"]
+    _, spectrum, _ = vars(system)["_kept"]
     assert not spectrum.flags.writeable
     assert spectrum.shape == (system.d,)
 
@@ -238,8 +240,7 @@ def arrays(value):
 
 
 def memo_arrays(system):
-    memos = vars(system)
-    return [a for name in ("_kept_spectrum", "_kept_factor") for a in arrays(memos.get(name, ()))]
+    return arrays(vars(system).get("_kept", ()))
 
 
 @pytest.mark.parametrize("kind", ["general", "d48"])
@@ -253,13 +254,13 @@ def test_truncate_hands_its_factor_to_the_next_dual_only(kind):
     # besides them R_J, tau and the survivors' spectrum
     assert sum(a.size for a in held) == kept[0] * kept[1] + system.d ** 2 + min(kept) + system.d
     gf.truncate(system, SECOND_DROP)  # another drop set replaces it
-    assert vars(system)["_kept_factor"][0] == SECOND_DROP
+    assert vars(system)["_kept"][0] == SECOND_DROP
     assert sum(a.shape == kept for a in memo_arrays(system)) == 1
     gf.truncate(system, DROP)
     handed = gf.truncated_canonical_dual(system, DROP)
-    assert "_kept_factor" not in vars(system)  # only the survivors' spectrum is left
+    assert vars(system)["_kept"][2] is None  # only the survivors' spectrum is left
     assert [a.shape for a in memo_arrays(system)] == [(system.d,)]
     assert np.array_equal(handed.analysis, gf.truncated_canonical_dual(fresh(base), DROP).analysis)
     gf.truncate(system, SECOND_DROP)
     gf.truncated_canonical_dual(system, DROP)  # a dual on another drop set drops the hand-off
-    assert "_kept_factor" not in vars(system)
+    assert vars(system)["_kept"][2] is None

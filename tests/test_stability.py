@@ -172,6 +172,16 @@ def test_dropped_indices_that_are_not_integers_are_refused(dropped):
             op(system, dropped)
 
 
+@pytest.mark.parametrize("dropped", [1, None, np.int64(0), np.array(1)],
+                         ids=["int", "none", "numpy_int", "zero_dimensional_array"])
+def test_dropped_indices_that_are_not_a_collection_are_refused(dropped):
+    system = gf.fixtures()["overlapping_planes"]
+    for op in (gf.truncate, gf.ck_sufficient_condition, gf.truncated_canonical_dual):
+        with pytest.raises(StructuralError,
+                           match="^dropped indices must be a collection of integers$"):
+            op(system, dropped)
+
+
 def test_numpy_integer_indices_are_accepted():
     system = random_system(6, (2, 3, 4, 2), 1)
     expected = gf.truncate(system, [1, 3])

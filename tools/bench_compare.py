@@ -55,8 +55,11 @@ non-zero or prints no result stops the script with exit status 2.
 Before the pairs, the test-suite layer is measured once per side: the tier-1
 suite (``python -m pytest -q --continue-on-collection-errors -p no:cacheprovider
 --durations=10`` with ``PYTHONPATH=src``) runs in each checkout at
-``OPENBLAS_NUM_THREADS=1``.  Each run (wall time, exit code, closing pytest line
-and the ten slowest test phases with their seconds) is appended to the side's
+``OPENBLAS_NUM_THREADS=1``.  The side that runs first alternates over the
+invocations that write one file: the parent when the record already holds an
+even number of tier-1 runs per side, the change when odd.  Each run (wall time,
+exit code, closing pytest line, ``first`` and the ten slowest test phases with
+their seconds) is appended to the side's
 ``runs`` in the record's top-level ``tier1`` entry, so every invocation that
 writes one file adds a sample, and the entry holds per side the median wall
 time and, under ``tests``, each test's median call seconds over the runs that
@@ -124,13 +127,32 @@ def run_tier1(root: Path) -> dict:
             "slowest": slowest}
 
 
+def recorded_runs(entry: dict, side: str) -> list[dict]:
+    """The tier-1 runs of ``side`` in the ``tier1`` entry ``entry`` (empty for a new record)."""
+    previous = entry.get(side, {})  # one run, unlisted, in records of older versions
+    return previous.get("runs", [previous] if "slowest" in previous else [])
+
+
+def measure_tier1(roots: dict, entry: dict) -> dict:
+    """One tier-1 run per side, the parent's first when ``entry`` holds an even number of
+    runs per side and the change's first when odd; each run records whether it was first."""
+    order = ("parent", "change")
+    if len(recorded_runs(entry, "parent")) % 2:
+        order = order[::-1]
+    runs = {}
+    for side in order:
+        runs[side] = {**run_tier1(roots[side]), "first": side == order[0]}
+        print(f"tier-1 {side}: {runs[side]['wall_s']:.1f} s, {runs[side]['result']}",
+              file=sys.stderr)
+    return runs
+
+
 def merge_tier1(entry: dict, runs: dict) -> dict:
     """The ``tier1`` entry ``entry`` (empty for a new record) with each side's new run in
     ``runs`` appended, and the medians over every run recomputed."""
     merged = {}
     for side, run in runs.items():
-        previous = entry.get(side, {})  # one run, unlisted, in records of older versions
-        kept = [*previous.get("runs", [previous] if "slowest" in previous else []), run]
+        kept = [*recorded_runs(entry, side), run]
         calls = {}
         for each in kept:
             for hit in each["slowest"]:
@@ -201,11 +223,8 @@ def main(argv=None) -> int:
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
 
-    tier1 = {}
-    for side in ("parent", "change"):
-        tier1[side] = run_tier1(roots[side])
-        print(f"tier-1 {side}: {tier1[side]['wall_s']:.1f} s, {tier1[side]['result']}",
-              file=sys.stderr)
+    record = json.loads(args.out.read_text(encoding="utf-8")) if args.out.is_file() else {}
+    tier1 = measure_tier1(roots, record.get("tier1", {}))
 
     runs = []
     for pair in range(args.pairs):
@@ -244,7 +263,6 @@ def main(argv=None) -> int:
                     for side in ("parent", "change")}
              for name in PART_NAMES if all(name in r.get("summary", {}) for r in runs)}
 
-    record = json.loads(args.out.read_text(encoding="utf-8")) if args.out.is_file() else {}
     record["tier1"] = merge_tier1(record.get("tier1", {}), tier1)
     record.setdefault("workloads", {})[args.workload] = {
         "command": f"bench/run.py --workload {args.workload} --seconds {seconds:g} "
