@@ -67,6 +67,8 @@ def polar_coisometry(block: np.ndarray,
     if b.ndim != 2:
         raise PreconditionError("block must be a 2-d matrix")
     rows, cols = b.shape
+    if rows == 0:
+        raise PreconditionError("block must have at least one row")
     if rows > cols:
         raise PreconditionError(
             f"a {rows} x {cols} block cannot have full row rank")
@@ -82,9 +84,10 @@ def polar_coisometry(block: np.ndarray,
 def is_weighted_coisometry(block: np.ndarray,
                            tolerance: float = DEFAULT_TOLERANCE) -> bool:
     """Whether the block is a positive multiple of a coisometry: its ``sigma^2`` is ``flat``,
-    the rule by which ``classify`` judges each block projective."""
+    the rule by which ``classify`` judges each block projective.  An empty or tall block is
+    not."""
     b = np.asarray(block, dtype=np.complex128)
-    if b.ndim != 2 or b.shape[0] > b.shape[1]:
+    if b.ndim != 2 or not 0 < b.shape[0] <= b.shape[1]:
         return False
     sigma = singular_values(b)
     return bool(flat(sigma[-1] ** 2, sigma[0] ** 2, tolerance))

@@ -40,7 +40,6 @@ from ._linalg import (
 from .core import (
     DEFAULT_TOLERANCE,
     ReconstructionSystem,
-    _analysis_factor,
     _block_spectra,
     _canonical,
     _inverse_gram,
@@ -190,7 +189,7 @@ def group_rs_checks(rep: UnitaryRepresentation, base: np.ndarray,
     from .approx import nearest_projective
 
     system = group_rs(rep, base)
-    dual = _canonical(system, *_analysis_factor(system, tolerance))
+    dual = _canonical(system, tolerance)
     gram = dagger(system.analysis) @ system.analysis
     commutation = max(frobenius(gram @ u - u @ gram) for u in rep.unitaries)
 
@@ -322,8 +321,7 @@ def riesz_projective_dual_check(system: ReconstructionSystem,
     if system.tr_k != system.d:
         raise PreconditionError(
             "the criterion applies when total block dimension equals d")
-    q, r_inverse = _analysis_factor(system, tolerance)
-
+    dual = _canonical(system, tolerance)
     checks = []
     for i, rows in enumerate(_layout(system.k, system.d).slices):
         kernel = null_space(np.delete(system.analysis, rows, axis=0), tolerance)  # I if m = 1
@@ -333,7 +331,6 @@ def riesz_projective_dual_check(system: ReconstructionSystem,
                                       singular_values=tuple(float(s) for s in sigma),
                                       is_scaled_isometry=scaled))
 
-    dual = _canonical(system, q, r_inverse)
     return RieszDualCheck(
         has_projective_dual=all(c.is_scaled_isometry for c in checks),
         per_index=tuple(checks),

@@ -40,8 +40,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import (dagger, flat, frobenius, hermitian_eigenvalues, hermitian_part, nonsingular,
-                      triangular_inverse)
+from ._linalg import (dagger, flat, frobenius, hermitian_eigenvalues, hermitian_part, householder,
+                      householder_basis, nonsingular, triangular_inverse)
 from .errors import NotReconstructionSystemError, StructuralError
 
 DEFAULT_TOLERANCE = 1e-9
@@ -73,14 +73,21 @@ class RSSignature:
     def __post_init__(self) -> None:
         if self.m < 1 or self.d < 1:
             raise StructuralError("signature needs at least one block and d >= 1")
-        if len(self.k) != self.m or any(int(ki) < 1 for ki in self.k):
+        sizes = tuple(_integer(ki, "signature block sizes k must be integers") for ki in self.k)
+        if len(sizes) != self.m or any(ki < 1 for ki in sizes):
             raise StructuralError("signature block sizes must be %d positive ints" % self.m)
-        object.__setattr__(self, "k", tuple(int(ki) for ki in self.k))
+        object.__setattr__(self, "k", sizes)
 
     @property
     def tr_k(self) -> int:
         """Total coefficient dimension ``K = sum_i k_i``."""
         return sum(self.k)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only, as every cached array is."""
+    array.flags.writeable = False
+    return array
 
 
 def _as_block(entry, index: int) -> np.ndarray:
@@ -112,8 +119,7 @@ def _layout(sizes: tuple[int, ...], d: int) -> _Layout:
                 f"block {i} must be a non-empty 2-d matrix, got shape {(ki, d)}")
     signature = RSSignature(len(sizes), sizes, d)
     ends = tuple(accumulate(sizes))
-    rows = np.arange(max(sizes)) < np.asarray(sizes)[:, None]
-    rows.flags.writeable = False
+    rows = _read_only(np.arange(max(sizes)) < np.asarray(sizes)[:, None])
     return _Layout(signature, ends,
                    tuple(slice(end - ki, end) for ki, end in zip(sizes, ends)), rows)
 
@@ -139,13 +145,13 @@ class ReconstructionSystem:
     has taken it yet and writes ``_r_inverse`` only once the system passes
     the ``is_rs`` rule; ``Q`` and ``R`` of ``T`` are not cached.  Truncation
     keeps one memo for the last drop set, ``_kept = (drop, spectrum,
-    handed)``: the survivors' spectrum, and ``truncate``'s factor of the kept
-    rows (``R_J``, Householder reflectors and ``tau``; one ``K_J x d`` array)
-    until the next ``truncated_canonical_dual`` takes it and leaves None
-    (``stability``).  A dual drawn by
-    ``dual_manifold_sample`` holds ``_scored = (system, scores, row)``, its
-    erasure errors ``scores[row]`` against the system it was drawn from, which
-    ``error_report`` reads; any other system holds None there.
+    handed)``: the survivors' spectrum, and the factor of the kept rows that
+    ``_survivor_factor`` took (``R_J``, Householder reflectors and ``tau``; one
+    ``K_J x d`` array) until the next ``_survivor_dual`` takes it and leaves None.
+    A dual made by ``_sampled_duals`` holds ``_scored = (system, scores,
+    row)``, its erasure errors ``scores[row]`` against the system it was drawn
+    from, which ``_dual_scores`` reads; any other system holds None there.
+    Only this module's routines read or write these slots.
 
     Parameters
     ----------
@@ -202,9 +208,7 @@ class ReconstructionSystem:
         and the padded columns zero; blocks with ``k_i > d`` or deficient
         rank need no special case.
         """
-        factor = np.linalg.qr(dagger(_block_stack(self)), mode="r")
-        factor.flags.writeable = False
-        return factor
+        return _read_only(np.linalg.qr(dagger(_block_stack(self)), mode="r"))
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
@@ -285,14 +289,15 @@ def _from_analysis(analysis: np.ndarray, sizes: Sequence[int]) -> Reconstruction
     return system
 
 
-def _index(i, noun: str) -> int:
-    """``i`` as a block index: an integer (numpy's too), never a ``bool``."""
-    if not isinstance(i, bool):
+def _integer(value, message: str) -> int:
+    """``value`` as an integer (numpy's too), never a ``bool``; else raise ``StructuralError``
+    with ``message``."""
+    if not isinstance(value, bool):
         try:
-            return operator.index(i)
+            return operator.index(value)
         except TypeError:
             pass
-    raise StructuralError(f"{noun} indices must be integers")
+    raise StructuralError(message)
 
 
 def _index_subset(indices: Iterable[int], m: int, noun: str) -> tuple[int, ...]:
@@ -301,7 +306,8 @@ def _index_subset(indices: Iterable[int], m: int, noun: str) -> tuple[int, ...]:
         indices = iter(indices)
     except TypeError:
         raise StructuralError(f"{noun} indices must be a collection of integers") from None
-    listed = [_index(i, noun) for i in indices]
+    message = f"{noun} indices must be integers"
+    listed = [_integer(i, message) for i in indices]
     if len(listed) != len(set(listed)):
         raise StructuralError(f"{noun} indices must not repeat")
     if m < 1:
@@ -336,9 +342,7 @@ class SystemClassification:
 def _squared_spectrum(r: np.ndarray, d: int) -> np.ndarray:
     """Read-only ``sigma(R)^2``, descending, zero-padded to ``d``: the eigenvalues of ``R^* R``."""
     sigma = np.linalg.svd(r, compute_uv=False)
-    spectrum = np.concatenate((sigma * sigma, np.zeros(d - sigma.size)))
-    spectrum.flags.writeable = False
-    return spectrum
+    return _read_only(np.concatenate((sigma * sigma, np.zeros(d - sigma.size))))
 
 
 def _analysis_is_rs(analysis: np.ndarray, tolerance: float) -> np.ndarray:
@@ -349,60 +353,113 @@ def _analysis_is_rs(analysis: np.ndarray, tolerance: float) -> np.ndarray:
     return nonsingular(spectra[..., 0], spectra[..., -1], tolerance)
 
 
-def _frame_bounds(system: ReconstructionSystem,
-                  tolerance: float | None = None) -> tuple[float, float]:
-    """``(lambda_min, lambda_max)`` of ``S`` from the system's spectrum; given a
-    ``tolerance``, raise ``NotReconstructionSystemError`` unless ``nonsingular``."""
+def _frame_bounds(system: ReconstructionSystem, tolerance: float) -> tuple[float, float]:
+    """``(lambda_min, lambda_max)`` of ``S`` from the system's spectrum; raises
+    ``NotReconstructionSystemError`` unless ``nonsingular`` at ``tolerance``."""
     spectrum = system._spectrum
     lower, upper = float(spectrum[-1]), float(spectrum[0])
-    if tolerance is not None and not nonsingular(lower, upper, tolerance):
+    if not nonsingular(lower, upper, tolerance):
         raise NotReconstructionSystemError("block Gram sum is singular (lambda_min="
                                            f"{lower:.3e}, lambda_max={upper:.3e})")
     return lower, upper
 
 
-def _analysis_factor(system: ReconstructionSystem, tolerance: float, basis: bool = True,
-                     factor: tuple[np.ndarray | None, np.ndarray] | None = None
-                     ) -> tuple[np.ndarray | None, np.ndarray]:
-    """``(Q or None, R^{-1})`` of ``T = Q R``, from the QR of ``system.analysis`` (``Q`` only if
-    ``basis``) or the ``(Q, R)`` given as ``factor``; raises ``NotReconstructionSystemError``
-    unless the spectrum is ``nonsingular`` at ``tolerance``.
+def _analysis_factor(system: ReconstructionSystem, tolerance: float,
+                     factor: tuple[np.ndarray, np.ndarray] | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """``(Q, R^{-1})`` of ``T = Q R``, from the QR of ``system.analysis`` or the ``(Q, R)``
+    given as ``factor``; raises ``NotReconstructionSystemError`` unless the spectrum is
+    ``nonsingular`` at ``tolerance``.
 
     It seeds the system's ``_spectrum`` if missing and, once the check passes, caches
     ``R^{-1}`` read-only, so no op factors ``T`` twice and a system that fails the check holds
-    no ``R^{-1}``.  numpy takes ``R`` from the same LAPACK ``geqrf`` call with or without
-    ``Q``, so neither cache depends on which op fills it.
+    no ``R^{-1}``.
     """
-    if factor is None:
-        analysis = system.analysis
-        factor = np.linalg.qr(analysis) if basis else (None, np.linalg.qr(analysis, "r"))
-    q, r = factor
+    q, r = np.linalg.qr(system.analysis) if factor is None else factor
     cache = vars(system)  # where cached_property keeps its values
     if "_spectrum" not in cache:
         cache["_spectrum"] = _squared_spectrum(r, system.d)
     _frame_bounds(system, tolerance)
     if "_r_inverse" not in cache:
-        r_inverse = triangular_inverse(r)
-        r_inverse.flags.writeable = False
-        cache["_r_inverse"] = r_inverse
+        cache["_r_inverse"] = _read_only(triangular_inverse(r))
     return q, cache["_r_inverse"]
 
 
-def _canonical(system: ReconstructionSystem, q: np.ndarray, r_inverse: np.ndarray
-               ) -> ReconstructionSystem:
-    """The canonical dual from ``system``'s factor: analysis matrix ``Q R^{-*} = T S^{-1}``."""
+def _canonical(system: ReconstructionSystem, tolerance: float,
+               factor: tuple[np.ndarray, np.ndarray] | None = None) -> ReconstructionSystem:
+    """The canonical dual, analysis matrix ``Q R^{-*} = T S^{-1}``, from ``_analysis_factor``."""
+    q, r_inverse = _analysis_factor(system, tolerance, factor)
     return _from_analysis(q @ dagger(r_inverse), system.k)
 
 
 def _inverse_gram(system: ReconstructionSystem, tolerance: float) -> np.ndarray:
-    """``S^{-1} = R^{-1} R^{-*}`` from the cached ``R^{-1}`` (first taken by one values-only QR);
+    """``S^{-1} = R^{-1} R^{-*}`` from the cached ``R^{-1}`` (first taken by ``_analysis_factor``);
     raises ``NotReconstructionSystemError`` unless the spectrum is ``nonsingular``."""
     r_inverse = vars(system).get("_r_inverse")
     if r_inverse is None:
-        _, r_inverse = _analysis_factor(system, tolerance, basis=False)
+        _, r_inverse = _analysis_factor(system, tolerance)
     else:
         _frame_bounds(system, tolerance)
     return r_inverse @ dagger(r_inverse)
+
+
+def _survivor_factor(system: ReconstructionSystem, drop: tuple[int, ...], rows: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """``(R_J, sigma(R_J)^2)`` for the kept rows ``rows`` (the caller's own copy) after dropping
+    the blocks ``drop``; the spectrum is the memo's if it holds ``drop``.
+
+    It leaves ``rows`` as Householder reflectors and hands them, with ``R_J`` and ``tau``, to
+    the next ``_survivor_dual`` in the system's ``_kept`` memo.
+    """
+    r, tau = householder(rows)
+    memo, spectrum, _ = vars(system).get("_kept", (None, None, None))
+    if memo != drop:
+        spectrum = _squared_spectrum(r, system.d)
+    vars(system)["_kept"] = drop, spectrum, (r, rows, tau)
+    return r, spectrum
+
+
+def _survivor_dual(system: ReconstructionSystem, drop: tuple[int, ...],
+                   survivors: ReconstructionSystem, tolerance: float) -> ReconstructionSystem:
+    """``_canonical`` of the ``survivors`` of dropping ``drop``, seeded from the ``_kept`` memo.
+
+    If the memo holds ``drop``, the survivors take its spectrum and, when ``_survivor_factor``
+    left one, its factor, so ``Q_J`` comes from the reflectors with no second QR.  Whether or
+    not the survivors pass the ``is_rs`` rule, the memo is left with their spectrum and no
+    factor.
+    """
+    memo, spectrum, handed = vars(system).get("_kept", (None, None, None))
+    factor = None
+    if memo == drop:
+        vars(survivors)["_spectrum"] = spectrum
+        if handed is not None:
+            r, reflectors, tau = handed
+            factor = householder_basis(reflectors, tau), r
+    try:
+        return _canonical(survivors, tolerance, factor)
+    finally:
+        vars(system)["_kept"] = drop, survivors._spectrum, None
+
+
+def _sampled_duals(system: ReconstructionSystem, analyses: np.ndarray
+                   ) -> list[ReconstructionSystem]:
+    """The systems of ``_from_analyses`` over ``analyses``, each holding ``_scored``: its
+    row of the read-only ``_scores`` against ``system``, taken for all of them in one pass."""
+    scores = _read_only(_scores(system, _padded(analyses, _layout(system.k, system.d).rows)))
+    duals = _from_analyses(analyses, system.k)
+    for row, dual in enumerate(duals):
+        object.__setattr__(dual, "_scored", (system, scores, row))
+    return duals
+
+
+def _dual_scores(system: ReconstructionSystem, dual: ReconstructionSystem) -> np.ndarray:
+    """The erasure errors ``||W_j^* V_j||`` of ``dual`` against ``system``: those that
+    ``_sampled_duals`` attached if it scored ``dual`` against this very system, else
+    ``_scores``, with the same bits."""
+    memo = dual._scored
+    if memo is not None and memo[0] is system:
+        return memo[1][memo[2]]
+    return _scores(system, _block_stack(dual))
 
 
 def frame_operator(system: ReconstructionSystem) -> np.ndarray:
@@ -446,7 +503,7 @@ def synthesis_matrix(system: ReconstructionSystem) -> np.ndarray:
 
 def system_from_synthesis(synthesis: np.ndarray, k: Iterable[int]) -> ReconstructionSystem:
     """Rebuild a system from a ``d x K`` synthesis matrix and block sizes."""
-    sizes = tuple(int(ki) for ki in k)
+    sizes = tuple(_integer(ki, "block sizes k must be integers") for ki in k)
     syn = np.asarray(synthesis, dtype=np.complex128)
     if syn.ndim != 2 or syn.shape[1] != sum(sizes):
         raise StructuralError(
@@ -512,7 +569,7 @@ def classify(system: ReconstructionSystem,
     factor of ``T``.
     """
     injective, weights = _block_spectra(system, tolerance)
-    lower, upper = _frame_bounds(system)
+    lower, upper = float(system._spectrum[-1]), float(system._spectrum[0])
     uniform = weights is not None and flat(min(weights), max(weights), tolerance)
     # ||S - I|| from the eigenvalues of the Hermitian S
     protocol = frobenius(system._spectrum - 1.0) <= tolerance * upper

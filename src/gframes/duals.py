@@ -16,10 +16,9 @@ The canonical dual ``Q R^{-*}``, ``S^{-1} = R^{-1} R^{-*}`` and the chart's
 projector ``I - Q Q^*`` come from one checked QR factor ``T = Q R`` of the
 analysis matrix (``core._analysis_factor``, the one routine that factors
 ``T``), which raises ``NotReconstructionSystemError`` exactly when
-``classify`` reads ``is_rs`` false and otherwise returns ``Q`` and the
-system's cached ``R^{-1}``; what the system caches is listed under
-``ReconstructionSystem``.  ``S`` is never formed, so accuracy follows
-``kappa(T)``, not ``kappa(T)^2``.
+``classify`` reads ``is_rs`` false and otherwise returns ``Q`` and ``R^{-1}``;
+``core`` caches what the factor yields (see ``ReconstructionSystem``).  ``S``
+is never formed, so accuracy follows ``kappa(T)``, not ``kappa(T)^2``.
 """
 
 from __future__ import annotations
@@ -28,18 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import dagger, frobenius
+from ._linalg import check_tolerance, dagger, frobenius
 from .core import (
     DEFAULT_TOLERANCE,
     ReconstructionSystem,
     _analysis_factor,
     _analysis_is_rs,
     _canonical,
-    _from_analyses,
+    _integer,
     _inverse_gram,
-    _layout,
-    _padded,
-    _scores,
+    _sampled_duals,
     system_from_synthesis,
 )
 from .errors import SamplingError, StructuralError
@@ -84,7 +81,7 @@ def inverse_frame_operator(system: ReconstructionSystem,
 def canonical_dual(system: ReconstructionSystem,
                    tolerance: float = DEFAULT_TOLERANCE) -> ReconstructionSystem:
     """Blocks ``V_i S^{-1}``, stacked as ``Q R^{-*}``; the minimal-norm dual."""
-    return _canonical(system, *_analysis_factor(system, tolerance))
+    return _canonical(system, tolerance)
 
 
 def verify_dual(candidate: ReconstructionSystem, reference: ReconstructionSystem,
@@ -93,6 +90,7 @@ def verify_dual(candidate: ReconstructionSystem, reference: ReconstructionSystem
 
     The sum is one product of the stacked matrices, ``synthesis(W) analysis(V)``.
     """
+    check_tolerance(tolerance)
     if candidate.signature != reference.signature:
         raise StructuralError(
             f"signature mismatch: {candidate.signature} vs {reference.signature}")
@@ -154,17 +152,17 @@ def dual_manifold_sample(system: ReconstructionSystem, seed: int, count: int,
     of the one-at-a-time loop.
 
     Each batch's accepted duals are scored against ``system`` in one pass
-    (``core._scores``), and each sample keeps its row of those read-only
-    scores, so ``error_report(system, sample)`` reads them in place of
-    computing the same bits.
+    (``core._sampled_duals``), so ``error_report(system, sample)`` reads the
+    sample's scores in place of computing the same bits.
     """
-    if count < 1:
+    if _integer(count, "count must be an integer") < 1:
         raise StructuralError("count must be at least 1")
+    max_redraws = _integer(max_redraws, "max_redraws must be an integer")
+    check_tolerance(scale, "scale")
     manifold = dual_manifold(system, tolerance)
     deviation = scale / np.sqrt(system._spectrum[0])  # dual_manifold cached the spectrum
     rng = np.random.default_rng(seed)
     batch = max(1, min(_SAMPLE_CHUNK, _BATCH_ENTRIES // (system.d * system.tr_k)))
-    rows = _layout(system.k, system.d).rows
     samples: list[ReconstructionSystem] = []
     misses = 0  # consecutive rejected attempts for the current slot
     while len(samples) < count:
@@ -178,10 +176,5 @@ def dual_manifold_sample(system: ReconstructionSystem, seed: int, count: int,
         analyses = np.ascontiguousarray(dagger(syntheses))
         accepted = np.flatnonzero(_analysis_is_rs(analyses, tolerance))
         misses = size - 1 - int(accepted[-1]) if accepted.size else misses + size
-        kept = analyses[accepted]
-        scores = _scores(system, _padded(kept, rows))
-        scores.flags.writeable = False
-        for row, sample in enumerate(_from_analyses(kept, system.k)):
-            object.__setattr__(sample, "_scored", (system, scores, row))
-            samples.append(sample)
+        samples += _sampled_duals(system, analyses[accepted])
     return samples

@@ -7,11 +7,9 @@ norms ``||W_j^* V_j||``: their Euclidean norm (``two_error``) and their
 maximum (``worst_case``).
 
 ``error_report`` never forms the ``d x d`` products ``W_j^* V_j``: it takes
-``||W_j^* V_j|| = ||R_j W_j||`` from the system's cached block factor
-(``core._scores``).  A dual drawn by ``dual_manifold_sample`` carries these
-errors against the system it was drawn from, computed for its whole batch in
-one product; ``error_report`` against that same system object returns them,
-and against any other system computes them, with the same bits.
+``||W_j^* V_j|| = ||R_j W_j||`` from the system's cached block factor, or
+reads what ``dual_manifold_sample`` computed for a dual it drew from that
+very system, with the same bits (``core._dual_scores``).
 
 Both optima come from one weighted family of duals.  Write each block of an
 injective system as ``V_i = R_i^* U_i`` with orthonormal rows ``U_i``, and for
@@ -42,7 +40,7 @@ Each op checks its own precondition first, reading only the block verdict it
 needs (``core._block_spectra``: injectivity, or the projective weights), so a
 system that fails it raises ``PreconditionError`` even when it also fails
 ``is_rs``; then the ``is_rs`` rule, from the cached spectrum or the one factor
-of ``T`` that the canonical dual needs (``core._analysis_factor``).
+of ``T`` that the canonical dual needs (``core._canonical``).
 
 The family takes every ``U_i = Q_i^*`` and ``R_i`` from one full QR of the
 same padded stack (numpy takes ``R`` from the same LAPACK call as the cached
@@ -72,15 +70,15 @@ from ._linalg import check_tolerance, dagger, flat
 from .core import (
     DEFAULT_TOLERANCE,
     ReconstructionSystem,
-    _analysis_factor,
     _block_spectra,
     _block_stack,
     _canonical,
+    _dual_scores,
     _frame_bounds,
     _from_analysis,
     _index_subset,
+    _integer,
     _layout,
-    _scores,
 )
 from .errors import PreconditionError, StructuralError
 
@@ -159,12 +157,7 @@ def error_report(system: ReconstructionSystem,
     """Per-index norms ``||W_j^* V_j||`` and their two aggregates."""
     if dual.signature != system.signature:
         raise StructuralError("dual and system signatures differ")
-    memo = dual._scored
-    if memo is not None and memo[0] is system:
-        scores = memo[1][memo[2]]
-    else:
-        scores = _scores(system, _block_stack(dual))
-    per = tuple(scores.tolist())
+    per = tuple(_dual_scores(system, dual).tolist())
     return ErrorReport(per_index=per, two_error=math.sqrt(sum(e * e for e in per)),
                        worst_case=max(per))
 
@@ -284,7 +277,7 @@ def wce_condition(system: ReconstructionSystem,
     """
     if _block_spectra(system, tolerance)[1] is None:
         raise PreconditionError("the worst-case criterion applies to projective systems")
-    canonical = _canonical(system, *_analysis_factor(system, tolerance))
+    canonical = _canonical(system, tolerance)
     norms = error_report(system, canonical).per_index
     if flat(min(norms), max(norms), tolerance):
         return float(np.mean(norms))
@@ -331,12 +324,12 @@ def wce_solve(system: ReconstructionSystem, iterations: int = 5000,
     dual, returned with zero gap.
     """
     check_tolerance(tolerance)
-    if iterations < 1:
+    if _integer(iterations, "iterations must be an integer") < 1:
         raise StructuralError("iterations must be at least 1")
     if not _block_spectra(system, tolerance)[0]:
         raise PreconditionError("worst-case optimization needs an injective system")
 
-    canonical = _canonical(system, *_analysis_factor(system, tolerance))
+    canonical = _canonical(system, tolerance)
     incumbent = error_report(system, canonical).worst_case
     if system.tr_k == system.d:
         return WorstCaseSolution(canonical, incumbent, incumbent, 0)

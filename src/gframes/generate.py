@@ -5,9 +5,9 @@ existing ``numpy.random.Generator``) and guard conditioning, so comparisons
 at the 1e-10 level stay meaningful downstream: a draw is kept when its
 analysis matrix ``T`` passes the relative rule ``_linalg.nonsingular`` at ``conditioning``
 (``random_riesz`` on ``sigma(T)``, the others on ``sigma(T)^2``), so the same
-draw is kept at any scale.  The arguments (the block shape, ``conditioning``,
-``weights``) are checked before the first draw, so a refused call leaves a
-caller's generator as it was.
+draw is kept at any scale.  The arguments (the block shape, ``scale``,
+``conditioning``, ``weights``) are checked before the first draw, so a refused
+call leaves a caller's generator as it was.
 
 ``random_projective`` is called thousands of times per shape by the sampling
 checks, so what its attempts share is cached per ``(d, sizes)`` by
@@ -30,7 +30,8 @@ from ._linalg import (
     random_unitary,
     singular_values,
 )
-from .core import ReconstructionSystem, _analysis_is_rs, _from_analysis, _layout
+from .core import (ReconstructionSystem, _analysis_is_rs, _from_analysis, _integer, _layout,
+                   _read_only)
 from .errors import SamplingError, StructuralError
 
 __all__ = [
@@ -57,13 +58,14 @@ def random_coisometry(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
 
 
 def _shape(k: Sequence[int], d: int | None = None, coisometry: bool = False) -> tuple[int, ...]:
-    """The block sizes ``k`` as ints; ``StructuralError`` unless there is at least one block,
-    every block is non-empty over ``d >= 1`` (``d`` defaults to the sum of the sizes) and, for
-    a ``coisometry``, no block is taller than ``d``, which is checked before ``_layout`` runs."""
-    sizes = tuple(int(ki) for ki in k)
+    """The block sizes ``k`` as ints; ``StructuralError`` unless the sizes and ``d`` are
+    integers, there is at least one block, every block is non-empty over ``d >= 1`` (``d``
+    defaults to the sum of the sizes) and, for a ``coisometry``, no block is taller than
+    ``d``, which is checked before ``_layout`` runs."""
+    sizes = tuple(_integer(ki, "block sizes k must be integers") for ki in k)
     if not sizes:
         raise StructuralError("a system needs at least one block")
-    d = sum(sizes) if d is None else d
+    d = sum(sizes) if d is None else _integer(d, "d must be an integer")
     if coisometry and max(sizes) > d:
         raise StructuralError("a coisometry needs k <= d")
     _layout(sizes, d)
@@ -86,6 +88,7 @@ def random_system(d: int, k: Sequence[int], seed, scale: float = 1.0,
     """Gaussian blocks of entry scale ``scale``, redrawn until ``nonsingular`` at ``conditioning``;
     which attempt is kept does not depend on ``scale``."""
     sizes = _shape(k, d)
+    check_tolerance(scale, "scale")
     check_tolerance(conditioning, "conditioning")
     rng = np.random.default_rng(seed)
     for _ in range(_ATTEMPTS):
@@ -118,10 +121,7 @@ def _draw_plan(d: int, sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, 
     # each block's entries in the row-major order of its d x k_i draw
     stack = [entries[rows].T.ravel() for rows in layout.slices]
     positions = np.concatenate([part for flat in stack for part in (2 * flat, 2 * flat + 1)])
-    blocks = blocks[:, None]
-    for index in (positions, entries, blocks):
-        index.flags.writeable = False
-    return positions, entries, blocks
+    return _read_only(positions), _read_only(entries), _read_only(blocks[:, None])
 
 
 def random_projective(d: int, k: Sequence[int], seed,

@@ -13,15 +13,12 @@ Both truncation functions copy the kept rows and judge them by the one
 ``is_rs`` rule on their own QR factor ``R_J``, so ``truncate``'s verdict and
 bounds, ``classify`` of the kept blocks and ``truncated_canonical_dual`` agree,
 however large the dropped blocks are.  ``truncate`` forms ``S_J = R_J^* R_J``
-and ``S^{-1}`` from the ``R^{-1}`` the system caches.  Both functions share
-one memo per system for the last drop set either factored: the survivors'
-spectrum ``sigma(R_J)^2`` and, from ``truncate``, its factor of the kept rows
-(``R_J`` and the Householder reflectors), which the next
-``truncated_canonical_dual`` on that drop set hands to ``core._analysis_factor``
-to form ``Q_J`` instead of factoring the rows again, and then drops.  So the
-pair factors the survivors once.  ``ck_sufficient_condition`` reads the lower bound
-from the cached spectrum and the dropped norms ``||V_i||_sp`` from the cached
-block factor.
+and ``S^{-1}`` from the ``R^{-1}`` the system caches.  The survivors' factor
+and spectrum come from ``core._survivor_factor`` and ``core._survivor_dual``, which
+share one memo per system for the last drop set, so the pair ``truncate``,
+``truncated_canonical_dual`` factors the survivors once.
+``ck_sufficient_condition`` reads the lower bound from the cached spectrum and
+the dropped norms ``||V_i||_sp`` from the cached block factor.
 """
 
 from __future__ import annotations
@@ -31,18 +28,16 @@ from typing import Iterable
 
 import numpy as np
 
-from ._linalg import (dagger, frobenius, hermitian_part, householder, householder_basis,
-                      nonsingular, singular_values)
+from ._linalg import dagger, frobenius, hermitian_part, nonsingular, singular_values
 from .core import (
     DEFAULT_TOLERANCE,
     ReconstructionSystem,
-    _analysis_factor,
-    _canonical,
     _frame_bounds,
     _from_analysis,
     _index_subset,
     _inverse_gram,
-    _squared_spectrum,
+    _survivor_dual,
+    _survivor_factor,
 )
 from .errors import GFramesError, NotReconstructionSystemError, StructuralError
 
@@ -76,30 +71,24 @@ class TruncationReport:
     bounds_after: tuple[float, float] | None
 
 
-def _kept_rows(system: ReconstructionSystem, dropped: Iterable[int]
-               ) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
+def _survivor_rows(system: ReconstructionSystem, dropped: Iterable[int]
+                   ) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
     """The checked dropped and kept indices, and a copy of the kept blocks' analysis rows."""
     drop = _index_subset(dropped, system.m, "dropped")
     if len(drop) == system.m:
         raise StructuralError("cannot drop every block")
     kept = tuple(i for i in range(system.m) if i not in drop)
-    chosen = np.ones(system.m, dtype=bool)
-    chosen[list(drop)] = False
-    return drop, kept, system.analysis[np.repeat(chosen, system.k)]
+    return drop, kept, np.concatenate([system.blocks[i] for i in kept])
 
 
 def truncate(system: ReconstructionSystem, dropped: Iterable[int],
              tolerance: float = DEFAULT_TOLERANCE) -> TruncationReport:
     """Drop the blocks in ``dropped`` (a proper subset) and report stability; raises
     ``NotReconstructionSystemError`` unless the whole system is RS, as ``M_J`` needs ``S^{-1}``."""
-    drop, kept, rows = _kept_rows(system, dropped)
+    drop, kept, rows = _survivor_rows(system, dropped)
     inverse = _inverse_gram(system, tolerance)
-    lower, _ = _frame_bounds(system)
-    r, tau = householder(rows)
-    memo, spectrum, _ = vars(system).get("_kept", (None, None, None))
-    if memo != drop:
-        spectrum = _squared_spectrum(r, system.d)
-    vars(system)["_kept"] = drop, spectrum, (r, rows, tau)  # for truncated_canonical_dual
+    lower, _ = _frame_bounds(system, tolerance)
+    r, spectrum = _survivor_factor(system, drop, rows)
     survivor_gram = hermitian_part(dagger(r) @ r)
     truncation_factor = survivor_gram @ inverse
     bounds = float(spectrum[-1]), float(spectrum[0])
@@ -121,24 +110,15 @@ def truncated_canonical_dual(system: ReconstructionSystem, dropped: Iterable[int
 
     Raises ``NotReconstructionSystemError`` when the kept rows fail the ``is_rs``
     rule, exactly when ``canonical_dual`` of the kept blocks raises, and
-    ``GFramesError`` when ``||sum_kept W_i^* V_i - I|| > tolerance``.
+    ``GFramesError`` when ``||sum_{i not in J} W_i^* V_i - I|| > tolerance``.
     """
-    drop, kept, rows = _kept_rows(system, dropped)
+    drop, kept, rows = _survivor_rows(system, dropped)
     survivors = _from_analysis(rows, [system.k[i] for i in kept])
-    memo, spectrum, handed = vars(system).get("_kept", (None, None, None))
-    factor = None
-    if memo == drop:
-        vars(survivors)["_spectrum"] = spectrum
-        if handed is not None:
-            r, reflectors, tau = handed
-            factor = householder_basis(reflectors, tau), r
     try:
-        dual = _canonical(survivors, *_analysis_factor(survivors, tolerance, factor=factor))
+        dual = _survivor_dual(system, drop, survivors, tolerance)
     except NotReconstructionSystemError:
         raise NotReconstructionSystemError(
             "surviving blocks have no positive lower frame bound") from None
-    finally:
-        vars(system)["_kept"] = drop, survivors._spectrum, None
     residual = frobenius(dagger(dual.analysis) @ survivors.analysis - np.eye(system.d))
     if residual > tolerance:
         raise GFramesError(f"truncated canonical dual misses the identity by {residual:.3e}")

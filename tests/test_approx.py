@@ -62,6 +62,9 @@ def test_polar_rejects_bad_blocks():
         gf.polar_coisometry(np.array([[1.0, 0.0], [2.0, 0.0]]))
     with pytest.raises(PreconditionError):
         gf.polar_coisometry(np.zeros(3))
+    for empty in ((0, 3), (0, 0)):
+        with pytest.raises(PreconditionError, match="^block must have at least one row$"):
+            gf.polar_coisometry(np.zeros(empty))
 
 
 def test_weighted_coisometry_detection():
@@ -72,6 +75,7 @@ def test_weighted_coisometry_detection():
     assert not gf.is_weighted_coisometry(np.diag([2.0, 4.0]))
     assert not gf.is_weighted_coisometry(np.zeros((2, 3)))
     assert not gf.is_weighted_coisometry(np.ones((3, 2)))
+    assert not gf.is_weighted_coisometry(np.zeros((0, 3)))
     canonical = gf.canonical_dual(gf.fixtures()["overlapping_planes"])
     assert not gf.is_weighted_coisometry(canonical.blocks[0])
 

@@ -177,6 +177,13 @@ def test_signature_validation():
         gf.RSSignature(m=1, k=(0,), d=3)
     with pytest.raises(StructuralError):
         gf.RSSignature(m=0, k=(), d=3)
+    for sizes in ((1.5, 2), (2.0, 2), (True, 2), ("2", 2)):  # none is cut to an integer
+        with pytest.raises(StructuralError, match="^signature block sizes k must be integers$"):
+            gf.RSSignature(m=2, k=sizes, d=4)
+        with pytest.raises(StructuralError, match="^block sizes k must be integers$"):
+            gf.system_from_synthesis(np.ones((4, 4)), sizes)
+    signature = gf.RSSignature(m=2, k=(np.int64(1), np.uint8(2)), d=4)
+    assert signature.k == (1, 2) and all(type(ki) is int for ki in signature.k)
 
 
 def test_system_validation():
@@ -310,7 +317,8 @@ def test_every_verdict_checks_its_tolerance(tolerance, problem):
     system = gf.fixtures()["riesz_with_projective_dual"]
     for judge in (gf.classify, gf.nearest_projective, gf.riesz_projective_dual_check,
                   lambda s, t: gf.is_weighted_coisometry(s.blocks[0], t),
-                  lambda s, t: gf.polar_coisometry(s.blocks[0], t)):
+                  lambda s, t: gf.polar_coisometry(s.blocks[0], t),
+                  lambda s, t: gf.verify_dual(s, s, t)):
         with pytest.raises(StructuralError, match=f"^tolerance must be {problem}$"):
             judge(system, tolerance)
 

@@ -189,13 +189,13 @@ def test_error_report_reads_the_sampler_scores_only_against_the_sampled_system(m
     system = random_system(5, (2, 3, 1, 4), 420)
     samples = gf.dual_manifold_sample(system, 421, 70)
     computed = []
-    scores = erasure._scores
+    scores = core._scores
 
     def counted(owner, stacks):
         computed.append(owner)
         return scores(owner, stacks)
 
-    monkeypatch.setattr(erasure, "_scores", counted)
+    monkeypatch.setattr(core, "_scores", counted)
     memoized = [gf.error_report(system, sample) for sample in samples]
     assert computed == []
     # a copy with equal blocks, or another system of the same signature, is not the
@@ -389,6 +389,9 @@ def test_wce_minimize_validation():
     system = gf.fixtures()["overlapping_planes"]
     with pytest.raises(StructuralError):
         gf.wce_minimize(system, iterations=0)
+    for iterations in (2.5, 3.0, True, "3"):  # none is cut to an integer
+        with pytest.raises(StructuralError, match="^iterations must be an integer$"):
+            gf.wce_minimize(system, iterations=iterations)
 
 
 def scaled(system, c):
@@ -501,3 +504,4 @@ def test_weighted_duals_of_an_ill_conditioned_system_that_passes_is_rs():
     canonical = gf.canonical_dual(system)
     assert (gf.error_report(system, two_error).two_error
             <= gf.error_report(system, canonical).two_error * (1 + 1e-12))
+

@@ -5,12 +5,12 @@ The counters wrap ``core.frame_operator`` (the block Gram sum ``S``) and the
 count ``_linalg.qr_basis``, the first half ``_linalg.householder`` of a QR and
 ``_linalg.hermitian_eigenvalues`` (the same LAPACK calls without numpy's
 wrapper) as ``qr`` and ``eigvalsh``, and ``_linalg.triangular_inverse`` of
-``R`` as one ``inv``, wrapped where ``generate``, ``stability`` and ``core``
-call them.  Every op that needs the frame bounds or ``S^{-1}`` takes them from
-one QR of the analysis matrix ``T = Q R`` (one ``qr``, at most one ``inv`` of
-``R``, and one values-only ``svd`` of ``R`` the first time a system is
-factored, since the system caches that spectrum); no op builds ``S`` block by
-block or inverts it, and no op's precondition takes more than the one verdict
+``R`` as one ``inv``, wrapped where ``generate`` and ``core`` call them.
+Every op that needs the frame bounds or ``S^{-1}`` takes them from one QR of
+the analysis matrix ``T = Q R`` (one ``qr``, at most one ``inv`` of ``R``, and
+one values-only ``svd`` of ``R`` the first time a system is factored, since
+the system caches that spectrum); no op builds ``S`` block by block or
+inverts it, and no op's precondition takes more than the one verdict
 it reads (no library op calls ``classify``).  The system also caches
 ``R^{-1}``, so ``S^{-1}`` on a system that some op has inverted takes no
 ``qr`` and no ``inv``.  The survivors of a truncation are factored and judged
@@ -68,7 +68,7 @@ def counts(monkeypatch):
     counted(np.linalg, "inv", "inv")
     counted(np.linalg, "svd", "svd")
     counted(generate, "qr_basis", "qr")
-    counted(stability, "householder", "qr")
+    counted(core, "householder", "qr")
     counted(core, "triangular_inverse", "inv")
     counted(core, "hermitian_eigenvalues", "eigvalsh")
     return tally
@@ -195,7 +195,6 @@ def test_ops_on_one_system_take_one_spectrum(counts, monkeypatch):
         return survivors[-1]
 
     monkeypatch.setattr(core, "_squared_spectrum", counted)
-    monkeypatch.setattr(stability, "_squared_spectrum", counted)
     monkeypatch.setattr(stability, "_from_analysis", kept)
     system = fresh(GENERAL)
     drop = [0, 3]

@@ -332,6 +332,14 @@ def test_refused_generator_calls_draw_nothing():
         (lambda rng: random_riesz((2, 2), rng, conditioning=0.0), positive),
         (lambda rng: random_riesz((), rng), "^a system needs at least one block$"),
         (lambda rng: random_riesz((2, -1), rng), r"^block 1 must be .* shape \(-1, 1\)$"),
+        (lambda rng: random_riesz((2.7, 1), rng), "^block sizes k must be integers$"),
+        (lambda rng: random_system(4, (2.9, 2.9), rng), "^block sizes k must be integers$"),
+        (lambda rng: random_system(4.0, (2, 2), rng), "^d must be an integer$"),
+        (lambda rng: random_projective(4, (2, True), rng), "^block sizes k must be integers$"),
+        (lambda rng: random_coisometry(rng, 2, 4.5), "^d must be an integer$"),
+        (lambda rng: random_system(4, (2, 2), rng, scale=np.nan), "^scale must be positive$"),
+        (lambda rng: random_system(4, (2, 2), rng, scale=0.0), "^scale must be positive$"),
+        (lambda rng: random_system(4, (2, 2), rng, scale=np.inf), "^scale must be finite$"),
         (lambda rng: commuting_projective(4, [(0, 1), (2, 3)], rng, weights=[np.inf, 1.0]),
          weights),
     ]
@@ -346,3 +354,28 @@ def test_refused_generator_calls_draw_nothing():
     with pytest.raises(StructuralError, match="^a coisometry needs k <= d$"):
         random_projective(4, (10**6,), 0)
     assert core._layout.cache_info().misses == misses
+
+
+def test_refused_dual_samples_draw_nothing():
+    # count, max_redraws and scale are checked before the first draw; none is cut to an
+    # integer, and the message names the argument that was refused
+    system = random_system(4, (2, 2, 1), 414)
+    refusals = [
+        (dict(count=1.5), "^count must be an integer$"),
+        (dict(count=True), "^count must be an integer$"),
+        (dict(count=0), "^count must be at least 1$"),
+        (dict(count=2, max_redraws=2.5), "^max_redraws must be an integer$"),
+        (dict(count=2, scale=np.nan), "^scale must be positive$"),
+        (dict(count=2, scale=0.0), "^scale must be positive$"),
+        (dict(count=2, scale=-1.0), "^scale must be positive$"),
+        (dict(count=2, scale=np.inf), "^scale must be finite$"),
+    ]
+    for arguments, message in refusals:
+        rng = np.random.default_rng(414)
+        state = rng.bit_generator.state
+        with pytest.raises(StructuralError, match=message):
+            gf.dual_manifold_sample(system, rng, **arguments)
+        assert rng.bit_generator.state == state
+    drawn = gf.dual_manifold_sample(system, 414, np.int64(3), max_redraws=np.int32(5))
+    for mine, theirs in zip(drawn, gf.dual_manifold_sample(system, 414, 3), strict=True):
+        assert_same_blocks(mine, theirs)
