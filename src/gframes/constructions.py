@@ -42,6 +42,7 @@ from .core import (
     ReconstructionSystem,
     _block_spectra,
     _canonical,
+    _integer,
     _inverse_gram,
     _layout,
     blockwise_distance,
@@ -132,6 +133,7 @@ class UnitaryRepresentation:
 
 def cyclic_shift_representation(n: int) -> UnitaryRepresentation:
     """Cyclic group of order ``n`` acting on ``C^n`` by coordinate shifts."""
+    n = _integer(n, "n must be an integer")
     if n < 1:
         raise StructuralError("order must be positive")
     shift = np.zeros((n, n), dtype=np.complex128)
@@ -219,6 +221,7 @@ def unit_sum_coefficients(count: int) -> tuple[complex, ...]:
     counts use pairs plus a conjugate pair of primitive sixth roots of unity
     (which sum to 1).
     """
+    count = _integer(count, "count must be an integer")
     if count < 1:
         raise StructuralError("count must be at least 1")
     pairs = (count - 1) // 2 if count % 2 else (count - 2) // 2

@@ -166,6 +166,9 @@ def partition_protocol(d: int, block_dim: int, copies: int, seed) -> Reconstruct
     slices; scaling every slice by ``1/sqrt(copies)`` makes the union a
     protocol with all weights equal.
     """
+    d = _integer(d, "d must be an integer")
+    block_dim = _integer(block_dim, "block_dim must be an integer")
+    copies = _integer(copies, "copies must be an integer")
     if d < 1 or block_dim < 1 or d % block_dim != 0:
         raise StructuralError("block_dim must be a positive divisor of d >= 1")
     if copies < 1:
@@ -196,8 +199,13 @@ def commuting_projective(d: int, masks: Iterable[Iterable[int]], seed,
     Every block selects the coordinate subset ``masks[i]`` of one shared
     random orthonormal basis, so all range projections diagonalize together;
     coordinate ``j``'s multiplicity is the number of masks containing it.
+    Mask entries must be integers (not bools) and must not repeat within a mask.
     """
-    mask_list = [tuple(sorted(int(j) for j in mask)) for mask in masks]
+    d = _integer(d, "d must be an integer")
+    mask_list = [tuple(sorted(_integer(j, "mask entries must be integers") for j in mask))
+                 for mask in masks]
+    if any(len(set(mask)) != len(mask) for mask in mask_list):
+        raise StructuralError("mask entries must not repeat")
     if not mask_list or any(not mask for mask in mask_list):
         raise StructuralError("need at least one non-empty mask per block")
     if any(j < 0 or j >= d for mask in mask_list for j in mask):

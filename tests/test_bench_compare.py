@@ -73,3 +73,50 @@ def test_the_side_that_runs_tier1_first_alternates_over_invocations(monkeypatch)
     order.clear()  # a record of one unlisted run per side holds an odd number of runs
     bench_compare.measure_tier1(roots, {"parent": run(20.0), "change": run(15.0)})
     assert order == ["c", "p"]
+
+
+def test_tier1_runs_are_bracketed_by_the_calibration_kernel(monkeypatch):
+    # the kernel child runs in the checkout just before and just after the suite, and each
+    # test's scaled seconds are its seconds times the reference over the mean kernel time
+    commands = []
+    kernel_times = iter([0.020, 0.024, 0.011, 0.011])
+    suite = "\n".join(["...", "3.00s call     crit02", "1.00s setup    crit02", "2 passed in 9.0s"])
+
+    def runner(command, cwd, env, **kwargs):
+        commands.append((command[1], cwd, env["OPENBLAS_NUM_THREADS"]))
+        if command[1] == "-c":
+            assert "Calibration('calls')" in command[2]
+            stdout = json.dumps([next(kernel_times), 0.011])
+        else:
+            stdout = suite
+        return bench_compare.subprocess.CompletedProcess(command, 0, stdout, "")
+
+    monkeypatch.setattr(bench_compare.subprocess, "run", runner)
+    slow, fast = (bench_compare.run_tier1(Path("checkout")) for _ in range(2))
+    assert commands == [("-c", Path("checkout"), "1"), ("-m", Path("checkout"), "1"),
+                        ("-c", Path("checkout"), "1")] * 2
+    assert slow["calibration"] == {"before_s": 0.020, "after_s": 0.024, "reference_s": 0.011}
+    assert bench_compare.reference_factor(slow) == 0.011 / 0.022
+    entry = bench_compare.merge_tier1({}, {"parent": slow, "change": fast})
+    entry = bench_compare.merge_tier1(json.loads(json.dumps(entry)),
+                                      {"parent": run(20.0, crit02=2.0), "change": fast})
+    # the parent's second run has no calibration, so only its first run is scaled
+    assert entry["parent"]["tests"] == {
+        "crit02": {"median_s": 2.5, "runs": 2, "median_scaled_s": 1.5}}
+    assert entry["change"]["tests"] == {
+        "crit02": {"median_s": 3.0, "runs": 2, "median_scaled_s": 3.0}}
+
+    failed = iter([json.dumps([0.02, 0.011]), None])
+
+    def failing(command, cwd, env, **kwargs):
+        if command[1] == "-c":
+            stdout = next(failed)
+            return bench_compare.subprocess.CompletedProcess(command, 0 if stdout else 1,
+                                                             stdout or "", "")
+        return bench_compare.subprocess.CompletedProcess(command, 0, suite, "")
+
+    monkeypatch.setattr(bench_compare.subprocess, "run", failing)
+    lone = bench_compare.run_tier1(Path("checkout"))
+    assert lone["calibration"] is None and bench_compare.reference_factor(lone) is None
+    assert bench_compare.merge_tier1({}, {"parent": lone})["parent"]["tests"] == {
+        "crit02": {"median_s": 3.0, "runs": 1}}

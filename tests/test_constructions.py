@@ -126,6 +126,18 @@ def test_unit_sum_coefficients_validation():
         gf.unit_sum_coefficients(0)
 
 
+def test_orders_and_counts_must_be_integers():
+    # floats and bools are refused with a message naming the argument, not cut or
+    # passed on to numpy; numpy integers are read as ints
+    for bad in (2.5, 3.0, True):
+        with pytest.raises(StructuralError, match="^n must be an integer$"):
+            gf.cyclic_shift_representation(bad)
+        with pytest.raises(StructuralError, match="^count must be an integer$"):
+            gf.unit_sum_coefficients(bad)
+    assert gf.cyclic_shift_representation(np.int64(3)).order == 3
+    assert gf.unit_sum_coefficients(np.int32(3)) == gf.unit_sum_coefficients(3)
+
+
 def test_commuting_dual_of_the_planes_fixture():
     system = gf.fixtures()["overlapping_planes"]
     dual = gf.commuting_projective_dual(system)

@@ -29,6 +29,8 @@ not counted.  A separate counter checks that ``error_report`` factors each
 system once, however many duals it scores against it (``dual_manifold_sample``
 takes that factor itself to score its samples), and another that each
 ``random_projective`` attempt, kept or rejected, is one ``qr`` and one ``eigvalsh``.
+``dual_manifold_sample`` takes no ``eigvalsh`` for the attempts its duality
+certificate accepts.
 """
 
 from collections import Counter
@@ -109,6 +111,11 @@ CASES = {
     "nearest_projective": (lambda: gf.nearest_projective(fresh(GENERAL)), {"qr": 1, "svd": 1}),
     # one stacked product, no factorization
     "verify_dual": (lambda: gf.verify_dual(GENERAL, GENERAL), {}),
+    # one analysis QR, its spectrum and R^{-1} for the chart; the block QR for the scores.
+    # Every attempt on a well-conditioned system is certified by W^* T = I at the default
+    # tolerance, so the 200 draws take no eigvalsh
+    "dual_manifold_sample": (lambda: gf.dual_manifold_sample(fresh(MIXED), seed=9, count=200),
+                             {"qr": 2, "inv": 1, "svd": 1}),
     # the stacked block spectra and one analysis QR for the bounds and the canonical
     # dual; error_report's block factor
     "wce_condition": (lambda: gf.wce_condition(fresh(PROJECTIVE)),

@@ -233,6 +233,53 @@ def test_dual_manifold_sample_scores_are_fresh_error_reports(system, count, scal
     assert np.array_equal(mine.standard_normal(4), theirs.standard_normal(4))
 
 
+def test_certified_attempts_are_those_the_eigenvalues_accept(monkeypatch):
+    # The certificate decides the attempts whose duality bound clears the tolerance and
+    # leaves the others to the eigenvalues; the samples, the SamplingError and the generator
+    # state stay those of the one-at-a-time loop, which judges every attempt by eigenvalues.
+    # On this d = 5 system the bound decides every attempt at scale 1e2, a share at 10^3.75
+    # (10^5.75 at tolerance 1e-15), none at 10^4.25, where the eigenvalues reject some, and
+    # at 1e6 every attempt is rejected.  The bound is unchanged at 2^+-300.
+    base = random_system(5, (3, 1, 2, 1), 418)
+    sent = []  # how many attempts of each batch the certificate left undecided
+    judged = duals._analysis_is_rs
+    monkeypatch.setattr(duals, "_analysis_is_rs",
+                        lambda analyses, tolerance: sent.append(len(analyses))
+                        or judged(analyses, tolerance))
+
+    def draw(sampler, system, rng, scale, tolerance):
+        try:
+            return sampler(system, rng, 40, scale=scale, tolerance=tolerance)
+        except SamplingError as exc:
+            return str(exc)
+
+    def reference(*args, **kwargs):
+        with np.errstate(over="ignore"):  # classify's protocol flag squares a 2^600 spectrum
+            return dual_sample_reference(*args, **kwargs)[0]
+
+    cases = [(1e2, 1e-9, 0, "certified"), (10**3.75, 1e-9, 0, "mixed"),
+             (10**4.25, 1e-9, 0, "undecided"), (1e6, 1e-9, 0, "refused"),
+             (10**5.75, 1e-15, 0, "mixed"), (10**3.75, 1e-9, 300, "mixed"),
+             (10**3.75, 1e-9, -300, "mixed")]
+    for scale, tolerance, power, kind in cases:
+        system = gf.ReconstructionSystem([block * 2.0**power for block in base.blocks])
+        mine, theirs = np.random.default_rng(420), np.random.default_rng(420)
+        sent.clear()
+        samples = draw(gf.dual_manifold_sample, system, mine, scale, tolerance)
+        expected = draw(reference, system, theirs, scale, tolerance)
+        assert np.array_equal(mine.bit_generator.state["state"]["state"],
+                              theirs.bit_generator.state["state"]["state"])
+        if kind == "refused":
+            assert samples == expected == "no usable dual after 100 redraws"
+            continue
+        assert len(samples) == len(expected) == 40
+        for sample, other in zip(samples, expected):
+            assert np.array_equal(sample.analysis, other.analysis)
+        undecided = sum(sent)
+        assert {"certified": undecided == 0, "mixed": 0 < undecided < 40,
+                "undecided": undecided > 40}[kind], (scale, tolerance, power, sent)
+
+
 @pytest.mark.parametrize("k", MIXED_SIZES)
 def test_random_riesz_matches_blockwise_slices(k):
     for seed in range(20):
@@ -260,6 +307,16 @@ def test_generators_reject_malformed_shapes():
         with pytest.raises(StructuralError,
                            match="^block_dim must be a positive divisor of d >= 1$"):
             partition_protocol(d, block_dim, 1, 0)
+    for d, block_dim, copies, message in ((4, 2, 1.5, "copies"), (4.0, 2, 1, "d"),
+                                          (4, True, 1, "block_dim"), (4, 2, False, "copies")):
+        with pytest.raises(StructuralError, match=f"^{message} must be an integer$"):
+            partition_protocol(d, block_dim, copies, 0)
+    for d, masks, message in ((4, [(0, 1), (2, 3.7)], "^mask entries must be integers$"),
+                              (4, [(0, 1), (True, 2, 3)], "^mask entries must be integers$"),
+                              (3, [(0, 0, 1), (2,)], "^mask entries must not repeat$"),
+                              (4.0, [(0, 1), (2, 3)], "^d must be an integer$")):
+        with pytest.raises(StructuralError, match=message):
+            commuting_projective(d, masks, 0)
     with pytest.raises(StructuralError, match="^a system needs at least one block$"):
         random_riesz((), 0)
     with pytest.raises(StructuralError, match="^block 0 must be a non-empty 2-d matrix"):
@@ -342,6 +399,13 @@ def test_refused_generator_calls_draw_nothing():
         (lambda rng: random_system(4, (2, 2), rng, scale=np.inf), "^scale must be finite$"),
         (lambda rng: commuting_projective(4, [(0, 1), (2, 3)], rng, weights=[np.inf, 1.0]),
          weights),
+        (lambda rng: commuting_projective(4, [(0, 1), (2, 3.7)], rng),
+         "^mask entries must be integers$"),
+        (lambda rng: commuting_projective(3, [(0, 0, 1), (2,)], rng),
+         "^mask entries must not repeat$"),
+        (lambda rng: partition_protocol(4, 2, 1.5, rng), "^copies must be an integer$"),
+        (lambda rng: partition_protocol(4.0, 2, 1, rng), "^d must be an integer$"),
+        (lambda rng: partition_protocol(4, True, 1, rng), "^block_dim must be an integer$"),
     ]
     for refuse, message in refusals:
         rng = np.random.default_rng(411)

@@ -65,6 +65,17 @@ writes one file adds a sample, and the entry holds per side the median wall
 time and, under ``tests``, each test's median call seconds over the runs that
 list it, with their number.  A failing suite is recorded, not fatal.
 
+Test seconds drift with the machine's speed as benchmark timings do, so each
+suite run is bracketed by the benchmark's calibration: just before and just
+after the suite, a child process in the same checkout times the gframes-free
+``"calls"`` kernel of ``bench/run.py``'s ``Calibration`` (the median of
+``KERNEL_REPEATS`` runs) and reports its reference time.  The run records both
+times and the reference under ``calibration`` (null when the child fails), and
+each test's entry adds ``median_scaled_s``: the median over the calibrated runs
+of its seconds times the reference over the mean of the two kernel times, the
+rule ``Calibration.scale`` applies to a benchmark timing (absent when no run
+that lists the test is calibrated).
+
 Standard library only; the checkouts themselves need numpy.
 """
 
@@ -92,6 +103,13 @@ TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cach
          "--durations=10"]
 # A line of pytest's "slowest durations" table, e.g. "11.68s call     tests/x.py::test_y".
 DURATION = re.compile(r"^(\d+(?:\.\d+)?)s (setup|call|teardown) +(\S+)$")
+# Runs of the calibration kernel per timing, and the child that times them in a checkout:
+# it prints the median kernel seconds and the kernel's reference seconds as a JSON list.
+KERNEL_REPEATS = 5
+KERNEL = ("import json, statistics, sys; sys.path.insert(0, 'bench'); from run import Calibration; "
+          "kernel = Calibration('calls'); "
+          f"times = [kernel.kernel() for _ in range({KERNEL_REPEATS})]; "
+          "print(json.dumps([statistics.median(times), Calibration.REFERENCE_S['calls']]))")
 
 
 def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -111,20 +129,43 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"result": json.loads(lines[-1]), **tagged}
 
 
+def time_kernel(root: Path, env: dict) -> list[float] | None:
+    """``[median kernel seconds, reference seconds]`` of the calibration kernel of ``root``'s
+    ``bench/run.py``, timed in a child process; None if the child fails."""
+    done = subprocess.run([sys.executable, "-c", KERNEL], cwd=root, env=env,
+                          capture_output=True, text=True, check=False)
+    return json.loads(done.stdout) if done.returncode == 0 else None
+
+
 def run_tier1(root: Path) -> dict:
-    """Wall time of the checkout's tier-1 suite at one BLAS thread, and its slowest tests."""
+    """Wall time of the checkout's tier-1 suite at one BLAS thread, its slowest tests, and the
+    calibration kernel timed just before and just after it."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), path])))
+    before = time_kernel(root, env)
     begin = time.perf_counter()
     done = subprocess.run([sys.executable, *TIER1], cwd=root, env=env, capture_output=True,
                           text=True, check=False)
     wall = time.perf_counter() - begin
+    after = time_kernel(root, env)
     lines = done.stdout.strip().splitlines()
     slowest = [{"seconds": float(hit[1]), "when": hit[2], "id": hit[3]}
                for hit in map(DURATION.match, lines) if hit]
+    calibration = None
+    if before and after:
+        calibration = {"before_s": before[0], "after_s": after[0], "reference_s": before[1]}
     return {"wall_s": wall, "exit": done.returncode, "result": lines[-1] if lines else "",
-            "slowest": slowest}
+            "slowest": slowest, "calibration": calibration}
+
+
+def reference_factor(run: dict) -> float | None:
+    """The reference kernel time over the mean of the kernel times around ``run``'s suite, or
+    None for a run without a calibration."""
+    calibration = run.get("calibration")
+    if not calibration:
+        return None
+    return calibration["reference_s"] / (0.5 * (calibration["before_s"] + calibration["after_s"]))
 
 
 def recorded_runs(entry: dict, side: str) -> list[dict]:
@@ -153,17 +194,22 @@ def merge_tier1(entry: dict, runs: dict) -> dict:
     merged = {}
     for side, run in runs.items():
         kept = [*recorded_runs(entry, side), run]
-        calls = {}
+        calls, scaled = {}, {}
         for each in kept:
+            factor = reference_factor(each)
             for hit in each["slowest"]:
                 if hit["when"] == "call":
                     calls.setdefault(hit["id"], []).append(hit["seconds"])
+                    if factor is not None:
+                        scaled.setdefault(hit["id"], []).append(hit["seconds"] * factor)
         merged[side] = {
             "runs": kept,
             "wall_s": statistics.median(each["wall_s"] for each in kept),
             "tests": {name: {"median_s": statistics.median(seconds), "runs": len(seconds)}
                       for name, seconds in sorted(calls.items())},
         }
+        for name, seconds in scaled.items():
+            merged[side]["tests"][name]["median_scaled_s"] = statistics.median(seconds)
     return {"command": "python " + " ".join(TIER1),
             "env": {"OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": "src"}, **merged}
 
