@@ -12,6 +12,7 @@ library modules it runs inside its handler and a call loads no others.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from dataclasses import asdict
@@ -21,6 +22,7 @@ import numpy as np
 from ._linalg import check_tolerance
 from .errors import GFramesError, StructuralError
 from .serialize import (
+    _complex,
     dumps_canonical,
     load_system,
     matrix_to_pairs,
@@ -62,16 +64,11 @@ def _signal(text: str, d: int) -> np.ndarray:
         raise StructuralError(f"--signal must be a JSON list of {d} entries")
     out = np.zeros(d, dtype=np.complex128)
     for i, entry in enumerate(payload):
-        parts = entry if isinstance(entry, list) and len(entry) == 2 else [entry, 0]
-        if not all(isinstance(part, (int, float)) and not isinstance(part, bool)
-                   for part in parts):
-            raise StructuralError(f"--signal entry {i} must be a number or [re, im] pair")
-        try:
-            out[i] = complex(float(parts[0]), float(parts[1]))
-        except OverflowError:  # an integer beyond the float range
-            out[i] = np.inf
-        if not np.isfinite(out[i]):
-            raise StructuralError(f"--signal entry {i} must be finite")
+        number = _complex(entry if isinstance(entry, list) and len(entry) == 2 else (entry, 0))
+        if number is None or not cmath.isfinite(number):
+            problem = "be finite" if number is not None else "be a number or [re, im] pair"
+            raise StructuralError(f"--signal entry {i} must {problem}")
+        out[i] = number
     return out
 
 

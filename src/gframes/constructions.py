@@ -6,7 +6,9 @@ Three independent construction families live here.
 Group orbits: a finite unitary representation ``g -> U_g`` turns one base
 block ``V`` into the system ``{V U_g}``.  Its block Gram sum commutes with
 every ``U_h``, so the canonical dual is again a group orbit (of ``V S^{-1}``)
-and, for surjective bases, so is the nearest projective system.
+and, for surjective bases, so is the nearest projective system.  The
+representation keeps its elements as one read-only ``n x d x d`` stack, and
+validation, the orbit and the commutators are stacked products over it.
 
 Commuting projections: when the normalized block Gram matrices
 ``P_i = v_i^{-2} V_i^* V_i`` pairwise commute they share eigenspaces; placing
@@ -42,9 +44,11 @@ from .core import (
     ReconstructionSystem,
     _block_spectra,
     _canonical,
+    _from_analysis,
     _integer,
     _inverse_gram,
     _layout,
+    _read_only,
     blockwise_distance,
 )
 from .errors import (
@@ -78,45 +82,48 @@ __all__ = [
 class UnitaryRepresentation:
     """Finite group of unitaries with its multiplication table.
 
-    ``table[g, h]`` is the index of ``U_g U_h``.  Validation checks each
-    matrix for unitarity, the table for closure against actual products, and
-    the existence of an identity element, all within ``1e-10``.
+    ``table[g, h]`` is the index of ``U_g U_h``.  The elements are copied once
+    into a read-only ``n x d x d`` stack, of which ``unitaries`` holds
+    read-only views, and the table into a read-only integer array, so later
+    writes to the inputs do not reach the representation.  Validation checks
+    the stack for unitarity, the table for closure against actual products
+    and for an identity element, each matrix within ``1e-10`` in Frobenius
+    norm; a non-finite element fails.
     """
 
     unitaries: tuple[np.ndarray, ...]
     table: np.ndarray
 
     def __post_init__(self) -> None:
-        mats = tuple(np.asarray(u, dtype=np.complex128) for u in self.unitaries)
+        mats = [np.asarray(u, dtype=np.complex128) for u in self.unitaries]
         if not mats:
             raise StructuralError("a representation needs at least one element")
-        d = mats[0].shape[0]
+        d = mats[0].shape[0] if mats[0].ndim else 1  # a 0-d element is no 1 x 1 matrix
         for g, u in enumerate(mats):
-            if u.ndim != 2 or u.shape != (d, d):
+            if u.shape != (d, d):
                 raise StructuralError(f"element {g} is not {d} x {d}")
-            if frobenius(dagger(u) @ u - np.eye(d)) > REPRESENTATION_TOLERANCE:
-                raise StructuralError(f"element {g} is not unitary")
-        table = np.asarray(self.table, dtype=int)
+        stack = _read_only(np.array(mats))
+        unfit = _misfits(dagger(stack) @ stack, np.eye(d))
+        if unfit.size:
+            raise StructuralError(f"element {unfit[0]} is not unitary")
         m = len(mats)
-        if table.shape != (m, m) or table.min() < 0 or table.max() >= m:
+        table = np.asarray(self.table)
+        if (table.dtype.kind not in "iu" or table.shape != (m, m)
+                or table.min() < 0 or table.max() >= m):
             raise StructuralError(f"table must be {m} x {m} with entries in [0, {m})")
+        table = _read_only(table.astype(int))
         for g in range(m):
-            for h in range(m):
-                product = mats[g] @ mats[h]
-                if frobenius(product - mats[table[g, h]]) > REPRESENTATION_TOLERANCE:
-                    raise StructuralError(f"table entry ({g}, {h}) does not match the product")
-        identity = None
-        order = np.arange(m)
-        for e in range(m):
-            if np.array_equal(table[e], order) and np.array_equal(table[:, e], order):
-                identity = e
-                break
-        if identity is None or frobenius(mats[identity] - np.eye(d)) > REPRESENTATION_TOLERANCE:
+            unfit = _misfits(stack[g] @ stack, stack[table[g]])
+            if unfit.size:
+                raise StructuralError(f"table entry ({g}, {unfit[0]}) does not match the product")
+        # e is the identity index when row e and column e of the table both read 0..n-1
+        identity = np.flatnonzero((np.stack((table, table.T)) == np.arange(m)).all(axis=(0, 2)))
+        if not identity.size or _misfits(stack[identity[0]], np.eye(d)).size:
             raise StructuralError("representation has no identity element")
-        table.flags.writeable = False
-        object.__setattr__(self, "unitaries", mats)
+        object.__setattr__(self, "unitaries", tuple(stack))
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "_identity", identity)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "_identity", int(identity[0]))
 
     @property
     def order(self) -> int:
@@ -124,26 +131,31 @@ class UnitaryRepresentation:
 
     @property
     def dimension(self) -> int:
-        return self.unitaries[0].shape[0]
+        return self._stack.shape[1]
 
     @property
     def identity_index(self) -> int:
         return self._identity
 
 
+def _misfits(stack: np.ndarray, expected: np.ndarray) -> np.ndarray:
+    """Indices of the matrices of ``stack`` not within ``REPRESENTATION_TOLERANCE`` of
+    ``expected`` in Frobenius norm, read as squares; a non-finite difference is never within."""
+    difference = (stack - expected).reshape(*np.shape(stack)[:-2], -1)
+    return np.flatnonzero(~(np.vecdot(difference, difference).real <= REPRESENTATION_TOLERANCE**2))
+
+
 def cyclic_shift_representation(n: int) -> UnitaryRepresentation:
-    """Cyclic group of order ``n`` acting on ``C^n`` by coordinate shifts."""
+    """Cyclic group of order ``n`` acting on ``C^n`` by coordinate shifts.
+
+    ``U_g`` sends ``e_i`` to ``e_{i+g}``: it is ``I`` with its rows rolled down by ``g``.
+    """
     n = _integer(n, "n must be an integer")
     if n < 1:
         raise StructuralError("order must be positive")
-    shift = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        shift[i, (i - 1) % n] = 1.0
-    powers = [np.eye(n, dtype=np.complex128)]
-    for _ in range(n - 1):
-        powers.append(shift @ powers[-1])
-    table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    return UnitaryRepresentation(tuple(powers), table)
+    order = np.arange(n)
+    powers = np.eye(n, dtype=np.complex128)[(order - order[:, None]) % n]
+    return UnitaryRepresentation(tuple(powers), (order[:, None] + order) % n)
 
 
 def direct_product(a: UnitaryRepresentation,
@@ -163,7 +175,7 @@ def group_rs(rep: UnitaryRepresentation, base: np.ndarray) -> ReconstructionSyst
     if b.shape[1] != rep.dimension:
         raise StructuralError(
             f"base acts on C^{b.shape[1]} but the representation is on C^{rep.dimension}")
-    return ReconstructionSystem(tuple(b @ u for u in rep.unitaries))
+    return _from_analysis(np.concatenate(b @ rep._stack), (b.shape[0],) * rep.order)
 
 
 @dataclass(frozen=True)
@@ -193,7 +205,7 @@ def group_rs_checks(rep: UnitaryRepresentation, base: np.ndarray,
     system = group_rs(rep, base)
     dual = _canonical(system, tolerance)
     gram = dagger(system.analysis) @ system.analysis
-    commutation = max(frobenius(gram @ u - u @ gram) for u in rep.unitaries)
+    commutation = np.linalg.norm(gram @ rep._stack - rep._stack @ gram, axis=(-2, -1)).max()
 
     dual_base = np.asarray(base, dtype=np.complex128) @ _inverse_gram(system, tolerance)
     dual_deviation = blockwise_distance(dual, group_rs(rep, dual_base))

@@ -31,6 +31,7 @@ indices are 0-based everywhere.
 
 from __future__ import annotations
 
+import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -571,8 +572,8 @@ def classify(system: ReconstructionSystem,
     injective, weights = _block_spectra(system, tolerance)
     lower, upper = float(system._spectrum[-1]), float(system._spectrum[0])
     uniform = weights is not None and flat(min(weights), max(weights), tolerance)
-    # ||S - I|| from the eigenvalues of the Hermitian S
-    protocol = frobenius(system._spectrum - 1.0) <= tolerance * upper
+    # ||S - I|| from the eigenvalues of the Hermitian S; hypot squares no eigenvalue
+    protocol = math.hypot(*(system._spectrum - 1.0).tolist()) <= tolerance * upper
     return SystemClassification(
         is_rs=nonsingular(lower, upper, tolerance),
         is_injective=injective,

@@ -114,6 +114,7 @@ class ErasureMask:
         raw = self.indices
         if isinstance(raw, Number) or getattr(raw, "ndim", None) == 0:  # one index
             raw = [raw]
+        object.__setattr__(self, "m", _integer(self.m, "m must be an integer"))
         object.__setattr__(self, "indices", frozenset(_index_subset(raw, self.m, "mask")))
 
     @property

@@ -9,6 +9,7 @@ byte-identical inputs give byte-identical output.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from pathlib import Path
@@ -35,16 +36,15 @@ def matrix_to_pairs(a: np.ndarray) -> list:
     return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
-def _entry(value, where: str) -> complex:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise StructuralError(f"{where}: each entry must be an [re, im] pair")
-    if any(isinstance(part, bool) or not isinstance(part, (int, float))
-           for part in value):
-        raise StructuralError(f"{where}: entry parts must be numbers")
-    re, im = float(value[0]), float(value[1])
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise StructuralError(f"{where}: entries must be finite")
-    return complex(re, im)
+def _complex(parts) -> complex | None:
+    """The pair ``parts`` of JSON numbers as a complex number, infinite where an integer lies
+    beyond the float range; None when either part is a bool or not a number."""
+    if any(isinstance(part, bool) or not isinstance(part, (int, float)) for part in parts):
+        return None
+    try:
+        return complex(float(parts[0]), float(parts[1]))
+    except OverflowError:
+        return complex(math.inf)
 
 
 def pairs_to_matrix(rows, expected_rows: int, expected_cols: int, where: str) -> np.ndarray:
@@ -55,7 +55,16 @@ def pairs_to_matrix(rows, expected_rows: int, expected_cols: int, where: str) ->
         if not isinstance(row, list) or len(row) != expected_cols:
             raise StructuralError(f"{where}, row {r}: expected {expected_cols} entries")
         for c, value in enumerate(row):
-            out[r, c] = _entry(value, f"{where}, row {r}, column {c}")
+            if not isinstance(value, (list, tuple)) or len(value) != 2:
+                problem = "each entry must be an [re, im] pair"
+            elif (number := _complex(value)) is None:
+                problem = "entry parts must be numbers"
+            elif not cmath.isfinite(number):
+                problem = "entries must be finite"
+            else:
+                out[r, c] = number
+                continue
+            raise StructuralError(f"{where}, row {r}, column {c}: {problem}")
     return out
 
 
@@ -83,9 +92,8 @@ def system_from_dict(payload) -> ReconstructionSystem:
     blocks = payload["blocks"]
     if not isinstance(blocks, list) or len(blocks) != len(k):
         raise StructuralError(f"'blocks' must list exactly {len(k)} blocks")
-    matrices = [pairs_to_matrix(block, ki, d, f"block {i}")
-                for i, (block, ki) in enumerate(zip(blocks, k))]
-    return ReconstructionSystem(tuple(matrices))
+    return ReconstructionSystem(tuple(pairs_to_matrix(block, ki, d, f"block {i}")
+                                      for i, (block, ki) in enumerate(zip(blocks, k))))
 
 
 def save_system(system: ReconstructionSystem, path) -> None:
@@ -94,17 +102,14 @@ def save_system(system: ReconstructionSystem, path) -> None:
 
 def load_system(path) -> ReconstructionSystem:
     """Load a system; malformed JSON raises ``json.JSONDecodeError`` with location."""
-    text = Path(path).read_text(encoding="utf-8")
-    return system_from_dict(json.loads(text))
+    return system_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def _write(value, out: list) -> None:
     if value is None:
         out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
     elif isinstance(value, (int, np.integer)):
         out.append(str(int(value)))
     elif isinstance(value, (float, np.floating)):

@@ -208,6 +208,11 @@ def test_usage_and_parse_failures_exit_two(capsys, tmp_path, planes_path):
     schema.write_text('{"d": 2, "k": [1], "blocks": [[[1, 0]]]}')
     code, _, _ = run(capsys, "analyze", str(schema))
     assert code == 2
+    # a system entry reads as the signal's does: an integer beyond the float range is not finite
+    for entry in ("1e400", "1" + "0" * 400):
+        schema.write_text(f'{{"d": 1, "k": [1], "blocks": [[[[0, {entry}]]]]}}')
+        assert run(capsys, "analyze", str(schema)) == (
+            2, "", "error: block 0, row 0, column 0: entries must be finite\n")
 
     assert run(capsys, "analyze", str(tmp_path / "missing.json"))[0] == 2
     assert run(capsys, "erase", planes_path, "--mask", "x", "--signal", "[1,2,3]")[0] == 2

@@ -32,6 +32,20 @@ def test_cyclic_representation_structure():
     for g in range(5):
         for h in range(5):
             assert rep.table[g, h] == (g + h) % 5
+    # the powers are those of the shift built by n - 1 products, and the orbit's blocks are
+    # the products V U_g one element at a time, bit for bit
+    rng = np.random.default_rng(703)
+    for n in (1, 2, 3, 5, 8):
+        rep = gf.cyclic_shift_representation(n)
+        shift = np.zeros((n, n), dtype=np.complex128)
+        shift[np.arange(n), np.arange(n) - 1] = 1.0
+        powers = [np.eye(n, dtype=np.complex128)]
+        for _ in range(n - 1):
+            powers.append(shift @ powers[-1])
+        assert all(np.array_equal(u, power) for u, power in zip(rep.unitaries, powers))
+        base = complex_gaussian(rng, (min(2, n), n), 1.0)
+        blocks = gf.group_rs(rep, base).blocks
+        assert all(np.array_equal(block, base @ u) for block, u in zip(blocks, powers))
 
 
 def test_representation_validation():
@@ -46,6 +60,31 @@ def test_representation_validation():
         gf.UnitaryRepresentation((), np.zeros((0, 0), dtype=int))
     with pytest.raises(StructuralError):
         gf.cyclic_shift_representation(0)
+    # a non-finite element is not unitary, a 0-d element is no matrix, and a table of
+    # floats or bools is not read as indices
+    with np.errstate(invalid="ignore"):
+        for element in (np.full((2, 2), np.nan), np.diag([np.inf, 1.0])):
+            with pytest.raises(StructuralError, match="^element 0 is not unitary$"):
+                gf.UnitaryRepresentation((element,), np.array([[0]]))
+    with pytest.raises(StructuralError, match="^element 0 is not 1 x 1$"):
+        gf.UnitaryRepresentation((np.array(1.0),), np.array([[0]]))
+    for table in ([[0.7]], [[0.0]], [[False]]):
+        with pytest.raises(StructuralError,
+                           match=r"^table must be 1 x 1 with entries in \[0, 1\)$"):
+            gf.UnitaryRepresentation((np.eye(1),), np.array(table))
+
+
+def test_representation_keeps_read_only_copies_of_its_inputs():
+    # the caller's arrays stay writable, and a later write to them does not reach the
+    # validated representation
+    shift = gf.cyclic_shift_representation(3).unitaries[1].copy()
+    unitaries = (np.eye(3, dtype=np.complex128), shift, shift @ shift)
+    table = (np.arange(3)[:, None] + np.arange(3)) % 3
+    rep = gf.UnitaryRepresentation(unitaries, table)
+    assert table.flags.writeable and shift.flags.writeable
+    shift[0, 0], table[0, 0] = 5.0, 2
+    assert rep.unitaries[1][0, 0] == 0 and rep.table[0, 0] == 0
+    assert not any(u.flags.writeable for u in rep.unitaries) and not rep.table.flags.writeable
 
 
 def test_direct_product_structure():

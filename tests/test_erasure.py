@@ -49,7 +49,11 @@ def test_mask_error_messages():
                                 ([1, 1], 0, "mask indices must not repeat"),
                                 ([0], 0, "mask needs m >= 1"),
                                 ([3], 3, r"mask indices must lie in \[0, 3\)"),
-                                ([-1], 3, r"mask indices must lie in \[0, 3\)")):
+                                ([-1], 3, r"mask indices must lie in \[0, 3\)"),
+                                ([1], 2.5, "m must be an integer"),
+                                ([1], 2.0, "m must be an integer"),
+                                ([1], True, "m must be an integer"),
+                                ([1], np.float64(3.0), "m must be an integer")):
         with pytest.raises(StructuralError, match=f"^{message}$"):
             gf.ErasureMask(indices, m)
 
@@ -67,6 +71,7 @@ def test_mask_takes_numpy_integers():
     for indices in (np.int64(1), np.array(1), np.array([1]), [np.uint8(1)], (np.array(1),)):
         mask = gf.ErasureMask(indices, 3)
         assert mask.dropped == (1,) and type(mask.dropped[0]) is int
+    assert type(gf.ErasureMask([1], np.int64(3)).m) is int
 
 
 @pytest.mark.parametrize("indices", [None, object()], ids=["none", "object"])

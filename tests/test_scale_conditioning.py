@@ -52,11 +52,12 @@ def verdicts(system, drop):
     return (shape.is_rs, shape.is_injective, shape.is_projective, shape.is_uniform, after, wce)
 
 
-@pytest.mark.parametrize("c", [1e-5, 1e-8])
+@pytest.mark.parametrize("c", [1e-5, 1e-8, 2.0**300])
 def test_scaled_planes_fixture_is_a_system_with_an_accurate_dual(c):
     system = scaled(gf.fixtures()["overlapping_planes"], c)
-    assert gf.classify(system).is_rs
-    assert residual(system) <= 1e-12
+    with np.errstate(over="raise"):  # sigma(T)^4 overflows at c = 2^300; no verdict squares it
+        assert gf.classify(system).is_rs
+        assert residual(system) <= 1e-12
 
 
 def test_scaled_random_system_has_a_canonical_dual():
