@@ -7,7 +7,8 @@ minimal-redundancy systems).
 
 The namespace is lazy (PEP 562): ``import gframes`` loads no submodule, and
 each public name is imported from its home module on first access, so a
-one-shot command-line call loads only the modules it runs.
+one-shot command-line call loads only the modules it runs.  ``_HOME`` is the
+only export list: each submodule's ``__all__`` is ``_exports`` of its name.
 """
 
 from importlib import import_module as _import_module
@@ -77,6 +78,12 @@ _HOME = {
 }
 
 __all__ = list(_HOME)
+
+
+def _exports(module: str) -> list[str]:
+    """The public names homed in ``module`` (a submodule's ``__name__``), in ``_HOME`` order."""
+    home = module.rpartition(".")[2]
+    return [name for name, where in _HOME.items() if where == home]
 
 
 def __getattr__(name: str):

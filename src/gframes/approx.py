@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _exports
 from ._linalg import dagger, flat, hermitian_part, nonsingular, singular_values
 from .core import (
     DEFAULT_TOLERANCE,
@@ -44,12 +45,7 @@ from .core import (
 )
 from .errors import PreconditionError
 
-__all__ = [
-    "PolarFactorization",
-    "is_weighted_coisometry",
-    "nearest_projective",
-    "polar_coisometry",
-]
+__all__ = _exports(__name__)
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _exports
 from ._linalg import (
     dagger,
     flat,
@@ -62,20 +63,7 @@ REPRESENTATION_TOLERANCE = 1e-10
 # primitive sixth root of unity: unimodular, and it plus its conjugate is 1
 _HEXAGONAL = complex(0.5, math.sqrt(3.0) / 2.0)
 
-__all__ = [
-    "GroupSystemReport",
-    "RieszDualCheck",
-    "RieszIndexCheck",
-    "UnitaryRepresentation",
-    "commuting_projective_dual",
-    "cyclic_shift_representation",
-    "direct_product",
-    "fixtures",
-    "group_rs",
-    "group_rs_checks",
-    "riesz_projective_dual_check",
-    "unit_sum_coefficients",
-]
+__all__ = _exports(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,8 +90,10 @@ class UnitaryRepresentation:
         for g, u in enumerate(mats):
             if u.shape != (d, d):
                 raise StructuralError(f"element {g} is not {d} x {d}")
+        if d < 1:
+            raise StructuralError("element 0 is 0 x 0; elements must be at least 1 x 1")
         stack = _read_only(np.array(mats))
-        unfit = _misfits(dagger(stack) @ stack, np.eye(d))
+        unfit = _misfits(dagger(stack) @ stack - np.eye(d))
         if unfit.size:
             raise StructuralError(f"element {unfit[0]} is not unitary")
         m = len(mats)
@@ -112,13 +102,17 @@ class UnitaryRepresentation:
                 or table.min() < 0 or table.max() >= m):
             raise StructuralError(f"table must be {m} x {m} with entries in [0, {m})")
         table = _read_only(table.astype(int))
+        # reused across rows: fresh n x d x d temporaries per row cost more than the products
+        product, picked = np.empty_like(stack), np.empty_like(stack)
         for g in range(m):
-            unfit = _misfits(stack[g] @ stack, stack[table[g]])
+            np.matmul(stack[g], stack, out=product)
+            np.take(stack, table[g], axis=0, out=picked, mode="clip")  # entries checked above
+            unfit = _misfits(np.subtract(product, picked, out=product))
             if unfit.size:
                 raise StructuralError(f"table entry ({g}, {unfit[0]}) does not match the product")
         # e is the identity index when row e and column e of the table both read 0..n-1
         identity = np.flatnonzero((np.stack((table, table.T)) == np.arange(m)).all(axis=(0, 2)))
-        if not identity.size or _misfits(stack[identity[0]], np.eye(d)).size:
+        if not identity.size or _misfits(stack[identity[0]] - np.eye(d)).size:
             raise StructuralError("representation has no identity element")
         object.__setattr__(self, "unitaries", tuple(stack))
         object.__setattr__(self, "table", table)
@@ -138,11 +132,11 @@ class UnitaryRepresentation:
         return self._identity
 
 
-def _misfits(stack: np.ndarray, expected: np.ndarray) -> np.ndarray:
-    """Indices of the matrices of ``stack`` not within ``REPRESENTATION_TOLERANCE`` of
-    ``expected`` in Frobenius norm, read as squares; a non-finite difference is never within."""
-    difference = (stack - expected).reshape(*np.shape(stack)[:-2], -1)
-    return np.flatnonzero(~(np.vecdot(difference, difference).real <= REPRESENTATION_TOLERANCE**2))
+def _misfits(difference: np.ndarray) -> np.ndarray:
+    """Indices of the matrices of ``difference`` whose Frobenius norm exceeds
+    ``REPRESENTATION_TOLERANCE``, read as squares; a non-finite difference always does."""
+    rows = difference.reshape(*difference.shape[:-2], -1)
+    return np.flatnonzero(~(np.vecdot(rows, rows).real <= REPRESENTATION_TOLERANCE**2))
 
 
 def cyclic_shift_representation(n: int) -> UnitaryRepresentation:

@@ -41,26 +41,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import _exports
 from ._linalg import (dagger, flat, frobenius, hermitian_eigenvalues, hermitian_part, householder,
                       householder_basis, nonsingular, triangular_inverse)
 from .errors import NotReconstructionSystemError, StructuralError
 
 DEFAULT_TOLERANCE = 1e-9
 
-__all__ = [
-    "DEFAULT_TOLERANCE",
-    "RSSignature",
-    "ReconstructionSystem",
-    "SystemClassification",
-    "analysis_apply",
-    "analysis_matrix",
-    "blockwise_distance",
-    "classify",
-    "frame_operator",
-    "synthesis_apply",
-    "synthesis_matrix",
-    "system_from_synthesis",
-]
+__all__ = _exports(__name__)
 
 
 @dataclass(frozen=True)

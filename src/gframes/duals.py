@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _exports
 from ._linalg import check_tolerance, dagger, frobenius
 from .core import (
     DEFAULT_TOLERANCE,
@@ -41,15 +42,7 @@ from .core import (
 )
 from .errors import SamplingError, StructuralError
 
-__all__ = [
-    "DualCandidate",
-    "DualManifold",
-    "canonical_dual",
-    "dual_manifold",
-    "dual_manifold_sample",
-    "inverse_frame_operator",
-    "verify_dual",
-]
+__all__ = _exports(__name__)
 
 # Attempts drawn per batch in ``dual_manifold_sample``: enough to amortize
 # per-call overhead on small systems, with at most _BATCH_ENTRIES chart

@@ -66,6 +66,7 @@ from numbers import Number
 
 import numpy as np
 
+from . import _exports
 from ._linalg import check_tolerance, dagger, flat
 from .core import (
     DEFAULT_TOLERANCE,
@@ -82,17 +83,7 @@ from .core import (
 )
 from .errors import PreconditionError, StructuralError
 
-__all__ = [
-    "ErasureMask",
-    "ErrorReport",
-    "WorstCaseSolution",
-    "blind_reconstruct",
-    "error_report",
-    "optimal_dual_two_error",
-    "wce_condition",
-    "wce_minimize",
-    "wce_solve",
-]
+__all__ = _exports(__name__)
 
 # Smallest weight relative to the largest: keeps 1/lam finite in the ascent.
 _WEIGHT_FLOOR = np.finfo(float).eps ** 2

@@ -16,18 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _exports
 from .core import ReconstructionSystem
 from .errors import StructuralError
 
-__all__ = [
-    "dumps_canonical",
-    "load_system",
-    "matrix_to_pairs",
-    "pairs_to_matrix",
-    "save_system",
-    "system_from_dict",
-    "system_to_dict",
-]
+__all__ = [*_exports(__name__), "matrix_to_pairs", "pairs_to_matrix"]
 
 
 def matrix_to_pairs(a: np.ndarray) -> list:

@@ -28,6 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
+from . import _exports
 from ._linalg import dagger, frobenius, hermitian_part, nonsingular, singular_values
 from .core import (
     DEFAULT_TOLERANCE,
@@ -41,12 +42,7 @@ from .core import (
 )
 from .errors import GFramesError, NotReconstructionSystemError, StructuralError
 
-__all__ = [
-    "TruncationReport",
-    "ck_sufficient_condition",
-    "truncate",
-    "truncated_canonical_dual",
-]
+__all__ = _exports(__name__)
 
 
 @dataclass(frozen=True, eq=False)

@@ -346,6 +346,16 @@ def test_star_import_binds_each_public_name_to_its_home_modules_object():
     fresh_python(code)
 
 
+def test_star_import_of_each_submodule_binds_the_names_homed_there():
+    # serialize also exports its two matrix codecs, which are not top-level names
+    extra = {"serialize": {"matrix_to_pairs", "pairs_to_matrix"}}
+    for module in sorted(set(gf._HOME.values()) | set(extra)):
+        namespace = {}
+        exec(f"from gframes.{module} import *", namespace)
+        homed = {name for name, home in gf._HOME.items() if home == module}
+        assert set(namespace) - {"__builtins__"} == homed | extra.get(module, set()), module
+
+
 def test_submodules_resolve_after_a_plain_import():
     code = ("import gframes\n"
             "print(gframes.stability.truncate is gframes.truncate,\n"

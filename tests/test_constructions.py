@@ -68,6 +68,10 @@ def test_representation_validation():
                 gf.UnitaryRepresentation((element,), np.array([[0]]))
     with pytest.raises(StructuralError, match="^element 0 is not 1 x 1$"):
         gf.UnitaryRepresentation((np.array(1.0),), np.array([[0]]))
+    # nor is a 0 x 0 element a representation on any C^d
+    with pytest.raises(StructuralError,
+                       match="^element 0 is 0 x 0; elements must be at least 1 x 1$"):
+        gf.UnitaryRepresentation((np.zeros((0, 0)),), np.array([[0]]))
     for table in ([[0.7]], [[0.0]], [[False]]):
         with pytest.raises(StructuralError,
                            match=r"^table must be 1 x 1 with entries in \[0, 1\)$"):
