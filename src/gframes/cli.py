@@ -23,6 +23,7 @@ from ._linalg import check_tolerance
 from .errors import GFramesError, StructuralError
 from .serialize import (
     _complex,
+    _loads,
     dumps_canonical,
     load_system,
     matrix_to_pairs,
@@ -57,7 +58,7 @@ def _indices(text: str) -> tuple[int, ...]:
 
 def _signal(text: str, d: int) -> np.ndarray:
     try:
-        payload = json.loads(text)
+        payload = _loads(text, "--signal")
     except json.JSONDecodeError as exc:
         raise StructuralError(f"--signal is not valid JSON: {exc.msg}") from exc
     if not isinstance(payload, list) or len(payload) != d:

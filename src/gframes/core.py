@@ -60,12 +60,16 @@ class RSSignature:
     d: int
 
     def __post_init__(self) -> None:
-        if self.m < 1 or self.d < 1:
+        m = _integer(self.m, "signature m must be an integer")
+        d = _integer(self.d, "signature d must be an integer")
+        if m < 1 or d < 1:
             raise StructuralError("signature needs at least one block and d >= 1")
         sizes = tuple(_integer(ki, "signature block sizes k must be integers") for ki in self.k)
-        if len(sizes) != self.m or any(ki < 1 for ki in sizes):
-            raise StructuralError("signature block sizes must be %d positive ints" % self.m)
+        if len(sizes) != m or any(ki < 1 for ki in sizes):
+            raise StructuralError("signature block sizes must be %d positive ints" % m)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "k", sizes)
+        object.__setattr__(self, "d", d)
 
     @property
     def tr_k(self) -> int:

@@ -80,6 +80,7 @@ from .core import (
     _index_subset,
     _integer,
     _layout,
+    synthesis_apply,
 )
 from .errors import PreconditionError, StructuralError
 
@@ -128,20 +129,18 @@ class ErrorReport:
 
 def blind_reconstruct(system: ReconstructionSystem, dual: ReconstructionSystem,
                       packets, mask: ErasureMask) -> np.ndarray:
-    """Sum the surviving packets through the dual: ``sum_{i not in J} W_i^* y_i``."""
+    """Sum the surviving packets through the dual: ``sum_{i not in J} W_i^* y_i``.
+
+    This is the dual's ``synthesis_apply`` with each lost packet read as zeros,
+    so a lost packet is never read.  The bits match a sum over the kept packets
+    alone: a lost block adds an exact ``±0`` to a sum that starts at ``+0``.
+    """
     if dual.signature != system.signature:
         raise StructuralError("dual and system signatures differ")
     if mask.m != system.m:
         raise StructuralError(f"mask is over {mask.m} packets, system has {system.m}")
-    if len(packets) != system.m:
-        raise StructuralError(f"expected {system.m} packets, got {len(packets)}")
-    out = np.zeros(system.d, dtype=np.complex128)
-    for i in mask.kept:
-        packet = np.asarray(packets[i], dtype=np.complex128)
-        if packet.ndim != 1 or packet.shape[0] != system.k[i]:
-            raise StructuralError(f"packet {i} must have length {system.k[i]}")
-        out += dagger(dual.blocks[i]) @ packet
-    return out
+    return synthesis_apply(dual, [np.zeros(system.k[i]) if i in mask.indices else y
+                                  for i, y in enumerate(packets)])
 
 
 def error_report(system: ReconstructionSystem,

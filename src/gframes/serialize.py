@@ -41,9 +41,12 @@ def _complex(parts) -> complex | None:
 
 
 def pairs_to_matrix(rows, expected_rows: int, expected_cols: int, where: str) -> np.ndarray:
+    """The ``expected_rows x expected_cols`` matrix of ``[re, im]`` pairs ``rows``; the first
+    defect in row-major order raises ``StructuralError``.  Nothing of the matrix's size is
+    allocated before every row has been read, so a huge declared shape costs nothing."""
     if not isinstance(rows, list) or len(rows) != expected_rows:
         raise StructuralError(f"{where}: expected {expected_rows} rows")
-    out = np.zeros((expected_rows, expected_cols), dtype=np.complex128)
+    entries = []
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != expected_cols:
             raise StructuralError(f"{where}, row {r}: expected {expected_cols} entries")
@@ -55,10 +58,10 @@ def pairs_to_matrix(rows, expected_rows: int, expected_cols: int, where: str) ->
             elif not cmath.isfinite(number):
                 problem = "entries must be finite"
             else:
-                out[r, c] = number
+                entries.append(number)
                 continue
             raise StructuralError(f"{where}, row {r}, column {c}: {problem}")
-    return out
+    return np.array(entries, dtype=np.complex128).reshape(expected_rows, expected_cols)
 
 
 def system_to_dict(system: ReconstructionSystem) -> dict:
@@ -93,9 +96,28 @@ def save_system(system: ReconstructionSystem, path) -> None:
     Path(path).write_text(dumps_canonical(system_to_dict(system)) + "\n", encoding="utf-8")
 
 
+def _loads(text: str, what: str):
+    """``json.loads(text)``, where a syntax error raises ``json.JSONDecodeError`` with its
+    location, and nesting beyond the recursion limit or an integer literal beyond Python's
+    digit limit raises ``StructuralError`` naming ``what``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise StructuralError(f"{what} nests too deeply") from None
+    except ValueError as exc:  # JSONDecodeError, or int() refusing a long literal
+        if isinstance(exc, json.JSONDecodeError):
+            raise
+        raise StructuralError(f"{what} holds an integer literal with too many digits") from None
+
+
 def load_system(path) -> ReconstructionSystem:
-    """Load a system; malformed JSON raises ``json.JSONDecodeError`` with location."""
-    return system_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """Load a system; malformed JSON raises ``json.JSONDecodeError`` with its location, and a
+    file that is not UTF-8 or that ``json`` cannot decode raises ``StructuralError``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise StructuralError(f"system file is not UTF-8: {exc.reason} at byte {exc.start}")
+    return system_from_dict(_loads(text, "system file"))
 
 
 def _write(value, out: list) -> None:

@@ -213,6 +213,19 @@ def test_usage_and_parse_failures_exit_two(capsys, tmp_path, planes_path):
         schema.write_text(f'{{"d": 1, "k": [1], "blocks": [[[[0, {entry}]]]]}}')
         assert run(capsys, "analyze", str(schema)) == (
             2, "", "error: block 0, row 0, column 0: entries must be finite\n")
+    # a huge d is refused by its row lengths, before a k x d matrix is allocated
+    for d in (10 ** 400, 10 ** 13):
+        schema.write_text(f'{{"d": {d}, "k": [1], "blocks": [[[[1, 0]]]]}}')
+        assert run(capsys, "analyze", str(schema)) == (
+            2, "", f"error: block 0, row 0: expected {d} entries\n")
+    # files that json cannot decode: deep nesting, bytes that are not UTF-8, a long integer
+    for content, message in (
+            (b"[" * 100_000, "system file nests too deeply"),
+            (b'{"d": 1}\xff', "system file is not UTF-8: invalid start byte at byte 8"),
+            (b'{"d": 1' + b"0" * 4999 + b"}",
+             "system file holds an integer literal with too many digits")):
+        schema.write_bytes(content)
+        assert run(capsys, "analyze", str(schema)) == (2, "", f"error: {message}\n")
 
     assert run(capsys, "analyze", str(tmp_path / "missing.json"))[0] == 2
     assert run(capsys, "erase", planes_path, "--mask", "x", "--signal", "[1,2,3]")[0] == 2
@@ -223,6 +236,11 @@ def test_usage_and_parse_failures_exit_two(capsys, tmp_path, planes_path):
         signal = f"[1, {entry}, 2]"
         assert run(capsys, "erase", planes_path, "--signal", signal) == (
             2, "", "error: --signal entry 1 must be finite\n")
+    for signal, message in (("[" * 5000, "--signal nests too deeply"),
+                            (f"[1, 1{'0' * 4999}, 2]",
+                             "--signal holds an integer literal with too many digits")):
+        assert run(capsys, "erase", planes_path, "--signal", signal) == (
+            2, "", f"error: {message}\n")
     # sigma^2 of entries near 1e200 overflows: the report cannot be written
     huge = tmp_path / "huge.json"
     gf.save_system(gf.ReconstructionSystem([[[1e200, 0.0]], [[0.0, 1e200]]]), huge)

@@ -182,8 +182,15 @@ def test_signature_validation():
             gf.RSSignature(m=2, k=sizes, d=4)
         with pytest.raises(StructuralError, match="^block sizes k must be integers$"):
             gf.system_from_synthesis(np.ones((4, 4)), sizes)
+    for m, d, name in ((2, 3.5, "d"), (2, 4.0, "d"), (2, True, "d"), (2, "4", "d"),
+                       (2.0, 4, "m"), (True, 4, "m"), (np.float64(2), 4, "m")):
+        with pytest.raises(StructuralError, match=f"^signature {name} must be an integer$"):
+            gf.RSSignature(m=m, k=(1, 2), d=d)
     signature = gf.RSSignature(m=2, k=(np.int64(1), np.uint8(2)), d=4)
     assert signature.k == (1, 2) and all(type(ki) is int for ki in signature.k)
+    signature = gf.RSSignature(m=np.int64(2), k=(1, 2), d=np.uint8(4))
+    assert (signature.m, signature.d) == (2, 4)
+    assert type(signature.m) is int and type(signature.d) is int
 
 
 def test_system_validation():

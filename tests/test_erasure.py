@@ -136,6 +136,32 @@ def test_blind_reconstruction_validation():
         gf.blind_reconstruct(system, dual, [packets[0], np.zeros(3)], gf.ErasureMask(0, 2))
 
 
+def kept_block_sum(dual, packets, mask):
+    """Blind reconstruction as a loop over the kept blocks alone."""
+    out = np.zeros(dual.d, dtype=np.complex128)
+    for i in mask.kept:
+        out += dagger(dual.blocks[i]) @ np.asarray(packets[i], dtype=np.complex128)
+    return out
+
+
+def test_blind_reconstruction_is_the_kept_block_sum_bit_for_bit():
+    system = random_system(12, (1, 3, 4, 2, 4), 7)
+    dual = gf.canonical_dual(system)
+    rng = np.random.default_rng(403)
+    packets = gf.analysis_apply(system, rng.standard_normal(12) + 1j * rng.standard_normal(12))
+    # bytes, not array_equal, so that a -0 where the loop holds +0 would show
+    masks = [frozenset(), *({j} for j in range(system.m)), range(system.m)]
+    for lost in masks:
+        mask = gf.ErasureMask(lost, system.m)
+        rebuilt = gf.blind_reconstruct(system, dual, packets, mask)
+        assert rebuilt.tobytes() == kept_block_sum(dual, packets, mask).tobytes()
+        if lost:  # the lost slot is never read
+            holes = [None if i in lost else y for i, y in enumerate(packets)]
+            assert np.array_equal(gf.blind_reconstruct(system, dual, holes, mask), rebuilt)
+    with pytest.raises(StructuralError, match="^expected 5 packets, got 6$"):
+        gf.blind_reconstruct(system, dual, [*packets, packets[0]], gf.ErasureMask(0, 5))
+
+
 def test_error_report_against_trace_oracle():
     rng = np.random.default_rng(402)
     system = draw_general(rng)

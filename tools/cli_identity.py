@@ -17,7 +17,7 @@ more sit near the rank and flatness boundaries at the default tolerance 1e-9:
 the Riesz pair ``V = W^{-*}`` on C^4 whose dual block ``W_0`` is
 ``diag(1 + 7.5e-10, 1) U`` (``W_1 = 1.3 U'``, ``U`` and ``U'`` rows of Haar
 unitaries), and the square block ``U diag(1, 0.5, 1e-5) U'``.  It then runs a
-fixed matrix of 175 CLI calls on them, each in a fresh process
+fixed matrix of 182 CLI calls on them, each in a fresh process
 under each tree, and reports every call whose stdout, stderr or exit code
 differs.  The matrix covers every subcommand and every ``dual --kind``
 (``wce`` also at ``--iterations 200``), ``erase`` with and without a mask and
@@ -25,12 +25,14 @@ with and without ``--dual``, ``truncate`` dropping one and ``m - 1`` blocks,
 ``analyze``, ``truncate`` and ``dual --kind two_error`` at ``--tolerance``
 1e-6 and 1e-12, and the fixture listing, on the fixtures and the four
 systems; the scaled system gets one call, ``truncate`` dropping block 0, and
-the two boundary systems get ``analyze`` and ``approx``.  Eleven calls end
+the two boundary systems get ``analyze`` and ``approx``.  Eighteen calls end
 in a usage error or print help, on the ``overlapping_planes`` fixture: a
-missing file, a file of invalid JSON, ``--tolerance 0``, ``--iterations 0``,
-an out-of-range ``--mask`` and ``--drop``, a malformed ``--signal``, a
-``--signal`` with a ``NaN`` entry, ``--help``, ``dual --help`` and no
-subcommand.
+missing file, ``analyze`` of six malformed files (``MALFORMED``: invalid
+JSON, ``d`` of 10^400 and of 10^13, 100 000 nested ``[``, a byte that is not
+UTF-8, a 5000-digit integer), ``--tolerance 0``, ``--iterations 0``, an
+out-of-range ``--mask`` and ``--drop``, a malformed ``--signal``, a
+``--signal`` with a ``NaN`` entry, one of 5000 nested ``[`` and one with a
+5000-digit integer, ``--help``, ``dual --help`` and no subcommand.
 Exit status: 0 when every call matched, 1 otherwise.
 
 ``--numeric`` compares stdout as JSON instead of as bytes: keys, strings,
@@ -111,18 +113,30 @@ def signal(d: int) -> str:
     return json.dumps(entries)
 
 
-def usage_errors(planes: Path, broken: Path) -> list[list[str]]:
+MALFORMED = {  # file name stem -> bytes of a file that is not a system
+    "broken": b"{not json",
+    "dimension_overflow": b'{"d": 1' + b"0" * 400 + b', "k": [1], "blocks": [[[[1, 0]]]]}',
+    "dimension_huge": b'{"d": 10000000000000, "k": [1], "blocks": [[[[1, 0]]]]}',
+    "nested": b"[" * 100_000,
+    "not_utf8": b'{"d": 1, "k": [1], "blocks": [[[[1, 0]]]]}\xff',
+    "long_integer": b'{"d": 1' + b"0" * 4999 + b"}",
+}
+
+
+def usage_errors(planes: Path, malformed: list[Path]) -> list[list[str]]:
     """Calls that end in a usage or parse error (exit 2), or print help."""
     file = str(planes)  # two blocks on C^3, so index 2 is out of range
     return [
         ["analyze", str(planes.with_name("missing.json"))],
-        ["analyze", str(broken)],
+        *(["analyze", str(path)] for path in malformed),
         ["--tolerance", "0", "analyze", file],
         ["--iterations", "0", "dual", file, "--kind", "wce"],
         ["erase", file, "--mask", "2", "--signal", "[1, 2, 3]"],
         ["truncate", file, "--drop", "2"],
         ["erase", file, "--signal", "[1, 2"],
         ["erase", file, "--signal", "[NaN, 2, 3]"],
+        ["erase", file, "--signal", "[" * 5000],
+        ["erase", file, "--signal", "[1, 1" + "0" * 4999 + ", 2]"],
         ["--help"],
         ["dual", "--help"],
         [],
@@ -261,10 +275,11 @@ def main(argv=None) -> int:
             print(f"could not generate systems: {err.strip()}", file=sys.stderr)
             return 2
 
-        broken = work / "broken.json"
-        broken.write_text("{not json", encoding="utf-8")
+        malformed = [work / f"{name}.json" for name in MALFORMED]
+        for path, content in zip(malformed, MALFORMED.values()):
+            path.write_bytes(content)
         calls = matrix(paths, dominant, boundary) + usage_errors(
-            paths["overlapping_planes"], broken)
+            paths["overlapping_planes"], malformed)
         differing = inexact = 0
         largest = 0.0
         codes: dict[int, int] = {}
