@@ -41,9 +41,8 @@ from .core import (
     _block_spectra,
     _block_stack,
     _from_analysis,
-    _layout,
 )
-from .errors import PreconditionError
+from .errors import PreconditionError, StructuralError
 
 __all__ = _exports(__name__)
 
@@ -58,7 +57,8 @@ class PolarFactorization:
 
 def polar_coisometry(block: np.ndarray,
                      tolerance: float = DEFAULT_TOLERANCE) -> PolarFactorization:
-    """Polar factorization ``block = U P`` of a block whose ``sigma^2`` is ``nonsingular``."""
+    """Polar factorization ``block = U P`` of a finite block whose ``sigma^2`` is
+    ``nonsingular``."""
     b = np.asarray(block, dtype=np.complex128)
     if b.ndim != 2:
         raise PreconditionError("block must be a 2-d matrix")
@@ -68,6 +68,8 @@ def polar_coisometry(block: np.ndarray,
     if rows > cols:
         raise PreconditionError(
             f"a {rows} x {cols} block cannot have full row rank")
+    if not np.isfinite(b).all():
+        raise StructuralError("block contains non-finite entries")
     left, sigma, right = np.linalg.svd(b, full_matrices=False)
     if not nonsingular(sigma[-1] ** 2, sigma[0] ** 2, tolerance):
         raise PreconditionError(
@@ -80,10 +82,10 @@ def polar_coisometry(block: np.ndarray,
 def is_weighted_coisometry(block: np.ndarray,
                            tolerance: float = DEFAULT_TOLERANCE) -> bool:
     """Whether the block is a positive multiple of a coisometry: its ``sigma^2`` is ``flat``,
-    the rule by which ``classify`` judges each block projective.  An empty or tall block is
-    not."""
+    the rule by which ``classify`` judges each block projective.  An empty, tall or non-finite
+    block is not."""
     b = np.asarray(block, dtype=np.complex128)
-    if b.ndim != 2 or not 0 < b.shape[0] <= b.shape[1]:
+    if b.ndim != 2 or not 0 < b.shape[0] <= b.shape[1] or not np.isfinite(b).all():
         return False
     sigma = singular_values(b)
     return bool(flat(sigma[-1] ** 2, sigma[0] ** 2, tolerance))
@@ -105,7 +107,7 @@ def nearest_projective(system: ReconstructionSystem,
     _, sigma, right = np.linalg.svd(system._block_factor)
     if not _block_spectra(system, tolerance, sigma)[0]:
         raise PreconditionError("projective approximation needs an injective system")
-    rows = _layout(system.k, system.d).rows
+    rows = system.signature._rows
     sizes = np.asarray(system.k)
     # keep each block's k_i singular values; the rest belong to its zero padding
     sigma = np.where(rows, sigma, 0.0)

@@ -73,6 +73,20 @@ def _signal(text: str, d: int) -> np.ndarray:
     return out
 
 
+def _invalid_json(exc: json.JSONDecodeError) -> str:
+    return f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+
+
+def _load_dual(path: str):
+    """``load_system(path)``, where a malformed file's message names ``--dual`` and its path."""
+    try:
+        return load_system(path)
+    except json.JSONDecodeError as exc:
+        raise StructuralError(f"--dual {path}: {_invalid_json(exc)}") from exc
+    except StructuralError as exc:
+        raise StructuralError(f"--dual {path}: {exc}") from exc
+
+
 def _report(args: argparse.Namespace, inputs: dict, outputs: dict) -> dict:
     return {
         "command": args.command,
@@ -130,7 +144,7 @@ def _cmd_erase(args: argparse.Namespace) -> dict:
     from .erasure import ErasureMask, blind_reconstruct, error_report
 
     system = load_system(args.path)
-    dual = load_system(args.dual) if args.dual else canonical_dual(system, args.tolerance)
+    dual = _load_dual(args.dual) if args.dual else canonical_dual(system, args.tolerance)
     mask = ErasureMask(_indices(args.mask), system.m)
     signal = _signal(args.signal, system.d)
     packets = analysis_apply(system, signal)
@@ -277,8 +291,7 @@ def main(argv=None) -> int:
             raise StructuralError("iterations must be at least 1")
         rendered = dumps_canonical(args.handler(args))
     except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
-              file=sys.stderr)
+        print(f"error: {_invalid_json(exc)}", file=sys.stderr)
         return EXIT_USAGE
     except (StructuralError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

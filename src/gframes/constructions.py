@@ -48,7 +48,6 @@ from .core import (
     _from_analysis,
     _integer,
     _inverse_gram,
-    _layout,
     _read_only,
     blockwise_distance,
 )
@@ -332,7 +331,7 @@ def riesz_projective_dual_check(system: ReconstructionSystem,
             "the criterion applies when total block dimension equals d")
     dual = _canonical(system, tolerance)
     checks = []
-    for i, rows in enumerate(_layout(system.k, system.d).slices):
+    for i, rows in enumerate(system.signature._slices):
         kernel = null_space(np.delete(system.analysis, rows, axis=0), tolerance)  # I if m = 1
         sigma = singular_values(system.blocks[i] @ kernel)
         scaled = sigma.size > 0 and bool(flat(sigma[-1] ** 2, sigma[0] ** 2, tolerance))

@@ -11,9 +11,12 @@ eigenvalues of ``S`` are the frame bounds.  Stacking the blocks vertically
 gives the ``K x d`` analysis matrix ``T`` (``K = sum_i k_i``); its adjoint is
 the synthesis matrix, and ``S = T^* T`` is analysis followed by synthesis.
 
+A system's shape is its ``RSSignature``, which every system of that shape
+shares (``_layout`` caches one per shape) and which carries the block layout:
+the row slice of each block in ``T`` and the padding mask of its blocks.
 Blocks of mixed heights are batched one way only: zero-padded with rows to
-the widest block, as the ``m x width x d`` stack of ``_block_stack``, with
-``_layout(...).rows`` marking the real rows.  Padding leaves each block's
+the widest block, as the ``m x width x d`` stack of ``_block_stack``, with the
+signature's mask marking the real rows.  Padding leaves each block's
 QR factor and nonzero singular values unchanged, so every per-block
 quantity (injectivity, projective weights, the dropped blocks' norms in
 truncation, the erasure errors) reads one stacked factor.  Padding costs
@@ -33,7 +36,6 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -53,7 +55,14 @@ __all__ = _exports(__name__)
 
 @dataclass(frozen=True)
 class RSSignature:
-    """Shape summary of a system: ``m`` blocks of sizes ``k`` over ``C^d``."""
+    """Shape summary of a system: ``m`` blocks of sizes ``k`` over ``C^d``.
+
+    It also carries the block layout, derived once on first use: ``_slices``, the
+    rows of ``T`` that hold each block, and ``_rows``, the read-only ``m x width``
+    padding mask, whose entry ``[i, j]`` says whether row ``j`` of the zero-padded
+    block stack holds a row of block ``i`` (``j < k_i``).  Neither is a field, so
+    ``==``, the hash and the repr read ``m``, ``k`` and ``d`` only.
+    """
 
     m: int
     k: tuple[int, ...]
@@ -76,6 +85,14 @@ class RSSignature:
         """Total coefficient dimension ``K = sum_i k_i``."""
         return sum(self.k)
 
+    @cached_property
+    def _slices(self) -> tuple[slice, ...]:
+        return tuple(slice(end - ki, end) for ki, end in zip(self.k, accumulate(self.k)))
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        return _read_only(np.arange(max(self.k)) < np.asarray(self.k)[:, None])
+
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     """``array``, made read-only, as every cached array is."""
@@ -90,31 +107,14 @@ def _as_block(entry, index: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class _Layout:
-    """What every system of one shape shares: its signature, row slices and padding mask.
-
-    ``rows[i, j]`` says whether row ``j`` of the zero-padded ``m x width x d``
-    block stack holds a row of block ``i`` (``j < k_i``).
-    """
-
-    signature: RSSignature
-    ends: tuple[int, ...]
-    slices: tuple[slice, ...]
-    rows: np.ndarray
-
-
 @lru_cache(maxsize=256)
-def _layout(sizes: tuple[int, ...], d: int) -> _Layout:
+def _layout(sizes: tuple[int, ...], d: int) -> RSSignature:
+    """The signature that every system with blocks of heights ``sizes`` over ``C^d`` shares."""
     for i, ki in enumerate(sizes):
         if ki < 1 or d < 1:
             raise StructuralError(
                 f"block {i} must be a non-empty 2-d matrix, got shape {(ki, d)}")
-    signature = RSSignature(len(sizes), sizes, d)
-    ends = tuple(accumulate(sizes))
-    rows = _read_only(np.arange(max(sizes)) < np.asarray(sizes)[:, None])
-    return _Layout(signature, ends,
-                   tuple(slice(end - ki, end) for ki, end in zip(sizes, ends)), rows)
+    return RSSignature(len(sizes), sizes, d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,8 +124,8 @@ class ReconstructionSystem:
     The blocks are stored once, stacked in order as the read-only ``K x d``
     matrix ``analysis``, which is validated at construction; ``blocks`` holds
     read-only row-slice views into it.  ``k``, ``tr_k`` and ``signature`` are
-    fixed at construction; systems of one shape share their signature and
-    row slices through a bounded cache.
+    fixed at construction; systems of one shape share one signature, which
+    carries their row slices and padding mask, through a bounded cache.
 
     A system also caches three read-only arrays on first use, valid for its
     lifetime whichever op computed them: the triangular factors ``R_i`` of
@@ -172,17 +172,17 @@ class ReconstructionSystem:
         analysis = np.concatenate(converted)
         self._adopt(analysis, _frozen_layout(analysis, tuple(b.shape[0] for b in converted)))
 
-    def _adopt(self, analysis: np.ndarray, layout: _Layout) -> None:
+    def _adopt(self, analysis: np.ndarray, signature: RSSignature) -> None:
         """Take the read-only ``analysis`` as storage and slice it into blocks.
 
         Every system sets the same attributes in the same order, the unset
         ``_scored`` memo included, so CPython keeps their shared-key layout.
         """
-        object.__setattr__(self, "blocks", tuple(map(analysis.__getitem__, layout.slices)))
+        object.__setattr__(self, "blocks", tuple(map(analysis.__getitem__, signature._slices)))
         object.__setattr__(self, "analysis", analysis)
-        object.__setattr__(self, "k", layout.signature.k)
+        object.__setattr__(self, "k", signature.k)
         object.__setattr__(self, "tr_k", analysis.shape[0])
-        object.__setattr__(self, "signature", layout.signature)
+        object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "_scored", None)
 
     @property
@@ -218,7 +218,7 @@ class ReconstructionSystem:
 
 def _padded(analyses: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``... x K x d`` analysis matrices as zero-padded ``... x m x width x d`` block stacks
-    (``rows`` from ``_layout``); a view if no block is padded."""
+    (``rows`` a signature's ``_rows``); a view if no block is padded."""
     shape = analyses.shape[:-2] + rows.shape + analyses.shape[-1:]
     if rows.size == analyses.shape[-2]:
         return analyses.reshape(shape)
@@ -229,7 +229,7 @@ def _padded(analyses: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _block_stack(system: ReconstructionSystem) -> np.ndarray:
     """The blocks as a zero-padded ``m x width x d`` stack; a read-only view if none is padded."""
-    return _padded(system.analysis, _layout(system.k, system.d).rows)
+    return _padded(system.analysis, system.signature._rows)
 
 
 def _scores(system: ReconstructionSystem, stacks: np.ndarray) -> np.ndarray:
@@ -246,30 +246,30 @@ def _scores(system: ReconstructionSystem, stacks: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(squares.real, axis=(-2, -1)))
 
 
-def _frozen_layout(analyses: np.ndarray, sizes: Sequence[int]) -> _Layout:
-    """The layout of systems with blocks of heights ``sizes`` over the ``... x K x d``
+def _frozen_layout(analyses: np.ndarray, sizes: Sequence[int]) -> RSSignature:
+    """The signature of systems with blocks of heights ``sizes`` over the ``... x K x d``
     ``analyses``, made read-only; raises ``StructuralError`` naming the block of the first
     non-finite entry."""
     sizes = tuple(map(int, sizes))
     if not sizes:
         raise StructuralError("a system needs at least one block")
-    layout = _layout(sizes, analyses.shape[-1])
+    signature = _layout(sizes, analyses.shape[-1])
     if not np.isfinite(analyses).all():
         row = int(np.argmin(np.isfinite(analyses).all(axis=-1))) % analyses.shape[-2]
         raise StructuralError(
-            f"block {bisect_right(layout.ends, row)} contains non-finite entries")
+            f"block {np.nonzero(signature._rows)[0][row]} contains non-finite entries")
     analyses.flags.writeable = False
-    return layout
+    return signature
 
 
 def _from_analyses(analyses: np.ndarray, sizes: Sequence[int]) -> list[ReconstructionSystem]:
     """One system per ``K x d`` matrix of the C-contiguous ``n x K x d`` ``complex128`` stack
     ``analyses``, each with blocks of heights ``sizes``: views of the stack, which the
     caller must not use afterwards."""
-    layout = _frozen_layout(analyses, sizes)
+    signature = _frozen_layout(analyses, sizes)
     systems = [object.__new__(ReconstructionSystem) for _ in range(analyses.shape[0])]
     for system, analysis in zip(systems, analyses):
-        system._adopt(analysis, layout)
+        system._adopt(analysis, signature)
     return systems
 
 
@@ -438,7 +438,7 @@ def _sampled_duals(system: ReconstructionSystem, analyses: np.ndarray
                    ) -> list[ReconstructionSystem]:
     """The systems of ``_from_analyses`` over ``analyses``, each holding ``_scored``: its
     row of the read-only ``_scores`` against ``system``, taken for all of them in one pass."""
-    scores = _read_only(_scores(system, _padded(analyses, _layout(system.k, system.d).rows)))
+    scores = _read_only(_scores(system, _padded(analyses, system.signature._rows)))
     duals = _from_analyses(analyses, system.k)
     for row, dual in enumerate(duals):
         object.__setattr__(dual, "_scored", (system, scores, row))

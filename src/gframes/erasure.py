@@ -79,7 +79,7 @@ from .core import (
     _from_analysis,
     _index_subset,
     _integer,
-    _layout,
+    _padded,
     synthesis_apply,
 )
 from .errors import PreconditionError, StructuralError
@@ -176,7 +176,7 @@ class _WeightedDuals:
         # V_i^* = Q_i R_i for all blocks in one QR of the zero-padded stack; the
         # padding leaves each leading Q_i and R_i as the block's own QR gives them
         q, r = np.linalg.qr(dagger(_block_stack(system)))
-        self.rows = _layout(system.k, system.d).rows
+        self.rows = system.signature._rows
         self.bases = dagger(q)[self.rows]
         # (V_i V_i^*)^{-1} V_i = R_i^{-1} U_i; a unit diagonal on the padding keeps each
         # padded R_i invertible, and its inverse carries R_i^{-1} in the leading block
@@ -240,10 +240,8 @@ class _WeightedDuals:
 
     def dual(self, weights: np.ndarray, pinv: np.ndarray) -> ReconstructionSystem:
         """``W_i = lam_i^{-1/2} R_i^{-1} (pinv(Y)_i)^*`` as one product of padded stacks."""
-        stack = np.zeros(self.rows.shape + pinv.shape[:1], dtype=np.complex128)
-        stack[self.rows] = dagger(pinv)
-        stack = self.coordinates @ stack / np.sqrt(weights)[:, None, None]
-        return _from_analysis(stack[self.rows], self.sizes)
+        stack = self.coordinates @ _padded(dagger(pinv), self.rows)
+        return _from_analysis((stack / np.sqrt(weights)[:, None, None])[self.rows], self.sizes)
 
 
 def optimal_dual_two_error(system: ReconstructionSystem,

@@ -114,12 +114,12 @@ def _draw_plan(d: int, sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, 
       rows, to be conjugated: row ``c`` of block ``i`` is column ``c`` of ``Q_i``;
     - the ``K x 1`` column of each analysis row's block, to pick its weight.
     """
-    layout = _layout(sizes, d)
-    width = layout.rows.shape[1]
-    blocks, columns = np.nonzero(layout.rows)  # analysis-row order
+    signature = _layout(sizes, d)
+    width = signature._rows.shape[1]
+    blocks, columns = np.nonzero(signature._rows)  # analysis-row order
     entries = (blocks[:, None] * d + np.arange(d)) * width + columns[:, None]
     # each block's entries in the row-major order of its d x k_i draw
-    stack = [entries[rows].T.ravel() for rows in layout.slices]
+    stack = [entries[rows].T.ravel() for rows in signature._slices]
     positions = np.concatenate([part for flat in stack for part in (2 * flat, 2 * flat + 1)])
     return _read_only(positions), _read_only(entries), _read_only(blocks[:, None])
 

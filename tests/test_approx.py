@@ -65,6 +65,10 @@ def test_polar_rejects_bad_blocks():
     for empty in ((0, 3), (0, 0)):
         with pytest.raises(PreconditionError, match="^block must have at least one row$"):
             gf.polar_coisometry(np.zeros(empty))
+    # non-finite entries are refused before the SVD, in the constructor's words
+    for bad in ([[np.nan, 0.0]], [[np.inf, 1.0]]):
+        with pytest.raises(StructuralError, match="^block contains non-finite entries$"):
+            gf.polar_coisometry(bad)
 
 
 def test_weighted_coisometry_detection():
@@ -76,6 +80,8 @@ def test_weighted_coisometry_detection():
     assert not gf.is_weighted_coisometry(np.zeros((2, 3)))
     assert not gf.is_weighted_coisometry(np.ones((3, 2)))
     assert not gf.is_weighted_coisometry(np.zeros((0, 3)))
+    assert not gf.is_weighted_coisometry([[np.nan, 0.0]])
+    assert not gf.is_weighted_coisometry([[np.inf, 1.0]])
     canonical = gf.canonical_dual(gf.fixtures()["overlapping_planes"])
     assert not gf.is_weighted_coisometry(canonical.blocks[0])
 

@@ -137,6 +137,25 @@ def test_erase_with_explicit_dual(capsys, tmp_path, planes_path):
     assert unmasked["inputs"]["mask"] == []
 
 
+def test_erase_names_a_malformed_dual_file(capsys, tmp_path, planes_path):
+    short = tmp_path / "short.json"  # d = 3, but its one row has one entry
+    short.write_text('{"d": 3, "k": [1], "blocks": [[[[1, 0]]]]}')
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    signal = ("--signal", "[1,2,3]")
+    assert run(capsys, "erase", planes_path, "--dual", str(short), *signal) == (
+        2, "", f"error: --dual {short}: block 0, row 0: expected 3 entries\n")
+    assert run(capsys, "erase", planes_path, "--dual", str(broken), *signal) == (
+        2, "", f"error: --dual {broken}: invalid JSON at line 1 column 2: "
+               "Expecting property name enclosed in double quotes\n")
+    # errors in the main system file keep their bytes, whichever file is good
+    assert run(capsys, "erase", str(short), "--dual", planes_path, *signal) == (
+        2, "", "error: block 0, row 0: expected 3 entries\n")
+    assert run(capsys, "erase", str(broken), "--dual", planes_path, *signal) == (
+        2, "", "error: invalid JSON at line 1 column 2: "
+               "Expecting property name enclosed in double quotes\n")
+
+
 def test_erase_accepts_complex_signals(capsys, planes_path):
     report = run_json(capsys, "erase", planes_path, "--mask", "",
                       "--signal", "[[0, 1], 2, 3]")
@@ -208,6 +227,9 @@ def test_usage_and_parse_failures_exit_two(capsys, tmp_path, planes_path):
     schema.write_text('{"d": 2, "k": [1], "blocks": [[[1, 0]]]}')
     code, _, _ = run(capsys, "analyze", str(schema))
     assert code == 2
+    schema.write_text("[]")
+    assert run(capsys, "analyze", str(schema)) == (
+        2, "", "error: system payload must be a JSON object\n")
     # a system entry reads as the signal's does: an integer beyond the float range is not finite
     for entry in ("1e400", "1" + "0" * 400):
         schema.write_text(f'{{"d": 1, "k": [1], "blocks": [[[[0, {entry}]]]]}}')

@@ -1,7 +1,9 @@
-"""The numeric comparison of ``tools/cli_identity.py`` walks the whole report."""
+"""``tools/cli_identity.py``: its numeric comparison walks the whole report, and its docstring
+states the number of calls it makes."""
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -51,3 +53,18 @@ def test_the_walk_goes_on_past_missing_keys_and_lengths(identity):
 def test_equal_reports_have_no_deviation(identity):
     deviation, _, mismatches = identity.normwise_deviation(BEFORE, json.loads(json.dumps(BEFORE)))
     assert (deviation, mismatches) == (0.0, [])
+
+
+def test_the_docstring_states_the_number_of_calls(identity, tmp_path):
+    # matrix() reads only d and k of each system file, so stubs stand in for the systems
+    paths = {}
+    for name in identity.FIXTURES + identity.GENERATED:
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text('{"d": 3, "k": [1, 2]}')
+    boundary = [tmp_path / f"{name}.json" for name in identity.BOUNDARY]
+    malformed = [tmp_path / f"{name}.json" for name in identity.MALFORMED]
+    calls = (identity.matrix(paths, tmp_path / f"{identity.DOMINANT}.json", boundary)
+             + identity.usage_errors(paths["overlapping_planes"], malformed))
+    stated = re.search(r"fixed matrix of (\d+) CLI calls", identity.__doc__)
+    assert stated is not None
+    assert len(calls) == int(stated.group(1))

@@ -58,6 +58,8 @@ def test_representation_validation():
         gf.UnitaryRepresentation((np.eye(2),), np.array([[0, 1]]))
     with pytest.raises(StructuralError):
         gf.UnitaryRepresentation((), np.zeros((0, 0), dtype=int))
+    with pytest.raises(StructuralError, match="^representation has no identity element$"):
+        gf.UnitaryRepresentation((np.eye(2), np.eye(2)), np.array([[1, 1], [1, 1]]))
     with pytest.raises(StructuralError):
         gf.cyclic_shift_representation(0)
     # a non-finite element is not unitary, a 0-d element is no matrix, and a table of

@@ -1,5 +1,7 @@
 """Core data model: frame operator, analysis/synthesis, classification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,36 @@ def test_signature_and_properties():
     assert system.signature.tr_k == 4
 
 
+def test_systems_of_one_shape_share_a_signature_that_carries_their_layout():
+    sizes = (1, 3, 4, 2, 4)
+    first, second = random_system(6, sizes, 120), random_projective(6, sizes, 121)
+    built = gf.ReconstructionSystem(first.blocks)
+    rebuilt = gf.system_from_synthesis(gf.synthesis_matrix(second), sizes)
+    signature = first.signature
+    dual = gf.canonical_dual(first)
+    assert all(s.signature is signature for s in (second, built, rebuilt, dual))
+    # the padding mask marks each block's rows of the padded stack, and the slices its rows of T
+    rows = signature._rows
+    assert not rows.flags.writeable
+    assert rows.shape == (5, 4) and rows.sum(axis=1).tolist() == list(sizes)
+    assert all(rows[i, :ki].all() and not rows[i, ki:].any() for i, ki in enumerate(sizes))
+    assert isinstance(signature._slices, tuple)
+    for name in ("_rows", "_slices"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(signature, name, None)
+    for system in (first, second):
+        for rows_i, block in zip(signature._slices, system.blocks):
+            assert np.shares_memory(block, system.analysis)
+            assert np.array_equal(system.analysis[rows_i], block)
+    # the layout is no field: a signature a user builds is the same value
+    assert [f.name for f in dataclasses.fields(gf.RSSignature)] == ["m", "k", "d"]
+    user = gf.RSSignature(m=5, k=sizes, d=6)
+    assert user is not signature
+    assert user == signature and hash(user) == hash(signature)
+    assert repr(user) == repr(signature) == "RSSignature(m=5, k=(1, 3, 4, 2, 4), d=6)"
+    assert gf.RSSignature(m=5, k=sizes, d=7) != signature
+
+
 def test_signature_validation():
     with pytest.raises(StructuralError):
         gf.RSSignature(m=2, k=(2,), d=3)
@@ -287,6 +319,13 @@ def test_apply_validation():
         gf.synthesis_apply(system, [np.zeros(2)])
     with pytest.raises(StructuralError):
         gf.synthesis_apply(system, [np.zeros(2), np.zeros(3)])
+    # a synthesis matrix is d x K for the given sizes, and the sizes name a block
+    for synthesis, shape in ((np.zeros((3, 4)), r"\(3, 4\)"), (np.zeros(3), r"\(3,\)")):
+        with pytest.raises(StructuralError,
+                           match=rf"^synthesis matrix must have 3 columns, got shape {shape}$"):
+            gf.system_from_synthesis(synthesis, (1, 2))
+    with pytest.raises(StructuralError, match="^a system needs at least one block$"):
+        gf.system_from_synthesis(np.zeros((3, 0)), ())
 
 
 def test_synthesis_split_round_trip():

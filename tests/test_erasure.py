@@ -128,6 +128,8 @@ def test_blind_reconstruction_validation():
     other = gf.fixtures()["riesz_with_projective_dual"]
     with pytest.raises(StructuralError):
         gf.blind_reconstruct(system, other, packets, gf.ErasureMask(0, 2))
+    with pytest.raises(StructuralError, match="^dual and system signatures differ$"):
+        gf.error_report(system, other)
     with pytest.raises(StructuralError):
         gf.blind_reconstruct(system, dual, packets, gf.ErasureMask(0, 3))
     with pytest.raises(StructuralError):

@@ -405,6 +405,15 @@ def test_refused_generator_calls_draw_nothing():
         (lambda rng: partition_protocol(4, 2, 1.5, rng), "^copies must be an integer$"),
         (lambda rng: partition_protocol(4.0, 2, 1, rng), "^d must be an integer$"),
         (lambda rng: partition_protocol(4, True, 1, rng), "^block_dim must be an integer$"),
+        (lambda rng: partition_protocol(4, 2, 0, rng), "^copies must be at least 1$"),
+        (lambda rng: commuting_projective(4, [(0, 1), ()], rng),
+         "^need at least one non-empty mask per block$"),
+        (lambda rng: commuting_projective(4, [], rng),
+         "^need at least one non-empty mask per block$"),
+        (lambda rng: commuting_projective(4, [(0, 1), (2, 4)], rng),
+         r"^mask entries must lie in \[0, 4\)$"),
+        (lambda rng: commuting_projective(4, [(0, 1), (2,)], rng),
+         "^masks must cover every coordinate$"),
     ]
     for refuse, message in refusals:
         rng = np.random.default_rng(411)
@@ -417,6 +426,17 @@ def test_refused_generator_calls_draw_nothing():
     with pytest.raises(StructuralError, match="^a coisometry needs k <= d$"):
         random_projective(4, (10**6,), 0)
     assert core._layout.cache_info().misses == misses
+
+
+def test_generators_give_up_after_their_attempts():
+    # no draw of these shapes is conditioned to within 0.999, so every attempt is redrawn
+    for draw, message in (
+            (random_system, r"^no well-conditioned system for d=4, k=\(2, 2\)$"),
+            (random_projective, r"^no well-conditioned projective system for d=4, k=\(2, 2\)$")):
+        with pytest.raises(SamplingError, match=message):
+            draw(4, (2, 2), 0, conditioning=0.999)
+    with pytest.raises(SamplingError, match="^no well-conditioned square matrix for d=4$"):
+        random_riesz((2, 2), 0, conditioning=0.999)
 
 
 def test_refused_dual_samples_draw_nothing():

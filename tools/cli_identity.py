@@ -17,7 +17,7 @@ more sit near the rank and flatness boundaries at the default tolerance 1e-9:
 the Riesz pair ``V = W^{-*}`` on C^4 whose dual block ``W_0`` is
 ``diag(1 + 7.5e-10, 1) U`` (``W_1 = 1.3 U'``, ``U`` and ``U'`` rows of Haar
 unitaries), and the square block ``U diag(1, 0.5, 1e-5) U'``.  It then runs a
-fixed matrix of 182 CLI calls on them, each in a fresh process
+fixed matrix of 184 CLI calls on them, each in a fresh process
 under each tree, and reports every call whose stdout, stderr or exit code
 differs.  The matrix covers every subcommand and every ``dual --kind``
 (``wce`` also at ``--iterations 200``), ``erase`` with and without a mask and
@@ -25,14 +25,16 @@ with and without ``--dual``, ``truncate`` dropping one and ``m - 1`` blocks,
 ``analyze``, ``truncate`` and ``dual --kind two_error`` at ``--tolerance``
 1e-6 and 1e-12, and the fixture listing, on the fixtures and the four
 systems; the scaled system gets one call, ``truncate`` dropping block 0, and
-the two boundary systems get ``analyze`` and ``approx``.  Eighteen calls end
+the two boundary systems get ``analyze`` and ``approx``.  Twenty calls end
 in a usage error or print help, on the ``overlapping_planes`` fixture: a
 missing file, ``analyze`` of six malformed files (``MALFORMED``: invalid
 JSON, ``d`` of 10^400 and of 10^13, 100 000 nested ``[``, a byte that is not
 UTF-8, a 5000-digit integer), ``--tolerance 0``, ``--iterations 0``, an
 out-of-range ``--mask`` and ``--drop``, a malformed ``--signal``, a
 ``--signal`` with a ``NaN`` entry, one of 5000 nested ``[`` and one with a
-5000-digit integer, ``--help``, ``dual --help`` and no subcommand.
+5000-digit integer, ``erase --dual`` of the invalid JSON file and of
+``SHORT_ROW`` (a ``d = 3`` file whose one row has one entry), ``--help``,
+``dual --help`` and no subcommand.
 Exit status: 0 when every call matched, 1 otherwise.
 
 ``--numeric`` compares stdout as JSON instead of as bytes: keys, strings,
@@ -121,10 +123,12 @@ MALFORMED = {  # file name stem -> bytes of a file that is not a system
     "not_utf8": b'{"d": 1, "k": [1], "blocks": [[[[1, 0]]]]}\xff',
     "long_integer": b'{"d": 1' + b"0" * 4999 + b"}",
 }
+SHORT_ROW = b'{"d": 3, "k": [1], "blocks": [[[[1, 0]]]]}'  # read only as an erase --dual
 
 
 def usage_errors(planes: Path, malformed: list[Path]) -> list[list[str]]:
-    """Calls that end in a usage or parse error (exit 2), or print help."""
+    """Calls that end in a usage or parse error (exit 2), or print help; ``broken.json`` and
+    ``short_row.json`` (``SHORT_ROW``) must sit beside ``planes``."""
     file = str(planes)  # two blocks on C^3, so index 2 is out of range
     return [
         ["analyze", str(planes.with_name("missing.json"))],
@@ -137,6 +141,8 @@ def usage_errors(planes: Path, malformed: list[Path]) -> list[list[str]]:
         ["erase", file, "--signal", "[NaN, 2, 3]"],
         ["erase", file, "--signal", "[" * 5000],
         ["erase", file, "--signal", "[1, 1" + "0" * 4999 + ", 2]"],
+        *(["erase", file, "--dual", str(planes.with_name(name)), "--signal", "[1, 2, 3]"]
+          for name in ("broken.json", "short_row.json")),
         ["--help"],
         ["dual", "--help"],
         [],
@@ -278,6 +284,7 @@ def main(argv=None) -> int:
         malformed = [work / f"{name}.json" for name in MALFORMED]
         for path, content in zip(malformed, MALFORMED.values()):
             path.write_bytes(content)
+        (work / "short_row.json").write_bytes(SHORT_ROW)
         calls = matrix(paths, dominant, boundary) + usage_errors(
             paths["overlapping_planes"], malformed)
         differing = inexact = 0
