@@ -42,19 +42,11 @@ def singular_values(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-def _qr_failed(err, flag):
-    raise LinAlgError("Incorrect argument found while performing QR factorization")
-
-
-def _eigenvalues_failed(err, flag):
-    raise LinAlgError("Eigenvalues did not converge")
-
-
-def _singular(err, flag):
-    raise LinAlgError("Singular matrix")
-
-
-def _lapack(failed):
+def _lapack(message: str) -> np.errstate:
+    """The ``errstate`` numpy's linalg wrappers set: a failed gufunc raises
+    ``LinAlgError(message)``, with numpy's message for that routine."""
+    def failed(err, flag):
+        raise LinAlgError(message)
     return np.errstate(call=failed, invalid="call", over="ignore", divide="ignore",
                        under="ignore")
 
@@ -63,7 +55,7 @@ def qr_basis(stack: np.ndarray) -> np.ndarray:
     """``Q`` of the reduced QR of a ``complex128`` matrix or ``... x n x k`` stack: the bits of
     ``np.linalg.qr(stack)[0]``.  ``stack`` is overwritten, so it must be the caller's own
     scratch buffer."""
-    with _lapack(_qr_failed):
+    with _lapack("Incorrect argument found while performing QR factorization"):
         tau = _umath_linalg.qr_r_raw(stack)  # leaves the Householder vectors in ``stack``
         return _umath_linalg.qr_reduced(stack, tau)
 
@@ -72,14 +64,14 @@ def householder(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``R`` of the QR of the caller's own ``complex128`` scratch ``matrix`` (the bits of
     ``np.linalg.qr(matrix, "r")``) and the ``tau`` that, with the reflectors this leaves in
     ``matrix``, give ``Q`` through ``householder_basis``."""
-    with _lapack(_qr_failed):
+    with _lapack("Incorrect argument found while performing QR factorization"):
         tau = _umath_linalg.qr_r_raw(matrix)
     return np.triu(matrix[..., :tau.shape[-1], :]), tau
 
 
 def householder_basis(reflectors: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """``Q`` from ``householder``'s reflectors and ``tau``: the bits of ``np.linalg.qr(...)[0]``."""
-    with _lapack(_qr_failed):
+    with _lapack("Incorrect argument found while performing QR factorization"):
         return _umath_linalg.qr_reduced(reflectors, tau)
 
 
@@ -92,7 +84,7 @@ def triangular_inverse(r: np.ndarray) -> np.ndarray:
     order 256."""
     n = r.shape[-1]
     if n <= 32:
-        with _lapack(_singular):
+        with _lapack("Singular matrix"):
             return _umath_linalg.inv(r)
     h = n // 2
     top, bottom = triangular_inverse(r[:h, :h]), triangular_inverse(r[h:, h:])
@@ -106,7 +98,7 @@ def triangular_inverse(r: np.ndarray) -> np.ndarray:
 def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a ``complex128`` Hermitian matrix or stack, read from its lower
     triangle: the bits of ``np.linalg.eigvalsh(h)``."""
-    with _lapack(_eigenvalues_failed):
+    with _lapack("Eigenvalues did not converge"):
         return _umath_linalg.eigvalsh_lo(h)
 
 

@@ -3,7 +3,9 @@
 Exit codes: 0 on success (including in-band "not a reconstruction system"
 findings), 2 for usage or parse problems, 3 when a numerical precondition
 fails.  ``--tolerance`` and ``--iterations`` are checked before any subcommand
-runs, whether or not it reads them.  Block indices on ``--mask``/``--drop`` are 0-based.
+runs, whether or not it reads them; then ``main`` loads the system file of a subcommand
+that takes one and hands it to the handler, so a malformed file is reported before the
+subcommand's other options are read.  Block indices on ``--mask``/``--drop`` are 0-based.
 
 A one-shot call is dominated by start-up, so each subcommand imports the
 library modules it runs inside its handler and a call loads no others.
@@ -20,6 +22,7 @@ from dataclasses import asdict
 import numpy as np
 
 from ._linalg import check_tolerance
+from .core import ReconstructionSystem
 from .errors import GFramesError, StructuralError
 from .serialize import (
     _complex,
@@ -96,11 +99,10 @@ def _report(args: argparse.Namespace, inputs: dict, outputs: dict) -> dict:
     }
 
 
-def _cmd_analyze(args: argparse.Namespace) -> dict:
+def _cmd_analyze(args: argparse.Namespace, system: ReconstructionSystem) -> dict:
     from .core import classify, frame_operator
     from .erasure import wce_condition
 
-    system = load_system(args.path)
     shape = classify(system, args.tolerance)
     criterion = None
     if shape.is_projective and shape.is_rs:
@@ -114,11 +116,10 @@ def _cmd_analyze(args: argparse.Namespace) -> dict:
     return _report(args, {"path": str(args.path)}, outputs)
 
 
-def _cmd_dual(args: argparse.Namespace) -> dict:
+def _cmd_dual(args: argparse.Namespace, system: ReconstructionSystem) -> dict:
     from .duals import canonical_dual, verify_dual
     from .erasure import error_report, optimal_dual_two_error, wce_solve
 
-    system = load_system(args.path)
     outputs: dict = {}
     if args.kind == "canonical":
         dual = canonical_dual(system, args.tolerance)
@@ -138,12 +139,11 @@ def _cmd_dual(args: argparse.Namespace) -> dict:
     return _report(args, inputs, outputs)
 
 
-def _cmd_erase(args: argparse.Namespace) -> dict:
+def _cmd_erase(args: argparse.Namespace, system: ReconstructionSystem) -> dict:
     from .core import analysis_apply
     from .duals import canonical_dual
     from .erasure import ErasureMask, blind_reconstruct, error_report
 
-    system = load_system(args.path)
     dual = _load_dual(args.dual) if args.dual else canonical_dual(system, args.tolerance)
     mask = ErasureMask(_indices(args.mask), system.m)
     signal = _signal(args.signal, system.d)
@@ -159,10 +159,9 @@ def _cmd_erase(args: argparse.Namespace) -> dict:
     return _report(args, inputs, outputs)
 
 
-def _cmd_truncate(args: argparse.Namespace) -> dict:
+def _cmd_truncate(args: argparse.Namespace, system: ReconstructionSystem) -> dict:
     from .stability import ck_sufficient_condition, truncate, truncated_canonical_dual
 
-    system = load_system(args.path)
     drop = _indices(args.drop)
     report = truncate(system, drop, args.tolerance)
     holds, estimate = ck_sufficient_condition(system, drop, args.tolerance)
@@ -183,11 +182,10 @@ def _cmd_truncate(args: argparse.Namespace) -> dict:
     return _report(args, {"path": str(args.path), "drop": list(report.dropped)}, outputs)
 
 
-def _cmd_approx(args: argparse.Namespace) -> dict:
+def _cmd_approx(args: argparse.Namespace, system: ReconstructionSystem) -> dict:
     from .approx import nearest_projective
     from .core import classify
 
-    system = load_system(args.path)
     projective, distance = nearest_projective(system, args.tolerance)
     shape = classify(projective, args.tolerance)
     outputs = {
@@ -289,7 +287,8 @@ def main(argv=None) -> int:
         check_tolerance(args.tolerance)
         if args.iterations < 1:
             raise StructuralError("iterations must be at least 1")
-        rendered = dumps_canonical(args.handler(args))
+        loaded = (load_system(args.path),) if "path" in vars(args) else ()
+        rendered = dumps_canonical(args.handler(args, *loaded))
     except json.JSONDecodeError as exc:
         print(f"error: {_invalid_json(exc)}", file=sys.stderr)
         return EXIT_USAGE

@@ -75,7 +75,8 @@ class UnitaryRepresentation:
     writes to the inputs do not reach the representation.  Validation checks
     the stack for unitarity, the table for closure against actual products
     and for an identity element, each matrix within ``1e-10`` in Frobenius
-    norm; a non-finite element fails.
+    norm; a non-finite element fails.  ``copy``, ``deepcopy`` and ``pickle``
+    rebuild a representation from its elements and table through this check.
     """
 
     unitaries: tuple[np.ndarray, ...]
@@ -117,6 +118,9 @@ class UnitaryRepresentation:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "_identity", int(identity[0]))
+
+    def __reduce__(self):
+        return UnitaryRepresentation, (self.unitaries, self.table)
 
     @property
     def order(self) -> int:

@@ -11,9 +11,11 @@ eigenvalues of ``S`` are the frame bounds.  Stacking the blocks vertically
 gives the ``K x d`` analysis matrix ``T`` (``K = sum_i k_i``); its adjoint is
 the synthesis matrix, and ``S = T^* T`` is analysis followed by synthesis.
 
-A system's shape is its ``RSSignature``, which every system of that shape
-shares (``_layout`` caches one per shape) and which carries the block layout:
-the row slice of each block in ``T`` and the padding mask of its blocks.
+A system's shape is its ``RSSignature``, which carries the block layout: the
+row slice of each block in ``T`` and the padding mask of its blocks.
+``_layout`` keeps one signature per shape in a bounded cache, so the systems
+built while a shape is cached share its signature object, and any other
+system of that shape holds an equal one; signatures are compared with ``==``.
 Blocks of mixed heights are batched one way only: zero-padded with rows to
 the widest block, as the ``m x width x d`` stack of ``_block_stack``, with the
 signature's mask marking the real rows.  Padding leaves each block's
@@ -24,6 +26,9 @@ truncation, the erasure errors) reads one stacked factor.  Padding costs
 ``sum_i k_i^2 d``; the two differ only on systems with a few tall blocks
 among many short ones.
 
+Systems and signatures are values: ``copy``, ``deepcopy`` and ``pickle``
+rebuild them through the checked constructor (their ``__reduce__``), so a copy
+has read-only storage, the shared signature of its shape and no cached slot.
 Systems are immutable, so each caches what ops derive from it (see
 ``ReconstructionSystem``).
 
@@ -85,6 +90,9 @@ class RSSignature:
         """Total coefficient dimension ``K = sum_i k_i``."""
         return sum(self.k)
 
+    def __reduce__(self):
+        return _layout, (self.k, self.d)
+
     @cached_property
     def _slices(self) -> tuple[slice, ...]:
         return tuple(slice(end - ki, end) for ki, end in zip(self.k, accumulate(self.k)))
@@ -109,7 +117,9 @@ def _as_block(entry, index: int) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _layout(sizes: tuple[int, ...], d: int) -> RSSignature:
-    """The signature that every system with blocks of heights ``sizes`` over ``C^d`` shares."""
+    """The signature of systems with blocks of heights ``sizes`` over ``C^d``: one object per
+    shape while the shape stays in this bounded cache, and a new, equal one for a shape
+    evicted from it.  Copies and pickles of a signature are rebuilt here."""
     for i, ki in enumerate(sizes):
         if ki < 1 or d < 1:
             raise StructuralError(
@@ -124,8 +134,11 @@ class ReconstructionSystem:
     The blocks are stored once, stacked in order as the read-only ``K x d``
     matrix ``analysis``, which is validated at construction; ``blocks`` holds
     read-only row-slice views into it.  ``k``, ``tr_k`` and ``signature`` are
-    fixed at construction; systems of one shape share one signature, which
-    carries their row slices and padding mask, through a bounded cache.
+    fixed at construction.  The signature carries the row slices and padding
+    mask; systems built while their shape is in ``_layout``'s bounded cache
+    share one signature object, and others hold an equal one.  ``copy``,
+    ``deepcopy`` and ``pickle`` rebuild a system from its blocks through this
+    constructor, so a copy carries none of the slots below.
 
     A system also caches three read-only arrays on first use, valid for its
     lifetime whichever op computed them: the triangular factors ``R_i`` of
@@ -211,6 +224,9 @@ class ReconstructionSystem:
         a verdict asked for before any such call takes a values-only QR.
         """
         return _squared_spectrum(np.linalg.qr(self.analysis, mode="r"), self.d)
+
+    def __reduce__(self):
+        return ReconstructionSystem, (self.blocks,)
 
     def __repr__(self) -> str:
         return f"ReconstructionSystem(m={self.m}, k={self.k}, d={self.d})"

@@ -1,11 +1,12 @@
-"""Shared random draws for the test suite (all deterministic in the rng)."""
+"""Shared random draws (all deterministic in the rng) and invariant checks for the test suite."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from gframes import ReconstructionSystem, classify
-from gframes._linalg import hermitian_part, random_unitary
+import gframes.core as core
+from gframes import ReconstructionSystem, RSSignature, UnitaryRepresentation, classify
+from gframes._linalg import dagger, hermitian_part, random_unitary
 from gframes.generate import (
     commuting_projective,
     partition_protocol,
@@ -148,3 +149,64 @@ def riesz_pair(k: int, spread: float, seed: int) -> tuple[np.ndarray, Reconstruc
     second = 1.3 * random_unitary(rng, d)[:k]
     analysis = np.linalg.inv(np.vstack((first, second))).conj().T
     return first, ReconstructionSystem((analysis[:k], analysis[k:]))
+
+
+# the attributes a system sets at construction, then the caches that ops may add
+SYSTEM_SLOTS = frozenset({"blocks", "analysis", "k", "tr_k", "signature", "_scored"})
+SYSTEM_CACHES = frozenset({"_spectrum", "_block_factor", "_r_inverse", "_kept"})
+
+
+def _close(cached: np.ndarray, fresh: np.ndarray) -> bool:
+    return bool(np.abs(cached - fresh).max() <= 1e-10 * max(np.abs(fresh).max(), 1e-300))
+
+
+def assert_system_invariants(system: ReconstructionSystem, just_built: bool = True) -> None:
+    """The invariants of every system, however it was made or copied.
+
+    ``analysis`` is read-only, C-contiguous, ``complex128`` and finite; each block is a
+    read-only view of ``analysis`` at its signature's row slice; the signature equals
+    ``RSSignature(m, k, d)`` and, when ``just_built``, is the one ``core._layout`` shares
+    (a shape evicted from that bounded cache leaves older systems with an equal one); and
+    each cached ``_spectrum``, ``_block_factor`` and ``_r_inverse`` is read-only and equals a
+    freshly computed one, as a sampled dual's ``_scored`` row equals fresh scores.
+    """
+    analysis = system.analysis
+    assert analysis.dtype == np.complex128 and analysis.flags.c_contiguous
+    assert not analysis.flags.writeable and np.isfinite(analysis).all()
+    signature = system.signature
+    assert signature == RSSignature(system.m, system.k, system.d)
+    assert system.k == signature.k and system.tr_k == signature.tr_k == analysis.shape[0]
+    if just_built:
+        assert signature is core._layout(system.k, system.d)
+    assert len(system.blocks) == signature.m
+    for block, rows in zip(system.blocks, signature._slices):
+        assert not block.flags.writeable
+        # same memory, shape and strides as the slice: a view of ``analysis`` at its rows
+        assert block.__array_interface__ == analysis[rows].__array_interface__
+    cache = vars(system)
+    assert SYSTEM_SLOTS <= set(cache) <= SYSTEM_SLOTS | SYSTEM_CACHES
+    r = np.linalg.qr(analysis, mode="r")
+    fresh = {
+        "_spectrum": lambda: core._squared_spectrum(r, system.d),
+        "_block_factor": lambda: np.linalg.qr(dagger(core._block_stack(system)), mode="r"),
+        "_r_inverse": lambda: np.linalg.inv(r),
+    }
+    for name, compute in fresh.items():
+        if name in cache:
+            assert not cache[name].flags.writeable, name
+            assert _close(cache[name], compute()), name
+    if system._scored is not None:
+        reference, scores, row = system._scored
+        assert _close(scores[row], core._scores(reference, core._block_stack(system)))
+
+
+def assert_representation_invariants(rep: UnitaryRepresentation) -> None:
+    """A representation's elements are read-only views of its read-only ``n x d x d`` stack,
+    and its table is a read-only ``n x n`` integer array."""
+    stack = rep._stack
+    assert stack.dtype == np.complex128 and stack.flags.c_contiguous
+    assert not stack.flags.writeable and stack.shape == (rep.order, rep.dimension, rep.dimension)
+    for element, view in zip(rep.unitaries, stack, strict=True):
+        assert element.__array_interface__ == view.__array_interface__
+    assert rep.table.dtype.kind == "i" and rep.table.shape == (rep.order, rep.order)
+    assert not rep.table.flags.writeable

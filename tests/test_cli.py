@@ -156,6 +156,26 @@ def test_erase_names_a_malformed_dual_file(capsys, tmp_path, planes_path):
                "Expecting property name enclosed in double quotes\n")
 
 
+@pytest.mark.parametrize("options", [
+    ("analyze",),
+    ("dual", "--kind", "wce"),
+    ("erase", "--mask", "99", "--signal", "["),
+    ("erase", "--dual", "missing.json", "--mask", "0,0", "--signal", "[1,2,3]"),
+    ("truncate", "--drop", "99"),
+    ("approx",),
+])
+def test_the_system_file_is_read_after_the_global_checks_and_before_other_options(
+        capsys, tmp_path, options):
+    short = tmp_path / "short.json"  # d = 3, but its one row has one entry
+    short.write_text('{"d": 3, "k": [1], "blocks": [[[[1, 0]]]]}')
+    argv = (options[0], str(short), *(str(tmp_path / a) if a.endswith(".json") else a
+                                      for a in options[1:]))
+    assert run(capsys, *argv) == (2, "", "error: block 0, row 0: expected 3 entries\n")
+    assert run(capsys, "--tolerance", "0", *argv) == (2, "", "error: tolerance must be positive\n")
+    assert run(capsys, "--iterations", "0", *argv) == (
+        2, "", "error: iterations must be at least 1\n")
+
+
 def test_erase_accepts_complex_signals(capsys, planes_path):
     report = run_json(capsys, "erase", planes_path, "--mask", "",
                       "--signal", "[[0, 1], 2, 3]")
